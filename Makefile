@@ -8,7 +8,7 @@ GO ?= go
 # Pinned staticcheck (2025.1.1); CI installs exactly this version.
 STATICCHECK_VERSION ?= v0.6.1
 
-.PHONY: all build test bench bench-adaptive bench-bits bench-compare staticcheck staticcheck-install lint smoke-serve smoke-cluster smoke-differential fuzz-smoke vuln ci
+.PHONY: all build test bench bench-adaptive bench-bits bench-compare staticcheck staticcheck-install lint smoke-serve smoke-cluster fuzz-smoke vuln ci
 
 all: ci
 
@@ -57,7 +57,7 @@ bench-adaptive:
 # chunk scenarios with membench's unconditional zero-alloc check (no
 # baseline needed) — fast enough to run on every hot-path change.
 bench-bits:
-	$(GO) run ./cmd/membench -rev bits -o BENCH_bits.json -only '^(bits-kernel|core-nobug-bits|compiled-kernel|rng-bulkfill|mc-batch|mc-mean-batch|mc-instrumented|obs-metrics)/'
+	$(GO) run ./cmd/membench -rev bits -o BENCH_bits.json -only '^(bits-kernel|core-nobug-bits|compiled-kernel|rng-bulkfill|mc-mean-batch|mc-instrumented|obs-metrics)/'
 
 # bench-compare is the perf-regression gate: run the canonical
 # cmd/membench suite, emit BENCH_new.json, and compare it against the
@@ -75,18 +75,14 @@ smoke-serve:
 smoke-cluster:
 	./scripts/smoke_cluster.sh
 
-# smoke-differential is the bounded-time seeded differential gate:
-# randomized queries cross-checked across the compiled engine, the
-# table-driven reference kernel, and the []bool closure adapter — any
-# divergence fails with a deterministic repro (see cmd/memdiff).
-smoke-differential:
-	$(GO) run ./cmd/memdiff -duration 10s -seed 1
-
 # fuzz-smoke replays the committed fuzz corpora under plain `go test`,
-# then runs each native fuzz target (FuzzParseLitmus,
-# FuzzDifferentialEstimate) for a bounded FUZZTIME (default 30s each).
-# Crashers land in the packages' testdata/fuzz/ directories; CI uploads
-# them as artifacts on failure.
+# runs the seeded differential sweep (`memdiff -duration 10s -seed 1`:
+# randomized queries cross-checked across the compiled engine, the
+# table-driven kernel, and the reference oracle, any divergence failing
+# with a deterministic repro), then runs each native fuzz target
+# (FuzzParseLitmus, FuzzDifferentialEstimate) for a bounded FUZZTIME
+# (default 30s each). Crashers land in the packages' testdata/fuzz/
+# directories; CI uploads them as artifacts on failure.
 fuzz-smoke:
 	./scripts/fuzz_smoke.sh
 
@@ -99,4 +95,4 @@ vuln:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-ci: lint staticcheck build test bench bench-adaptive bench-bits bench-compare smoke-serve smoke-cluster smoke-differential fuzz-smoke vuln
+ci: lint staticcheck build test bench bench-adaptive bench-bits bench-compare smoke-serve smoke-cluster fuzz-smoke vuln

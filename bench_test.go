@@ -302,11 +302,11 @@ func BenchmarkTheorem51ShiftDisjointness(b *testing.B) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := mc.EstimateProbability(context.Background(),
+			res, err := mc.EstimateProbabilityBits(context.Background(),
 				mc.Config{Trials: 200000, Seed: 51},
-				func(src *rng.Source) (bool, error) {
+				mc.BitsFromTrial(func(src *rng.Source) (bool, error) {
 					return shift.DisjointTrial(lengths, src)
-				})
+				}))
 			if err != nil {
 				return nil, err
 			}

@@ -16,7 +16,7 @@ func TestListScenarios(t *testing.T) {
 	if err := run([]string{"-list"}, &out, &progress); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"exact-dp/", "fixed-mc/", "adaptive-mc/", "hybrid/", "windowdist/", "mc-batch/chunk-8k"} {
+	for _, want := range []string{"exact-dp/", "fixed-mc/", "adaptive-mc/", "hybrid/", "windowdist/", "bits-kernel/chunk-8k"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("listing lacks %q:\n%s", want, out.String())
 		}

@@ -6,12 +6,13 @@
 //
 // Per scenario, every applicable check runs:
 //
-//   - mc vs mc-compiled vs the []bool closure adapter, bit-identical
-//     (fixed-trials and adaptive-precision paths);
+//   - mc vs mc-compiled vs the reference oracle
+//     (core.Config.ReferenceNoBugBits), bit-identical on fixed-trials
+//     and adaptive-precision queries alike;
 //   - the independent exact enumerations against each other and, for
 //     n=2, against the settling-DP interval;
-//   - exact Pr[A] inside the Monte Carlo route's extreme-confidence
-//     Wilson interval;
+//   - the Monte Carlo success count against the exact Pr[A] under an
+//     exact binomial tail test (diffcheck.ContainmentAlpha per side);
 //   - the exact window distribution against the paper's closed-form
 //     bounds at the normal form.
 //

@@ -8,22 +8,6 @@ import (
 	"memreliability/internal/shift"
 )
 
-// EstimateNoBugProbAdaptive estimates Pr[A] by full Monte Carlo over the
-// joined process to a requested precision: sampling stops as soon as the
-// Wilson interval meets the adaptive config's targets, or its trial
-// budget cap runs out (reported in the result's StopReason, never
-// silently). Reproducibility matches mc.EstimateAdaptive: the result is
-// a pure function of (config, seed, targets, cap), worker-count
-// invariant, and bit-identical to the fixed-trials route when the budget
-// is exhausted.
-func EstimateNoBugProbAdaptive(ctx context.Context, cfg Config, acfg mc.AdaptiveConfig) (*mc.AdaptiveResult, error) {
-	batch, err := cfg.NoBugBits()
-	if err != nil {
-		return nil, err
-	}
-	return mc.EstimateAdaptiveBits(ctx, acfg, batch)
-}
-
 // HybridAdaptiveResult is the outcome of an adaptive Theorem 6.1 hybrid
 // estimation: the usual hybrid result plus the sampling cost and the
 // stopping diagnosis.

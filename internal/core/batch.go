@@ -1,22 +1,16 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"memreliability/internal/mc"
 	"memreliability/internal/rng"
-	"memreliability/internal/shift"
 )
 
-// This file holds the []bool reference implementation of the batched
-// joined-model trial and the kernel-backed product batch. NoBugBatch
-// routes RNG consumption through the same sampleSegmentsInto routine
-// the closures use, so it is bit-identical to the closure route by
-// construction; the bit-parallel hot path (NoBugBits, kernel.go) is in
-// turn property-tested against NoBugBatch. Estimation entry points run
-// on the kernel; NoBugBatch stays as the oracle those tests compare
-// against.
+// This file holds the reference bitset batch of the joined-model trial
+// and the kernel-backed product batch. Estimation runs on the trial
+// engines (NoBugBits, CompiledNoBugBits); ReferenceNoBugBits is the
+// oracle their property tests and diffcheck compare against.
 
 // productOf computes Π_{i=1}^{n-1} 2^-i·Γᵢ — the Theorem 6.1 expectation
 // integrand — from one draw of segment lengths, in log space.
@@ -28,37 +22,22 @@ func productOf(segments []int) float64 {
 	return math.Exp(logProduct)
 }
 
-// NoBugBatch returns the []bool-batched form of the full joined-process
-// trial: out[i] reports whether the bug did NOT manifest (the event A)
-// on the i-th trial. It is the reference implementation the bit-parallel
-// NoBugBits is property-tested against — kept deliberately on the
-// shared sampleSegmentsInto routine, not the kernel. The returned batch
-// is safe for the harness's concurrent per-chunk calls — all captured
-// state is immutable, and the reused segments buffer is local to each
-// call.
-func (c Config) NoBugBatch() (mc.BatchTrial, error) {
+// ReferenceNoBugBits returns the reference bitset batch of the full
+// joined-process trial: bit i reports whether the bug did NOT manifest
+// (the event A) on the i-th trial. It is mc.BitsFromTrial over
+// ManifestTrial — SampleSegments then shift.DisjointTrial, on the
+// independent prog, settle and shift packages rather than the KernelIR
+// — and it is the single oracle the kernel and compiler property tests
+// and diffcheck.CheckEngines hold both trial engines to. It shares no
+// state between calls, so the harness may run it concurrently.
+func (c Config) ReferenceNoBugBits() (mc.BatchTrialBits, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	opts, err := c.settleOptions()
-	if err != nil {
-		return nil, err
-	}
-	cfg := c
-	return func(src *rng.Source, out []bool) error {
-		segments := make([]int, cfg.Threads)
-		for i := range out {
-			if err := cfg.sampleSegmentsInto(opts, segments, src); err != nil {
-				return err
-			}
-			disjoint, err := shift.DisjointTrial(segments, src)
-			if err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-			out[i] = disjoint
-		}
-		return nil
-	}, nil
+	return mc.BitsFromTrial(func(src *rng.Source) (bool, error) {
+		manifested, err := c.ManifestTrial(src)
+		return !manifested, err
+	}), nil
 }
 
 // ProductBatch returns the batched form of the Theorem 6.1 product

@@ -9,30 +9,19 @@ import (
 	"memreliability/internal/rng"
 )
 
-// TestNoBugBatchMatchesClosure checks the batched joined-process trial
-// against the per-trial route on one shared substream: trial for trial,
-// the booleans must be identical.
-func TestNoBugBatchMatchesClosure(t *testing.T) {
-	cfg := Config{Model: memmodel.TSO(), Threads: 3, PrefixLen: 16, StoreProb: 0.5, SwapProb: 0.5}
-	batch, err := cfg.NoBugBatch()
+// estimateNoBug estimates Pr[A] by full Monte Carlo on the table-driven
+// kernel: the fixed-trials mc route the estimator runs.
+func estimateNoBug(t *testing.T, cfg Config, mcCfg mc.Config) *mc.Result {
+	t.Helper()
+	batch, err := cfg.NoBugBits()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const trials = 400
-	batchSrc, closureSrc := rng.New(5), rng.New(5)
-	out := make([]bool, trials)
-	if err := batch(batchSrc, out); err != nil {
+	res, err := mc.EstimateProbabilityBits(context.Background(), mcCfg, batch)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < trials; i++ {
-		manifested, err := cfg.ManifestTrial(closureSrc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out[i] != !manifested {
-			t.Fatalf("trial %d: batch=%v closure no-bug=%v", i, out[i], !manifested)
-		}
-	}
+	return res
 }
 
 // TestProductBatchMatchesClosure is the same check for the Theorem 6.1
@@ -61,17 +50,13 @@ func TestProductBatchMatchesClosure(t *testing.T) {
 }
 
 // TestEstimateNoBugProbStillDeterministic pins the end-to-end estimate:
-// the batch rewiring must leave (seed, trials) → counts unchanged across
-// worker counts.
+// (seed, trials) → counts is unchanged across worker counts and equal to
+// the reference oracle's run on the same substreams.
 func TestEstimateNoBugProbStillDeterministic(t *testing.T) {
 	cfg := Config{Model: memmodel.TSO(), Threads: 2, PrefixLen: 16, StoreProb: 0.5, SwapProb: 0.5}
 	var want int
 	for i, workers := range []int{1, 4} {
-		res, err := EstimateNoBugProb(context.Background(), cfg,
-			mc.Config{Trials: 3000, Workers: workers, Seed: 62})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := estimateNoBug(t, cfg, mc.Config{Trials: 3000, Workers: workers, Seed: 62})
 		if i == 0 {
 			want = res.Proportion.Successes()
 		} else if res.Proportion.Successes() != want {
@@ -79,17 +64,17 @@ func TestEstimateNoBugProbStillDeterministic(t *testing.T) {
 		}
 	}
 
-	batch, err := cfg.NoBugBatch()
+	ref, err := cfg.ReferenceNoBugBits()
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaBatch, err := mc.EstimateProbabilityBatch(context.Background(),
-		mc.Config{Trials: 3000, Seed: 62}, batch)
+	viaRef, err := mc.EstimateProbabilityBits(context.Background(),
+		mc.Config{Trials: 3000, Seed: 62}, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaBatch.Proportion.Successes() != want {
-		t.Errorf("direct batch run: %d successes, want %d", viaBatch.Proportion.Successes(), want)
+	if viaRef.Proportion.Successes() != want {
+		t.Errorf("reference run: %d successes, want %d", viaRef.Proportion.Successes(), want)
 	}
 }
 
@@ -97,8 +82,11 @@ func TestEstimateNoBugProbStillDeterministic(t *testing.T) {
 // construction, before any sampling.
 func TestBatchConstructorsValidate(t *testing.T) {
 	bad := Config{Model: memmodel.TSO(), Threads: 1, PrefixLen: 16}
-	if _, err := bad.NoBugBatch(); err == nil {
-		t.Error("NoBugBatch accepted threads=1")
+	if _, err := bad.ReferenceNoBugBits(); err == nil {
+		t.Error("ReferenceNoBugBits accepted threads=1")
+	}
+	if _, err := bad.CompiledNoBugBits(); err == nil {
+		t.Error("CompiledNoBugBits accepted threads=1")
 	}
 	if _, err := bad.ProductBatch(); err == nil {
 		t.Error("ProductBatch accepted threads=1")

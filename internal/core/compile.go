@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -29,15 +28,16 @@ import (
 //     rng.FillUint64s) instead of a per-draw generator step, amortizing
 //     the xoshiro state round-trip across a whole buffer.
 //
-// The only correctness gate is bit-identity with the reference engine on
-// the same source — same draws, same order, same final generator state —
-// which the cross-engine property tests (compile_test.go) enforce across
-// the full parameter lattice. An IR the compiler cannot specialize
+// The only correctness gate is bit-identity with the table-driven kernel
+// and the reference oracle (Config.ReferenceNoBugBits) on the same
+// source — same draws, same order, same final generator state — which
+// the cross-engine property tests (compile_test.go) enforce across the
+// full parameter lattice. A hand-built IR the compiler cannot specialize
 // (per-pair swap thresholds, which Config.BuildIR never emits) reports
-// ErrNotCompilable, and callers fall back to the reference kernel.
+// ErrNotCompilable.
 
 // ErrNotCompilable reports an IR outside the compiler's specialization
-// lattice; the table-driven reference kernel handles every IR.
+// lattice; the table-driven kernel handles every IR.
 var ErrNotCompilable = errors.New("core: IR not compilable")
 
 // cursorWords is the bulk-draw buffer size (8 KiB). A batch call wastes
@@ -154,10 +154,6 @@ type Program struct {
 	constTyp []uint8
 	pool     sync.Pool
 }
-
-// IR returns the intermediate representation the program was compiled
-// from.
-func (p *Program) IR() KernelIR { return p.ir }
 
 // Compile lowers the IR into a monomorphized Program, selecting one
 // variant per lattice coordinate (prefix × settle × disjoint).
@@ -623,69 +619,22 @@ func (p *Program) FillBits(src *rng.Source, out []uint64, n int) error {
 	return nil
 }
 
-// FillProducts evaluates len(out) consecutive Theorem 6.1 product trials
-// into out under the mc.BatchMean contract, bit-identical to
-// Kernel.FillProducts. Zero steady-state allocations.
-func (p *Program) FillProducts(src *rng.Source, out []float64) error {
-	st := p.pool.Get().(*compiledState)
-	defer p.pool.Put(st)
-	st.cur.attach(src)
-	for i := range out {
-		p.sample(st)
-		out[i] = productOf(st.segments)
-	}
-	st.cur.sync()
-	return nil
-}
-
 // BatchBits adapts the program to the mc harness's bitset batch
 // interface. The program is shared across the harness's concurrent
 // per-chunk calls; each call draws a private state from the pool.
 func (p *Program) BatchBits() mc.BatchTrialBits { return p.FillBits }
 
-// BatchProducts adapts the program to the mc harness's mean batch
-// interface.
-func (p *Program) BatchProducts() mc.BatchMean { return p.FillProducts }
-
 // CompiledNoBugBits returns the bitset batch for the config on the
 // compiler engine, compiling through the default plan cache (repeated
-// queries share one Program). If the query falls outside the compiler's
-// specialization lattice (ErrNotCompilable — impossible for configs,
-// kept as a defensive seam), it falls back to the reference kernel,
-// which is bit-identical by the promotion gate.
+// queries share one Program). An invalid config fails before it reaches
+// the cache.
 func (c Config) CompiledNoBugBits() (mc.BatchTrialBits, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	prog, err := DefaultPlanCache().Lookup(c)
-	if errors.Is(err, ErrNotCompilable) {
-		return c.NoBugBits()
-	}
 	if err != nil {
 		return nil, err
 	}
 	return prog.BatchBits(), nil
-}
-
-// EstimateNoBugProbCompiled estimates Pr[A] by full Monte Carlo on the
-// compiler engine — bit-identical to EstimateNoBugProb by the
-// cross-engine gate, faster per trial.
-func EstimateNoBugProbCompiled(ctx context.Context, cfg Config, mcCfg mc.Config) (*mc.Result, error) {
-	batch, err := cfg.CompiledNoBugBits()
-	if err != nil {
-		return nil, err
-	}
-	return mc.EstimateProbabilityBits(ctx, mcCfg, batch)
-}
-
-// EstimateNoBugProbCompiledAdaptive is the adaptive-precision form of
-// EstimateNoBugProbCompiled, with EstimateNoBugProbAdaptive's exact
-// reproducibility contract (chunk-aligned rounds, worker-count
-// invariant) on the compiler engine.
-func EstimateNoBugProbCompiledAdaptive(ctx context.Context, cfg Config, acfg mc.AdaptiveConfig) (*mc.AdaptiveResult, error) {
-	batch, err := cfg.CompiledNoBugBits()
-	if err != nil {
-		return nil, err
-	}
-	return mc.EstimateAdaptiveBits(ctx, acfg, batch)
 }

@@ -12,10 +12,10 @@ import (
 )
 
 // These are the compiler engine's promotion gate: the compiled Program
-// must be bit-identical to the table-driven reference kernel — same
-// bitsets, same products, same final generator state — across the full
-// parameter lattice, including the draw-free p, s ∈ {0, 1} edges, batch
-// sizes that end mid-word, and the harness's sub-batch call pattern.
+// must be bit-identical to the reference oracle (ReferenceNoBugBits) —
+// same bitsets, same final generator state — across the full parameter
+// lattice, including the draw-free p, s ∈ {0, 1} edges, batch sizes
+// that end mid-word, and the harness's sub-batch call pattern.
 
 // latticeCase is one point of the cross-engine test grid.
 type latticeCase struct {
@@ -60,19 +60,26 @@ func compileFor(t *testing.T, cfg Config) *Program {
 	return prog
 }
 
+// referenceFor builds the reference oracle's batch for a config.
+func referenceFor(t *testing.T, cfg Config) mc.BatchTrialBits {
+	t.Helper()
+	ref, err := cfg.ReferenceNoBugBits()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
 // TestCompiledBitsMatchReference is the main cross-engine equality
-// property: compiled FillBits against the reference kernel's FillBits on
-// shared substreams over the whole lattice — identical bitsets
-// (including zeroed unused bits of a dirty partial final word) and
-// identical final generator states.
+// property: compiled FillBits against the reference oracle on shared
+// substreams over the whole lattice — identical bitsets (including
+// zeroed unused bits of a dirty partial final word) and identical final
+// generator states.
 func TestCompiledBitsMatchReference(t *testing.T) {
 	for _, lc := range compileLattice(t) {
 		cfg := lc.cfg
 		prog := compileFor(t, cfg)
-		k, err := cfg.NewKernel()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := referenceFor(t, cfg)
 		const trials = 131 // ends mid-word: 2 full words + 3 bits
 		got := make([]uint64, mc.BitWords(trials))
 		want := make([]uint64, mc.BitWords(trials))
@@ -83,7 +90,7 @@ func TestCompiledBitsMatchReference(t *testing.T) {
 		if err := prog.FillBits(compiledSrc, got, trials); err != nil {
 			t.Fatal(err)
 		}
-		if err := k.FillBits(refSrc, want, trials); err != nil {
+		if err := ref(refSrc, want, trials); err != nil {
 			t.Fatal(err)
 		}
 		for w := range got {
@@ -110,10 +117,7 @@ func TestCompiledBitsMatchReference(t *testing.T) {
 func TestCompiledSubBatchResync(t *testing.T) {
 	cfg := Config{Model: memmodel.TSO(), Threads: 2, PrefixLen: 24, StoreProb: 0.5, SwapProb: 0.5}
 	prog := compileFor(t, cfg)
-	k, err := cfg.NewKernel()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := referenceFor(t, cfg)
 	compiledSrc, refSrc := rng.New(43), rng.New(43)
 	for call, trials := range []int{1024, 1024, 137, 64, 1, 1024} {
 		got := make([]uint64, mc.BitWords(trials))
@@ -121,7 +125,7 @@ func TestCompiledSubBatchResync(t *testing.T) {
 		if err := prog.FillBits(compiledSrc, got, trials); err != nil {
 			t.Fatal(err)
 		}
-		if err := k.FillBits(refSrc, want, trials); err != nil {
+		if err := ref(refSrc, want, trials); err != nil {
 			t.Fatal(err)
 		}
 		for w := range got {
@@ -135,51 +139,26 @@ func TestCompiledSubBatchResync(t *testing.T) {
 	}
 }
 
-// TestCompiledProductsMatchKernel checks compiled FillProducts against
-// the reference kernel: identical float64 bits, identical final state.
-func TestCompiledProductsMatchKernel(t *testing.T) {
-	for _, model := range kernelModels() {
-		cfg := Config{Model: model, Threads: 5, PrefixLen: 12, StoreProb: 0.4, SwapProb: 0.6}
-		prog := compileFor(t, cfg)
-		k, err := cfg.NewKernel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		const trials = 200
-		compiledSrc, refSrc := rng.New(17), rng.New(17)
-		got := make([]float64, trials)
-		want := make([]float64, trials)
-		if err := prog.FillProducts(compiledSrc, got); err != nil {
-			t.Fatal(err)
-		}
-		if err := k.FillProducts(refSrc, want); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s trial %d: compiled=%v reference=%v", model.Name(), i, got[i], want[i])
-			}
-		}
-		if compiledSrc.State() != refSrc.State() {
-			t.Fatalf("%s: engines consumed different draws", model.Name())
-		}
-	}
-}
-
 // TestCompiledEstimateMatchesReference runs the full fixed-trials
-// estimation pipeline on both engines: identical Results, at one worker
-// and several (worker invariance already holds per engine; this pins the
-// engines to each other).
+// estimation pipeline on the plan-cached compiled engine and on the
+// reference oracle: identical Results, at one worker and several (worker
+// invariance already holds per engine; this pins the engines to each
+// other).
 func TestCompiledEstimateMatchesReference(t *testing.T) {
 	cfg := DefaultConfig(memmodel.PSO(), 3)
 	cfg.PrefixLen = 16
+	compiled, err := cfg.CompiledNoBugBits()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := referenceFor(t, cfg)
 	for _, workers := range []int{1, 3} {
 		mcCfg := mc.Config{Trials: 4000, Workers: workers, Seed: 7}
-		got, err := EstimateNoBugProbCompiled(context.Background(), cfg, mcCfg)
+		got, err := mc.EstimateProbabilityBits(context.Background(), mcCfg, compiled)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := EstimateNoBugProb(context.Background(), cfg, mcCfg)
+		want, err := mc.EstimateProbabilityBits(context.Background(), mcCfg, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,11 +183,15 @@ func TestCompiledAdaptiveMatchesReference(t *testing.T) {
 		TargetHalfWidth: 0.01,
 		Confidence:      0.95,
 	}
-	got, err := EstimateNoBugProbCompiledAdaptive(context.Background(), cfg, acfg)
+	compiled, err := cfg.CompiledNoBugBits()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EstimateNoBugProbAdaptive(context.Background(), cfg, acfg)
+	got, err := mc.EstimateAdaptiveBits(context.Background(), acfg, compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mc.EstimateAdaptiveBits(context.Background(), acfg, referenceFor(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +204,8 @@ func TestCompiledAdaptiveMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCompiledZeroAllocs asserts the compiled batch entry points
-// allocate nothing in steady state (after the pool is warm) — the
+// TestCompiledZeroAllocs asserts the compiled batch entry point
+// allocates nothing in steady state (after the pool is warm) — the
 // guarantee the compiled-kernel perf scenario gates.
 func TestCompiledZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -244,34 +227,22 @@ func TestCompiledZeroAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("FillBits allocates %.1f per call, want 0", avg)
 	}
-	products := make([]float64, 128)
-	if avg := testing.AllocsPerRun(10, func() {
-		if err := prog.FillProducts(src, products); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Errorf("FillProducts allocates %.1f per call, want 0", avg)
-	}
 }
 
 // TestCompiledConcurrentBatchCalls runs many concurrent batch calls on
 // one shared Program (the harness's worker pattern) and checks each
-// stream against the reference engine — the pooled scratch states must
+// stream against the reference oracle — the pooled scratch states must
 // not alias.
 func TestCompiledConcurrentBatchCalls(t *testing.T) {
 	cfg := DefaultConfig(memmodel.WO(), 3)
 	cfg.PrefixLen = 12
 	prog := compileFor(t, cfg)
+	ref := referenceFor(t, cfg)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			k, err := cfg.NewKernel()
-			if err != nil {
-				t.Error(err)
-				return
-			}
 			const trials = 500
 			got := make([]uint64, mc.BitWords(trials))
 			want := make([]uint64, mc.BitWords(trials))
@@ -281,7 +252,7 @@ func TestCompiledConcurrentBatchCalls(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := k.FillBits(refSrc, want, trials); err != nil {
+				if err := ref(refSrc, want, trials); err != nil {
 					t.Error(err)
 					return
 				}
@@ -297,7 +268,7 @@ func TestCompiledConcurrentBatchCalls(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCompileRejectsNonUniformIR pins the fallback seam: an IR with
+// TestCompileRejectsNonUniformIR pins Compile's own guard: an IR with
 // per-pair swap thresholds (which Config.BuildIR never emits) must
 // report ErrNotCompilable rather than compile something wrong.
 func TestCompileRejectsNonUniformIR(t *testing.T) {

@@ -6,7 +6,8 @@
 // The package offers three estimation routes with different
 // accuracy/coverage trade-offs:
 //
-//   - EstimateNoBugProb: full end-to-end Monte Carlo of the joined process
+//   - NoBugBits / CompiledNoBugBits: full end-to-end Monte Carlo of the
+//     joined process as a bitset batch for mc.EstimateProbabilityBits
 //     (any model, any n, but needs Pr[A] large enough to sample);
 //   - ExactTwoThreadPrA: exact n=2 value from the settling DP, using
 //     Pr[A] = (2/3)·E[2^-Γ] (Theorem 6.2's derivation, which needs only
@@ -83,39 +84,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// settleOptions builds the settle options for the config.
-func (c Config) settleOptions() (settle.Options, error) {
-	sp, err := memmodel.Uniform(c.SwapProb)
-	if err != nil {
-		return settle.Options{}, fmt.Errorf("core: %w", err)
-	}
-	return settle.Options{SwapProbs: sp}, nil
-}
-
-// sampleSegmentsInto runs one iteration of the §6 generative process
-// into a caller-provided buffer of length Threads: draw one random
-// program, settle len(segments) independent copies of it, and record the
-// segment lengths Γ_k = γ_k + 2. It is the single sampling routine
-// shared by the per-trial closures and the batched trials, so the two
-// routes consume the RNG stream identically by construction.
-func (c Config) sampleSegmentsInto(opts settle.Options, segments []int, src *rng.Source) error {
-	p, err := prog.Generate(prog.Params{PrefixLen: c.PrefixLen, StoreProb: c.StoreProb}, src)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	for k := range segments {
-		res, err := settle.Settle(p, c.Model, opts, src)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		segments[k] = res.SegmentLength()
-	}
-	return nil
-}
-
 // SampleSegments runs one iteration of the §6 generative process: draw one
 // random program, settle Threads independent copies of it, and return the
-// segment lengths Γ_k = γ_k + 2 of the reordered critical windows.
+// segment lengths Γ_k = γ_k + 2 of the reordered critical windows. It is
+// the reference sampling routine, built on the independent prog and
+// settle packages; the trial kernels replay its RNG draws exactly.
 func (c Config) SampleSegments(src *rng.Source) ([]int, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -123,13 +96,22 @@ func (c Config) SampleSegments(src *rng.Source) ([]int, error) {
 	if src == nil {
 		return nil, fmt.Errorf("%w: nil rng source", ErrBadConfig)
 	}
-	opts, err := c.settleOptions()
+	sp, err := memmodel.Uniform(c.SwapProb)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	opts := settle.Options{SwapProbs: sp}
+	p, err := prog.Generate(prog.Params{PrefixLen: c.PrefixLen, StoreProb: c.StoreProb}, src)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	segments := make([]int, c.Threads)
-	if err := c.sampleSegmentsInto(opts, segments, src); err != nil {
-		return nil, err
+	for k := range segments {
+		res, err := settle.Settle(p, c.Model, opts, src)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		segments[k] = res.SegmentLength()
 	}
 	return segments, nil
 }
@@ -147,18 +129,6 @@ func (c Config) ManifestTrial(src *rng.Source) (bool, error) {
 		return false, fmt.Errorf("core: %w", err)
 	}
 	return !disjoint, nil
-}
-
-// EstimateNoBugProb estimates Pr[A] — the probability the bug does NOT
-// manifest — by full Monte Carlo over the joined process, on the
-// harness's bit-parallel hot path via the table-driven kernel
-// (bit-identical to the per-trial and []bool routes).
-func EstimateNoBugProb(ctx context.Context, cfg Config, mcCfg mc.Config) (*mc.Result, error) {
-	batch, err := cfg.NoBugBits()
-	if err != nil {
-		return nil, err
-	}
-	return mc.EstimateProbabilityBits(ctx, mcCfg, batch)
 }
 
 // ExactTwoThreadPrA returns the exact (up to finite-m truncation, bracketed

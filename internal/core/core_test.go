@@ -133,7 +133,6 @@ func TestExactTwoThreadPrARejectsWrongN(t *testing.T) {
 func TestEndToEndMCAgreesWithExact(t *testing.T) {
 	// Full joined-process simulation must reproduce the DP-exact n=2
 	// values within Monte Carlo error, for every model.
-	ctx := context.Background()
 	for _, model := range memmodel.All() {
 		exactCfg := Config{Model: model, Threads: 2, PrefixLen: 14, StoreProb: 0.5, SwapProb: 0.5}
 		iv, err := ExactTwoThreadPrA(exactCfg)
@@ -141,10 +140,7 @@ func TestEndToEndMCAgreesWithExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		simCfg := Config{Model: model, Threads: 2, PrefixLen: 32, StoreProb: 0.5, SwapProb: 0.5}
-		res, err := EstimateNoBugProb(ctx, simCfg, mc.Config{Trials: 150000, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := estimateNoBug(t, simCfg, mc.Config{Trials: 150000, Seed: 7})
 		lo, hi, err := res.WilsonCI(0.999)
 		if err != nil {
 			t.Fatal(err)

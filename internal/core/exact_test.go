@@ -79,7 +79,6 @@ func TestExactSmallPrASCKnownValue(t *testing.T) {
 func TestExactSmallPrAMatchesMonteCarloN3(t *testing.T) {
 	// The enumeration must sit inside a tight MC interval for n=3 — this
 	// cross-validates the entire joined sampler beyond n=2.
-	ctx := context.Background()
 	for _, model := range []memmodel.Model{memmodel.TSO(), memmodel.WO()} {
 		exactCfg := Config{Model: model, Threads: 3, PrefixLen: 10, StoreProb: 0.5, SwapProb: 0.5}
 		exact, err := ExactSmallPrA(exactCfg)
@@ -87,10 +86,7 @@ func TestExactSmallPrAMatchesMonteCarloN3(t *testing.T) {
 			t.Fatal(err)
 		}
 		simCfg := Config{Model: model, Threads: 3, PrefixLen: 32, StoreProb: 0.5, SwapProb: 0.5}
-		res, err := EstimateNoBugProb(ctx, simCfg, mc.Config{Trials: 200000, Seed: 33})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := estimateNoBug(t, simCfg, mc.Config{Trials: 200000, Seed: 33})
 		lo, hi, err := res.WilsonCI(0.999)
 		if err != nil {
 			t.Fatal(err)

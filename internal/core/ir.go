@@ -70,9 +70,8 @@ func (c Config) BuildIR() (*KernelIR, error) {
 // draw threshold, and if so returns the permission masks and that
 // threshold. mask[p] has bit m set iff kind m may settle past kind p.
 // Config.BuildIR always produces a uniform surface (memmodel.Uniform),
-// so for IRs built from a Config this always succeeds; a hand-built IR
-// with per-pair thresholds is the documented fallback-to-interpreter
-// case.
+// so for IRs built from a Config this always succeeds; Compile rejects
+// a hand-built IR with per-pair thresholds.
 func (ir *KernelIR) uniformSwap() (mask [4]uint8, thr uint64, ok bool) {
 	thr = neverThr
 	for p := 0; p < 4; p++ {

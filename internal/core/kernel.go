@@ -11,8 +11,8 @@ import (
 
 // This file is the table-driven joined-process kernel behind the bitset
 // batch constructors (NoBugBits, ProductBatch). The reference route —
-// prog.Generate → settle.Settle → shift.DisjointTrial, as NoBugBatch and
-// the closures run it — allocates a program, a settling order, a
+// prog.Generate → settle.Settle → shift.DisjointTrial, as ManifestTrial
+// and ReferenceNoBugBits run it — allocates a program, a settling order, a
 // permutation, and a shift placement on every trial and consults the
 // model's relaxation map on every swap attempt. The kernel precomputes
 // the whole decision surface into two 4×4 tables and replays the exact
@@ -119,7 +119,7 @@ func (c Config) NewKernel() (*Kernel, error) {
 // sampleSegments runs one iteration of the §6 generative process into
 // k.segments: generate one program prefix, settle k.threads independent
 // copies, record Γ_k = γ_k + 2. RNG draws replicate
-// Config.sampleSegmentsInto exactly: m store/load draws, then each
+// Config.SampleSegments exactly: m store/load draws, then each
 // settle call's swap draws in round order.
 func (k *Kernel) sampleSegments(src *rng.Source) {
 	thr := k.storeThr

@@ -16,10 +16,11 @@ func kernelModels() []memmodel.Model {
 }
 
 // TestKernelBitsMatchReference sweeps models × thread counts × prefix
-// lengths and checks NoBugBits against the []bool reference NoBugBatch
-// and the per-trial closure on shared substreams: the three routes must
-// produce identical booleans trial for trial, including on batch sizes
-// that end mid-word. Edge probabilities (p, s ∈ {0, 1}) exercise the
+// lengths and checks NoBugBits against the reference oracle
+// ReferenceNoBugBits, and the oracle against the per-trial ManifestTrial
+// closure, on shared substreams: identical outcomes trial for trial,
+// identical words on dirty buffers that end mid-word, identical final
+// generator states. Edge probabilities (p, s ∈ {0, 1}) exercise the
 // draw-free threshold sentinels.
 func TestKernelBitsMatchReference(t *testing.T) {
 	type probs struct{ store, swap float64 }
@@ -34,45 +35,42 @@ func TestKernelBitsMatchReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref, err := cfg.NoBugBatch()
+					ref, err := cfg.ReferenceNoBugBits()
 					if err != nil {
 						t.Fatal(err)
 					}
 					const trials = 131 // ends mid-word: 2 full words + 3 bits
-					words := make([]uint64, mc.BitWords(trials))
-					for w := range words {
-						words[w] = ^uint64(0) // dirty buffer: contract says unused bits come back zero
+					got := make([]uint64, mc.BitWords(trials))
+					want := make([]uint64, mc.BitWords(trials))
+					for w := range got {
+						// dirty buffers: the contract says unused bits come back zero
+						got[w], want[w] = ^uint64(0), ^uint64(0)
 					}
-					bools := make([]bool, trials)
 					bitsSrc, refSrc, closureSrc := rng.New(11), rng.New(11), rng.New(11)
-					if err := bits(bitsSrc, words, trials); err != nil {
+					if err := bits(bitsSrc, got, trials); err != nil {
 						t.Fatal(err)
 					}
-					if err := ref(refSrc, bools); err != nil {
+					if err := ref(refSrc, want, trials); err != nil {
 						t.Fatal(err)
+					}
+					for w := range got {
+						if got[w] != want[w] {
+							t.Fatalf("%s n=%d m=%d p=%v s=%v word %d: bits %064b != reference %064b",
+								model.Name(), n, m, pr.store, pr.swap, w, got[w], want[w])
+						}
 					}
 					for i := 0; i < trials; i++ {
-						got := words[i>>6]&(1<<uint(i&63)) != 0
-						if got != bools[i] {
-							t.Fatalf("%s n=%d m=%d p=%v s=%v trial %d: bits=%v reference=%v",
-								model.Name(), n, m, pr.store, pr.swap, i, got, bools[i])
-						}
 						manifested, err := cfg.ManifestTrial(closureSrc)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got != !manifested {
-							t.Fatalf("%s n=%d m=%d p=%v s=%v trial %d: bits=%v closure no-bug=%v",
-								model.Name(), n, m, pr.store, pr.swap, i, got, !manifested)
+						if refBit := want[i>>6]&(1<<uint(i&63)) != 0; refBit != !manifested {
+							t.Fatalf("%s n=%d m=%d p=%v s=%v trial %d: reference=%v closure no-bug=%v",
+								model.Name(), n, m, pr.store, pr.swap, i, refBit, !manifested)
 						}
 					}
-					for i := trials; i < len(words)*mc.WordBits; i++ {
-						if words[i>>6]&(1<<uint(i&63)) != 0 {
-							t.Fatalf("%s n=%d m=%d: bit %d past n is set", model.Name(), n, m, i)
-						}
-					}
-					if bitsSrc.State() != refSrc.State() {
-						t.Fatalf("%s n=%d m=%d p=%v s=%v: bits and reference consumed different draws",
+					if bitsSrc.State() != refSrc.State() || refSrc.State() != closureSrc.State() {
+						t.Fatalf("%s n=%d m=%d p=%v s=%v: bits, reference and closure consumed different draws",
 							model.Name(), n, m, pr.store, pr.swap)
 					}
 				}

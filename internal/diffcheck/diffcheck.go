@@ -6,7 +6,9 @@
 //
 // The routes and their agreement contracts:
 //
-//   - mc vs mc-compiled vs the []bool closure adapter: estimator seed
+//   - mc vs mc-compiled vs the reference oracle
+//     (core.Config.ReferenceNoBugBits, built on the independent settle
+//     and shift packages), fixed-trials and adaptive: estimator seed
 //     derivation is kind-independent, so these must be BIT-identical —
 //     no tolerance at all.
 //   - ExactSmallPrA vs ExactSmallPrAViaTheorem61: two independent exact
@@ -126,11 +128,15 @@ func Check(ctx context.Context, q estimator.Query) error {
 }
 
 // CheckEngines requires the table-driven mc kernel, the query-compiled
-// kernel, and (on fixed-trials queries) the []bool closure adapter to
-// produce bit-identical results on the query. Estimator seed derivation
-// is kind-independent, so there is no tolerance: any difference is a
-// bug.
+// kernel, and the reference oracle to produce bit-identical results on
+// the query, fixed-trials or adaptive. The oracle runs on the substream
+// the estimator derives and, for adaptive queries, under the stopping
+// rule the estimator builds (normalized MaxTrials, both targets, the
+// query's confidence), so it must match the engines' estimate, trials
+// used and rounds exactly. Estimator seed derivation is
+// kind-independent, so there is no tolerance: any difference is a bug.
 func CheckEngines(ctx context.Context, q estimator.Query) error {
+	q = q.Normalized()
 	q.Kind = estimator.FullMC
 	ref, err := estimator.Estimate(ctx, q)
 	if err != nil {
@@ -145,29 +151,40 @@ func CheckEngines(ctx context.Context, q estimator.Query) error {
 	if !reflect.DeepEqual(ref, compiled) {
 		return fmt.Errorf("mc-compiled diverged from mc:\n  mc:          %+v\n  mc-compiled: %+v", ref, compiled)
 	}
-	if q.Precision != nil {
-		return nil // the closure adapter has no adaptive entry point
-	}
 
-	// Closure adapter: the deliberately simple []bool oracle on the same
-	// derived substream.
 	model, err := memmodel.ByName(q.Model)
 	if err != nil {
 		return err
 	}
 	cfg := core.Config{Model: model, Threads: q.Threads, PrefixLen: q.PrefixLen,
 		StoreProb: q.StoreProb, SwapProb: q.SwapProb}
-	batch, err := cfg.NoBugBatch()
+	batch, err := cfg.ReferenceNoBugBits()
 	if err != nil {
 		return err
 	}
-	sub := estimator.DeriveSeeds(q.Normalized().Seed, 1)[0]
-	out, err := mc.EstimateProbabilityBatch(ctx, mc.Config{Trials: q.Trials, Seed: sub}, batch)
-	if err != nil {
-		return fmt.Errorf("closure adapter: %w", err)
+	sub := estimator.DeriveSeeds(q.Seed, 1)[0]
+	var out *mc.Result
+	trials, rounds := q.Trials, 0
+	if p := q.Precision; p != nil {
+		confidence := q.Confidence
+		if confidence == 0 {
+			confidence = estimator.DefaultConfidence
+		}
+		adaptive, err := mc.EstimateAdaptiveBits(ctx, mc.AdaptiveConfig{MaxTrials: p.MaxTrials, Seed: sub,
+			TargetHalfWidth: p.TargetHalfWidth, TargetRelErr: p.TargetRelErr, Confidence: confidence}, batch)
+		if err != nil {
+			return fmt.Errorf("reference oracle: %w", err)
+		}
+		out, trials, rounds = &adaptive.Result, adaptive.TrialsUsed(), adaptive.Rounds
+	} else {
+		out, err = mc.EstimateProbabilityBits(ctx, mc.Config{Trials: q.Trials, Seed: sub}, batch)
+		if err != nil {
+			return fmt.Errorf("reference oracle: %w", err)
+		}
 	}
-	if out.Estimate() != ref.Estimate {
-		return fmt.Errorf("closure adapter diverged: adapter %v, engines %v", out.Estimate(), ref.Estimate)
+	if out.Estimate() != ref.Estimate || trials != ref.TrialsUsed || rounds != ref.Rounds {
+		return fmt.Errorf("reference oracle diverged: oracle %v (trials %d, rounds %d), engines %v (trials %d, rounds %d)",
+			out.Estimate(), trials, rounds, ref.Estimate, ref.TrialsUsed, ref.Rounds)
 	}
 	return nil
 }

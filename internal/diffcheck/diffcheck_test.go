@@ -49,15 +49,33 @@ func TestCheckExactRoutesCustomModels(t *testing.T) {
 	}
 }
 
+// TestCheckEnginesAdaptive runs adaptive queries through all three
+// engines, the reference oracle included. The cases pin each input of
+// the stopping rule the oracle must rebuild: the same half-width target
+// stops after two rounds at the default confidence and after one at
+// 0.9; an explicit MaxTrials caps the run below Trials; and a zero
+// MaxTrials defaults to Trials.
 func TestCheckEnginesAdaptive(t *testing.T) {
-	q := estimator.DefaultQuery()
-	q.Kind = estimator.FullMC
-	q.Model = "RMO"
-	q.PrefixLen = 8
-	q.Trials = 512
-	q.Precision = &estimator.Precision{TargetHalfWidth: 0.05, MaxTrials: 1 << 12}
-	if err := CheckEngines(context.Background(), q); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		precision  estimator.Precision
+		confidence float64
+	}{
+		{estimator.Precision{TargetHalfWidth: 0.009, MaxTrials: 1 << 14}, 0},
+		{estimator.Precision{TargetHalfWidth: 0.009, MaxTrials: 1 << 14}, 0.9},
+		{estimator.Precision{TargetHalfWidth: 0.005, MaxTrials: 1 << 14}, 0},
+		{estimator.Precision{TargetRelErr: 1e-4}, 0.9},
+	} {
+		q := estimator.DefaultQuery()
+		q.Kind = estimator.FullMC
+		q.Model = "RMO"
+		q.PrefixLen = 8
+		q.Trials = 3 * 8192
+		q.Confidence = tc.confidence
+		p := tc.precision
+		q.Precision = &p
+		if err := CheckEngines(context.Background(), q); err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
 	}
 }
 

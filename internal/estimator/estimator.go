@@ -56,8 +56,10 @@ const (
 	WindowDist Kind = "windowdist"
 	// CompiledMC is full Monte Carlo on the query-compiled kernel
 	// engine (core's plan cache of monomorphized trial kernels) —
-	// bit-identical to FullMC by the cross-engine promotion gate,
-	// faster per trial.
+	// bit-identical to FullMC by the cross-engine promotion gate. It is
+	// faster per trial than FullMC's table-driven kernel on SC and TSO
+	// and slower on PSO, WO, RMO and LRO (bench/README.md, "The engine
+	// split").
 	CompiledMC Kind = "mc-compiled"
 )
 

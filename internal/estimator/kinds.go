@@ -10,14 +10,16 @@ import (
 	"memreliability/internal/settle"
 )
 
-// The four built-in routes register at init, so every surface that can
-// name a Kind can dispatch it.
+// The built-in routes register at init, so every surface that can name
+// a Kind can dispatch it. Full Monte Carlo registers once per trial
+// engine.
 func init() {
 	Register(exactEstimator{})
-	Register(fullMCEstimator{})
+	Register(mcEstimator{kind: FullMC, name: "full Monte Carlo", bits: core.Config.NoBugBits})
 	Register(hybridEstimator{})
 	Register(windowDistEstimator{})
-	Register(compiledMCEstimator{})
+	Register(mcEstimator{kind: CompiledMC, name: "full Monte Carlo (compiled kernel)",
+		bits: core.Config.CompiledNoBugBits})
 }
 
 // coreConfig translates the query into the joined-model configuration.
@@ -95,73 +97,39 @@ func (exactEstimator) Estimate(ctx context.Context, q Query, seed uint64, ex Exe
 	return res, nil
 }
 
-// fullMCEstimator is full end-to-end Monte Carlo of the joined process.
-// It runs on the mc harness's bit-parallel hot path (core.Config.NoBugBits,
-// the table-driven kernel): 64 trials per word, whole chunks per call,
-// zero steady-state allocations, bit-identical to the historical
-// per-trial and []bool routes.
-type fullMCEstimator struct{}
+// mcEstimator is full end-to-end Monte Carlo of the joined process on
+// the mc harness's bit-parallel hot path: 64 trials per word, whole
+// chunks per call, zero steady-state allocations. The mc kind runs it on
+// the table-driven kernel (core.Config.NoBugBits); mc-compiled runs it
+// on the query-compiled kernel through core's plan cache
+// (core.Config.CompiledNoBugBits). Seed derivation is kind-independent
+// and the engines are draw-for-draw identical, so both kinds return
+// bit-identical results — the cross-engine property tests and diffcheck
+// gate on exactly that.
+type mcEstimator struct {
+	kind Kind
+	name string
+	// bits builds the trial engine's bitset batch for the query.
+	bits func(core.Config) (mc.BatchTrialBits, error)
+}
 
-func (fullMCEstimator) Kind() Kind          { return FullMC }
-func (fullMCEstimator) DisplayName() string { return "full Monte Carlo" }
-func (fullMCEstimator) NeedsTrials() bool   { return true }
+func (e mcEstimator) Kind() Kind          { return e.kind }
+func (e mcEstimator) DisplayName() string { return e.name }
+func (mcEstimator) NeedsTrials() bool     { return true }
 
-func (fullMCEstimator) Estimate(ctx context.Context, q Query, seed uint64, ex Exec) (Result, error) {
-	res := Result{Kind: FullMC, EffectiveM: q.PrefixLen}
+func (e mcEstimator) Estimate(ctx context.Context, q Query, seed uint64, ex Exec) (Result, error) {
+	res := Result{Kind: e.kind, EffectiveM: q.PrefixLen}
 	cfg, err := coreConfig(q)
 	if err != nil {
 		return res, err
 	}
-	var out *mc.Result
-	if q.Precision != nil {
-		adaptive, err := core.EstimateNoBugProbAdaptive(ctx, cfg, adaptiveConfig(q, seed, ex))
-		if err != nil {
-			return res, fmt.Errorf("estimator: %w", err)
-		}
-		out = &adaptive.Result
-		res.TrialsUsed = adaptive.TrialsUsed()
-		res.Rounds = adaptive.Rounds
-		res.StopReason = string(adaptive.StopReason)
-	} else {
-		out, err = core.EstimateNoBugProb(ctx, cfg, mcConfig(q, seed, ex))
-		if err != nil {
-			return res, fmt.Errorf("estimator: %w", err)
-		}
-		res.TrialsUsed = q.Trials
-	}
-	level := q.confidence()
-	lo, hi, err := out.WilsonCI(level)
+	batch, err := e.bits(cfg)
 	if err != nil {
 		return res, fmt.Errorf("estimator: %w", err)
 	}
-	res.Estimate = out.Estimate()
-	res.Lo, res.Hi = lo, hi
-	res.Confidence = level
-	res.LogEstimate = safeLog(res.Estimate)
-	return res, nil
-}
-
-// compiledMCEstimator is full Monte Carlo on the compiler engine: the
-// query is lowered through core's plan cache into a monomorphized,
-// bulk-RNG trial kernel. Seed derivation is kind-independent, so an
-// mc-compiled query is bit-identical to the same query under mc — the
-// cross-engine property tests and the differential smoke job gate on
-// exactly that.
-type compiledMCEstimator struct{}
-
-func (compiledMCEstimator) Kind() Kind          { return CompiledMC }
-func (compiledMCEstimator) DisplayName() string { return "full Monte Carlo (compiled kernel)" }
-func (compiledMCEstimator) NeedsTrials() bool   { return true }
-
-func (compiledMCEstimator) Estimate(ctx context.Context, q Query, seed uint64, ex Exec) (Result, error) {
-	res := Result{Kind: CompiledMC, EffectiveM: q.PrefixLen}
-	cfg, err := coreConfig(q)
-	if err != nil {
-		return res, err
-	}
 	var out *mc.Result
 	if q.Precision != nil {
-		adaptive, err := core.EstimateNoBugProbCompiledAdaptive(ctx, cfg, adaptiveConfig(q, seed, ex))
+		adaptive, err := mc.EstimateAdaptiveBits(ctx, adaptiveConfig(q, seed, ex), batch)
 		if err != nil {
 			return res, fmt.Errorf("estimator: %w", err)
 		}
@@ -170,7 +138,7 @@ func (compiledMCEstimator) Estimate(ctx context.Context, q Query, seed uint64, e
 		res.Rounds = adaptive.Rounds
 		res.StopReason = string(adaptive.StopReason)
 	} else {
-		out, err = core.EstimateNoBugProbCompiled(ctx, cfg, mcConfig(q, seed, ex))
+		out, err = mc.EstimateProbabilityBits(ctx, mcConfig(q, seed, ex), batch)
 		if err != nil {
 			return res, fmt.Errorf("estimator: %w", err)
 		}
@@ -191,7 +159,7 @@ func (compiledMCEstimator) Estimate(ctx context.Context, q Query, seed uint64, e
 // hybridEstimator is the Theorem 6.1 hybrid route. Its product
 // expectation runs on the mc harness's batched hot path via the
 // table-driven kernel (core.Config.ProductBatch), bit-identical to the
-// per-trial route.
+// per-trial core.Config.ProductTrial.
 type hybridEstimator struct{}
 
 func (hybridEstimator) Kind() Kind          { return Hybrid }

@@ -493,6 +493,11 @@ func (p *parser) parseInit() (map[string]int, error) {
 		init[loc.text] = v.num
 	}
 	p.i++ // '}'
+	if len(init) == 0 {
+		// An empty block says nothing, and the canonical form omits it:
+		// parse it to the same nil map as an absent clause.
+		return nil, nil
+	}
 	return init, nil
 }
 

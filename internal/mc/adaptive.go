@@ -123,37 +123,17 @@ type AdaptiveResult struct {
 // TrialsUsed returns the number of trials actually consumed.
 func (r *AdaptiveResult) TrialsUsed() int { return r.Proportion.Trials() }
 
-// EstimateAdaptive estimates an event probability to a requested
-// precision: it runs the Trial function in deterministic chunk-aligned
-// rounds, checking the Wilson interval at cfg.Confidence after each
-// round, and stops as soon as every configured target is met or
-// cfg.MaxTrials is exhausted. See AdaptiveConfig for the reproducibility
-// contract. A canceled run returns ctx.Err() alongside partial results.
-// It adapts the closure onto the bitset engine; see
-// EstimateAdaptiveBits for the hot path.
-func EstimateAdaptive(ctx context.Context, cfg AdaptiveConfig, trial Trial) (*AdaptiveResult, error) {
-	if trial == nil {
-		return nil, fmt.Errorf("%w: nil trial", ErrBadConfig)
-	}
-	return EstimateAdaptiveBits(ctx, cfg, BitsFromTrial(trial))
-}
-
-// EstimateAdaptiveBatch is EstimateAdaptive on the []bool batch
-// interface, adapted onto the bitset engine exactly as
-// EstimateProbabilityBatch is. Rounds, stopping, and the
-// reproducibility contract are exactly EstimateAdaptive's, and results
-// are bit-identical to it for the equivalent closure.
-func EstimateAdaptiveBatch(ctx context.Context, cfg AdaptiveConfig, batch BatchTrial) (*AdaptiveResult, error) {
+// EstimateAdaptiveBits estimates an event probability to a requested
+// precision: it runs the bitset trial in deterministic chunk-aligned
+// rounds — EstimateProbabilityBits's chunk loop inside each round —
+// checking the Wilson interval at cfg.Confidence after each round, and
+// stops as soon as every configured target is met or cfg.MaxTrials is
+// exhausted. See AdaptiveConfig for the reproducibility contract. A
+// canceled run returns ctx.Err() alongside partial results.
+func EstimateAdaptiveBits(ctx context.Context, cfg AdaptiveConfig, batch BatchTrialBits) (*AdaptiveResult, error) {
 	if batch == nil {
 		return nil, fmt.Errorf("%w: nil trial", ErrBadConfig)
 	}
-	return estimateAdaptive(ctx, cfg, boolScratch(batch))
-}
-
-// estimateAdaptive is the shared adaptive engine: deterministic
-// chunk-aligned doubling rounds over the bitset chunk loop,
-// parameterized only by the per-worker scratch factory.
-func estimateAdaptive(ctx context.Context, cfg AdaptiveConfig, newScratch func() probScratch) (*AdaptiveResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -173,10 +153,10 @@ func estimateAdaptive(ctx context.Context, cfg AdaptiveConfig, newScratch func()
 		round := parent.Child("mc.round",
 			obs.L("round", strconv.Itoa(result.Rounds)),
 			obs.L("chunks", strconv.Itoa(end-start)))
-		runErr := runChunksWith(ctx, cfg.Workers, end-start, newScratch,
-			func(ctx context.Context, j int, s probScratch) error {
+		runErr := runChunksWith(ctx, cfg.Workers, end-start, wordScratch,
+			func(ctx context.Context, j int, words []uint64) error {
 				chunk := start + j
-				n, err := runProbChunk(ctx, s.bits, sources[chunk], s.words, quotas[chunk])
+				n, err := runProbChunk(ctx, batch, sources[chunk], words, quotas[chunk])
 				if err != nil {
 					if err == ctx.Err() {
 						return err
@@ -232,22 +212,12 @@ type AdaptiveMeanResult struct {
 // TrialsUsed returns the number of trials actually consumed.
 func (r *AdaptiveMeanResult) TrialsUsed() int { return r.Summary.N() }
 
-// EstimateMeanAdaptive estimates the mean of a real-valued sampler to a
-// requested precision, using the normal-approximation interval at
-// cfg.Confidence (half-width z·StdErr) as the stopping rule. Rounds,
-// merging, and the reproducibility contract are exactly those of
-// EstimateAdaptive. It adapts the closure onto the batched engine; see
-// EstimateMeanAdaptiveBatch for the hot path.
-func EstimateMeanAdaptive(ctx context.Context, cfg AdaptiveConfig, sample MeanEstimator) (*AdaptiveMeanResult, error) {
-	if sample == nil {
-		return nil, fmt.Errorf("%w: nil sampler", ErrBadConfig)
-	}
-	return EstimateMeanAdaptiveBatch(ctx, cfg, BatchFromMean(sample))
-}
-
-// EstimateMeanAdaptiveBatch is EstimateMeanAdaptive on the batch
-// interface, with EstimateAdaptiveBatch's zero-allocation steady-state
-// chunk loop and bit-identical results to the closure route.
+// EstimateMeanAdaptiveBatch estimates the mean of a batched real-valued
+// sampler to a requested precision, using the normal-approximation
+// interval at cfg.Confidence (half-width z·StdErr) as the stopping rule.
+// Rounds, merging, and the reproducibility contract are exactly those
+// of EstimateAdaptiveBits, on EstimateMeanBatch's zero-allocation
+// steady-state chunk loop.
 func EstimateMeanAdaptiveBatch(ctx context.Context, cfg AdaptiveConfig, batch BatchMean) (*AdaptiveMeanResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -13,6 +14,12 @@ func coinTrial(src *rng.Source) (bool, error) { return src.Bool(0.5), nil }
 
 // rareTrial is a deep-tail cell: a p = 1/1024 event.
 func rareTrial(src *rng.Source) (bool, error) { return src.Intn(1024) == 0, nil }
+
+// Bitset forms of the two cells, through the closure adapter.
+var (
+	coinBatch = BitsFromTrial(coinTrial)
+	rareBatch = BitsFromTrial(rareTrial)
+)
 
 func TestAdaptiveConfigValidation(t *testing.T) {
 	base := AdaptiveConfig{MaxTrials: 1000, Seed: 1, Confidence: 0.99, TargetHalfWidth: 0.01}
@@ -32,11 +39,14 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 	for _, tc := range cases {
 		cfg := base
 		tc.mutate(&cfg)
-		if _, err := EstimateAdaptive(context.Background(), cfg, coinTrial); err == nil {
+		if _, err := EstimateAdaptiveBits(context.Background(), cfg, coinBatch); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
+		if _, err := EstimateMeanAdaptiveBatch(context.Background(), cfg, uniformMean); err == nil {
+			t.Errorf("%s: mean engine: no error", tc.name)
+		}
 	}
-	if _, err := EstimateAdaptive(context.Background(), base, nil); err == nil {
+	if _, err := EstimateAdaptiveBits(context.Background(), base, nil); err == nil {
 		t.Error("nil trial accepted")
 	}
 }
@@ -53,15 +63,15 @@ func TestAdaptiveWorkerInvariance(t *testing.T) {
 	}
 	trials := []struct {
 		name  string
-		trial Trial
-	}{{"coin", coinTrial}, {"rare", rareTrial}}
+		trial BatchTrialBits
+	}{{"coin", coinBatch}, {"rare", rareBatch}}
 	for _, tr := range trials {
 		for ci, base := range configs {
 			var ref *AdaptiveResult
 			for _, workers := range []int{1, 2, 7} {
 				cfg := base
 				cfg.Workers = workers
-				res, err := EstimateAdaptive(context.Background(), cfg, tr.trial)
+				res, err := EstimateAdaptiveBits(context.Background(), cfg, tr.trial)
 				if err != nil {
 					t.Fatalf("%s/config %d workers=%d: %v", tr.name, ci, workers, err)
 				}
@@ -92,12 +102,12 @@ func TestAdaptiveTwoCellDemo(t *testing.T) {
 	const target = 0.02
 	for _, tc := range []struct {
 		name  string
-		trial Trial
-	}{{"easy p=0.5", coinTrial}, {"deep tail p=2^-10", rareTrial}} {
+		trial BatchTrialBits
+	}{{"easy p=0.5", coinBatch}, {"deep tail p=2^-10", rareBatch}} {
 		cfg := AdaptiveConfig{
 			MaxTrials: fixedDefault, Seed: 11, Confidence: 0.99, TargetHalfWidth: target,
 		}
-		res, err := EstimateAdaptive(context.Background(), cfg, tc.trial)
+		res, err := EstimateAdaptiveBits(context.Background(), cfg, tc.trial)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -123,7 +133,7 @@ func TestAdaptiveTwoCellDemo(t *testing.T) {
 // back labeled converged.
 func TestAdaptiveBudgetExhaustion(t *testing.T) {
 	cfg := AdaptiveConfig{MaxTrials: 20000, Seed: 3, Confidence: 0.99, TargetRelErr: 0.001}
-	res, err := EstimateAdaptive(context.Background(), cfg, rareTrial)
+	res, err := EstimateAdaptiveBits(context.Background(), cfg, rareBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +151,15 @@ func TestAdaptiveBudgetExhaustion(t *testing.T) {
 func TestAdaptiveFixedEquivalence(t *testing.T) {
 	for _, maxTrials := range []int{3 * 8192, 20000} {
 		cfg := AdaptiveConfig{MaxTrials: maxTrials, Seed: 5, Confidence: 0.99, TargetRelErr: 0.0001}
-		adaptive, err := EstimateAdaptive(context.Background(), cfg, rareTrial)
+		adaptive, err := EstimateAdaptiveBits(context.Background(), cfg, rareBatch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if adaptive.StopReason != StopBudget {
 			t.Fatalf("max=%d: expected budget exhaustion, got %q", maxTrials, adaptive.StopReason)
 		}
-		fixed, err := EstimateProbability(context.Background(),
-			Config{Trials: maxTrials, Seed: 5}, rareTrial)
+		fixed, err := EstimateProbabilityBits(context.Background(),
+			Config{Trials: maxTrials, Seed: 5}, rareBatch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,14 +175,13 @@ func TestAdaptiveFixedEquivalence(t *testing.T) {
 // TestAdaptiveMean covers the mean estimator: worker invariance of the
 // consumed trial count and convergence on a relative target.
 func TestAdaptiveMean(t *testing.T) {
-	sample := func(src *rng.Source) (float64, error) { return src.Float64(), nil }
 	var ref *AdaptiveMeanResult
 	for _, workers := range []int{1, 2, 7} {
 		cfg := AdaptiveConfig{
 			MaxTrials: 500000, Workers: workers, Seed: 9,
 			Confidence: 0.99, TargetRelErr: 0.01,
 		}
-		res, err := EstimateMeanAdaptive(context.Background(), cfg, sample)
+		res, err := EstimateMeanAdaptiveBatch(context.Background(), cfg, uniformMean)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +211,10 @@ func TestAdaptiveCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := AdaptiveConfig{MaxTrials: 1 << 20, Seed: 1, Confidence: 0.99, TargetRelErr: 1e-9}
-	if _, err := EstimateAdaptive(ctx, cfg, coinTrial); err == nil {
+	if _, err := EstimateAdaptiveBits(ctx, cfg, coinBatch); err == nil {
 		t.Error("canceled run returned no error")
+	}
+	if _, err := EstimateMeanAdaptiveBatch(ctx, cfg, uniformMean); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled mean run: err = %v, want context.Canceled", err)
 	}
 }

@@ -2,19 +2,18 @@ package mc
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 
 	"memreliability/internal/rng"
 )
 
-// This file is the bit-parallel trial engine — the canonical batch
-// contract of the Monte Carlo harness. Trial outcomes are packed 64 per
-// machine word and counted with bits.OnesCount64, so the per-trial cost
-// of the harness reduces to one bit write and 1/64th of a popcount. The
-// []bool batch interface (BatchTrial) and the per-trial closures (Trial)
-// are thin adapters over this path; all three routes consume the RNG
-// substreams identically and therefore produce bit-identical estimates.
+// This file is the bit-parallel trial contract of the Monte Carlo
+// harness. Trial outcomes are packed 64 per machine word and counted
+// with bits.OnesCount64, so the per-trial cost of the harness reduces to
+// one bit write and 1/64th of a popcount. Per-trial closures (Trial)
+// reach it through BitsFromTrial, which consumes the RNG substream
+// exactly as the closure calls would, so a closure and a native bitset
+// implementation of the same trial produce bit-identical estimates.
 
 // WordBits is the number of trials packed into one bitset word.
 const WordBits = 64
@@ -23,7 +22,7 @@ const WordBits = 64
 // outcomes: ⌈n/64⌉.
 func BitWords(n int) int { return (n + WordBits - 1) / WordBits }
 
-// BatchTrialBits is the canonical batched trial contract: evaluate n
+// BatchTrialBits is the batched boolean trial contract: evaluate n
 // consecutive trials on src and pack the outcomes into out, 64 trials
 // per word, LSB-first — trial i lands in bit i%64 of out[i/64], so
 // out[0]&1 is trial 0. len(out) is always at least BitWords(n).
@@ -33,29 +32,15 @@ func BitWords(n int) int { return (n + WordBits - 1) / WordBits }
 // as zero. The harness counts successes over whole words with
 // bits.OnesCount64 and relies on this; a violation grossly enough to
 // push successes past trials is caught by the aggregation layer, but
-// smaller violations would silently bias the estimate. PackBools and
-// BitsFromTrial satisfy the contract for you.
+// smaller violations would silently bias the estimate. BitsFromTrial
+// satisfies the contract for you.
 //
 // An implementation must consume src exactly as n sequential Trial
-// calls would, so bitset, []bool, and closure runs stay bit-identical;
-// distinct calls receive distinct sources and may run concurrently, so
-// any state shared between calls must be immutable.
+// calls would, so the harness's sub-batch slicing never changes results
+// and a native implementation stays bit-identical to its BitsFromTrial
+// closure form; distinct calls receive distinct sources and may run
+// concurrently, so any state shared between calls must be immutable.
 type BatchTrialBits func(src *rng.Source, out []uint64, n int) error
-
-// PackBools packs src into dst LSB-first, zeroing the unused high bits
-// of the final word per the BatchTrialBits partial-word contract.
-// len(dst) must be at least BitWords(len(src)).
-func PackBools(dst []uint64, src []bool) {
-	words := dst[:BitWords(len(src))]
-	for w := range words {
-		words[w] = 0
-	}
-	for i, ok := range src {
-		if ok {
-			words[i>>6] |= 1 << uint(i&63)
-		}
-	}
-}
 
 // OnesCount returns the total number of set bits across the words.
 func OnesCount(words []uint64) int {
@@ -88,46 +73,6 @@ func BitsFromTrial(trial Trial) BatchTrialBits {
 	}
 }
 
-// probScratch is one worker's reusable state for the probability engine:
-// the chunk's bitset buffer plus the worker-private BatchTrialBits that
-// fills it. The bits function is part of the scratch so the []bool
-// adapter can own a worker-private bool buffer without allocating per
-// chunk — the harness's zero-steady-state-allocation guarantee.
-type probScratch struct {
-	words []uint64
-	bits  BatchTrialBits
-}
-
-// bitsScratch returns the per-worker scratch factory for the native
-// bitset path: every worker shares the (immutable) bits implementation
-// and owns a chunk-sized word buffer.
-func bitsScratch(batch BatchTrialBits) func() probScratch {
-	return func() probScratch {
-		return probScratch{words: make([]uint64, BitWords(chunkSize)), bits: batch}
-	}
-}
-
-// boolScratch returns the per-worker scratch factory adapting a []bool
-// batch onto the bitset engine: each worker owns one bool buffer; the
-// wrapper fills it through the batch and packs it into the chunk's
-// words. Packed counts equal bool counts, so the adapter is exact.
-func boolScratch(batch BatchTrial) func() probScratch {
-	return func() probScratch {
-		bools := make([]bool, chunkSize)
-		return probScratch{
-			words: make([]uint64, BitWords(chunkSize)),
-			bits: func(src *rng.Source, out []uint64, n int) error {
-				sub := bools[:n]
-				if err := batch(src, sub); err != nil {
-					return err
-				}
-				PackBools(out, sub)
-				return nil
-			},
-		}
-	}
-}
-
 // runProbChunk evaluates one whole chunk through the bitset trial into
 // the worker's reusable word buffer and returns the success count via
 // bits.OnesCount64. This is the steady-state hot path of every
@@ -155,30 +100,4 @@ func runProbChunk(ctx context.Context, batch BatchTrialBits, src *rng.Source, wo
 		count += OnesCount(sub)
 	}
 	return count, nil
-}
-
-// EstimateProbabilityBits runs cfg.Trials trials of the bitset trial in
-// parallel and returns the aggregated proportion. This is the canonical
-// engine: chunks are evaluated whole — one bitset call per chunk on a
-// per-worker reusable []uint64 buffer — and successes are counted with
-// bits.OnesCount64, so the steady-state loop is free of per-trial call
-// overhead and of allocations. The []bool and closure entry points
-// (EstimateProbabilityBatch, EstimateProbability) adapt onto it with
-// bit-identical results.
-func EstimateProbabilityBits(ctx context.Context, cfg Config, batch BatchTrialBits) (*Result, error) {
-	if batch == nil {
-		return nil, fmt.Errorf("%w: nil trial", ErrBadConfig)
-	}
-	return estimateProbability(ctx, cfg, bitsScratch(batch))
-}
-
-// EstimateAdaptiveBits is EstimateAdaptive on the bitset interface: the
-// canonical adaptive engine, with EstimateProbabilityBits's chunk loop
-// inside deterministic chunk-aligned rounds. Rounds, stopping, and the
-// reproducibility contract are exactly EstimateAdaptive's.
-func EstimateAdaptiveBits(ctx context.Context, cfg AdaptiveConfig, batch BatchTrialBits) (*AdaptiveResult, error) {
-	if batch == nil {
-		return nil, fmt.Errorf("%w: nil trial", ErrBadConfig)
-	}
-	return estimateAdaptive(ctx, cfg, bitsScratch(batch))
 }

@@ -11,8 +11,8 @@ import (
 // wobblyBits is wobblyTrial implemented natively on the bitset contract:
 // the exact same RNG draws per trial (0–3 data-dependent extras, then one
 // Bool), packed LSB-first with the partial-word contract honored. Any
-// divergence between this and the []bool / closure routes is a bug in
-// one of the three.
+// divergence between this and the BitsFromTrial closure route is a bug
+// in one of the two.
 func wobblyBits(src *rng.Source, out []uint64, n int) error {
 	words := out[:BitWords(n)]
 	for w := range words {
@@ -33,7 +33,7 @@ func wobblyBits(src *rng.Source, out []uint64, n int) error {
 // coinBits is the trivial allocation-free native bitset trial: one RNG
 // word per 64 trials, final partial word masked per the contract. The
 // harness's own overhead is everything the zero-alloc assertions
-// measure. (It intentionally consumes the RNG differently from coinBatch
+// measure. (It intentionally consumes the RNG differently from coinTrial
 // — it exists for alloc and throughput checks, not equivalence ones.)
 func coinBits(src *rng.Source, out []uint64, n int) error {
 	words := out[:BitWords(n)]
@@ -56,36 +56,6 @@ func TestBitWords(t *testing.T) {
 	}
 }
 
-// TestPackBools checks LSB-first packing and that packing into a dirty
-// buffer still satisfies the partial-word contract (stale high bits of
-// the final word are cleared, counts match exactly).
-func TestPackBools(t *testing.T) {
-	src := rng.New(3)
-	for _, n := range []int{1, 63, 64, 65, 200} {
-		bools := make([]bool, n)
-		trues := 0
-		for i := range bools {
-			bools[i] = src.Bool(0.5)
-			if bools[i] {
-				trues++
-			}
-		}
-		words := make([]uint64, BitWords(n))
-		for w := range words {
-			words[w] = ^uint64(0) // dirty
-		}
-		PackBools(words, bools)
-		for i, ok := range bools {
-			if got := words[i>>6]&(1<<uint(i&63)) != 0; got != ok {
-				t.Fatalf("n=%d bit %d = %v, want %v", n, i, got, ok)
-			}
-		}
-		if got := OnesCount(words); got != trues {
-			t.Fatalf("n=%d OnesCount = %d, want %d (partial-word contract violated)", n, got, trues)
-		}
-	}
-}
-
 // TestBitsFromTrialPartialWord checks the closure adapter zeroes the
 // unused high bits of the final word even on a dirty buffer.
 func TestBitsFromTrialPartialWord(t *testing.T) {
@@ -99,9 +69,9 @@ func TestBitsFromTrialPartialWord(t *testing.T) {
 	}
 }
 
-// TestBitsBoolClosureIdenticalEstimates is the tentpole property test:
-// the native bitset route, the []bool adapter route, and the per-trial
-// closure route must aggregate identical counts for the same
+// TestBitsBoolClosureIdenticalEstimates is the bitset engine's property
+// test: a native bitset trial and the same boolean per-trial closure
+// through BitsFromTrial must aggregate identical counts for the same
 // (seed, trials) — across chunk boundaries, partial final words, and
 // worker counts. wobblyTrial's data-dependent RNG consumption makes any
 // substream misalignment show up immediately.
@@ -114,23 +84,15 @@ func TestBitsBoolClosureIdenticalEstimates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaBool, err := EstimateProbabilityBatch(ctx, cfg, BatchFromTrial(wobblyTrial))
+			viaClosure, err := EstimateProbabilityBits(ctx, cfg, BitsFromTrial(wobblyTrial))
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaClosure, err := EstimateProbability(ctx, cfg, wobblyTrial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if viaBits.Proportion.Successes() != viaBool.Proportion.Successes() ||
-				viaBits.Proportion.Successes() != viaClosure.Proportion.Successes() ||
-				viaBits.Proportion.Trials() != trials ||
-				viaBool.Proportion.Trials() != trials ||
-				viaClosure.Proportion.Trials() != trials {
-				t.Errorf("workers=%d trials=%d: bits %d/%d bool %d/%d closure %d/%d",
+			if viaBits.Proportion.Successes() != viaClosure.Proportion.Successes() ||
+				viaBits.Proportion.Trials() != trials || viaClosure.Proportion.Trials() != trials {
+				t.Errorf("workers=%d trials=%d: bits %d/%d closure %d/%d",
 					workers, trials,
 					viaBits.Proportion.Successes(), viaBits.Proportion.Trials(),
-					viaBool.Proportion.Successes(), viaBool.Proportion.Trials(),
 					viaClosure.Proportion.Successes(), viaClosure.Proportion.Trials())
 			}
 		}
@@ -139,65 +101,56 @@ func TestBitsBoolClosureIdenticalEstimates(t *testing.T) {
 
 // TestBitsChunkIdenticalWords checks equivalence at the raw bit level,
 // not just the counts: for one chunk on identical substreams, the native
-// bitset implementation and PackBools over the []bool output must
-// produce identical words, including a partial final word.
+// bitset implementation and the BitsFromTrial closure route must write
+// identical words into dirty buffers, including a partial final word.
 func TestBitsChunkIdenticalWords(t *testing.T) {
-	batch := BatchFromTrial(wobblyTrial)
+	closure := BitsFromTrial(wobblyTrial)
 	for _, n := range []int{1, WordBits - 1, WordBits, WordBits + 1, 1000, chunkSize} {
-		bools := make([]bool, n)
-		if err := batch(rng.New(99), bools); err != nil {
-			t.Fatal(err)
-		}
-		packed := make([]uint64, BitWords(n))
-		PackBools(packed, bools)
-
+		viaClosure := make([]uint64, BitWords(n))
 		native := make([]uint64, BitWords(n))
 		for w := range native {
-			native[w] = ^uint64(0)
+			viaClosure[w], native[w] = ^uint64(0), ^uint64(0)
+		}
+		if err := closure(rng.New(99), viaClosure, n); err != nil {
+			t.Fatal(err)
 		}
 		if err := wobblyBits(rng.New(99), native, n); err != nil {
 			t.Fatal(err)
 		}
 		for w := range native {
-			if native[w] != packed[w] {
-				t.Fatalf("n=%d word %d: native %#x packed %#x", n, w, native[w], packed[w])
+			if native[w] != viaClosure[w] {
+				t.Fatalf("n=%d word %d: native %#x closure %#x", n, w, native[w], viaClosure[w])
 			}
 		}
 	}
 }
 
-// TestAdaptiveBitsIdentical checks the adaptive engine across all three
-// routes: identical rounds, stop reasons, and counts at the round
-// barriers.
+// TestAdaptiveBitsIdentical checks the adaptive engine on both forms of
+// the same trial: the native bitset trial and its BitsFromTrial closure
+// form must stop at the same round with identical counts, including a
+// budget whose last round ends mid-word.
 func TestAdaptiveBitsIdentical(t *testing.T) {
 	ctx := context.Background()
-	cfg := AdaptiveConfig{
-		MaxTrials:       8*chunkSize + 11, // partial final word in the last round
-		Seed:            13,
-		TargetHalfWidth: 0.004,
-		Confidence:      0.95,
-	}
-	viaBits, err := EstimateAdaptiveBits(ctx, cfg, wobblyBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaBool, err := EstimateAdaptiveBatch(ctx, cfg, BatchFromTrial(wobblyTrial))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaClosure, err := EstimateAdaptive(ctx, cfg, wobblyTrial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, other := range []*AdaptiveResult{viaBool, viaClosure} {
-		if viaBits.Rounds != other.Rounds || viaBits.StopReason != other.StopReason ||
-			viaBits.Proportion.Successes() != other.Proportion.Successes() ||
-			viaBits.Proportion.Trials() != other.Proportion.Trials() {
-			t.Errorf("bits %d/%d rounds=%d %s vs %d/%d rounds=%d %s",
+	for _, cfg := range []AdaptiveConfig{
+		{MaxTrials: 8 * chunkSize, Seed: 13, TargetHalfWidth: 0.01, Confidence: 0.95},
+		{MaxTrials: 8*chunkSize + 11, Seed: 13, TargetHalfWidth: 0.004, Confidence: 0.95},
+	} {
+		viaBits, err := EstimateAdaptiveBits(ctx, cfg, wobblyBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaClosure, err := EstimateAdaptiveBits(ctx, cfg, BitsFromTrial(wobblyTrial))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if viaBits.Rounds != viaClosure.Rounds || viaBits.StopReason != viaClosure.StopReason ||
+			viaBits.Proportion.Successes() != viaClosure.Proportion.Successes() ||
+			viaBits.Proportion.Trials() != viaClosure.Proportion.Trials() {
+			t.Errorf("max=%d: bits %d/%d rounds=%d %s vs closure %d/%d rounds=%d %s", cfg.MaxTrials,
 				viaBits.Proportion.Successes(), viaBits.Proportion.Trials(),
 				viaBits.Rounds, viaBits.StopReason,
-				other.Proportion.Successes(), other.Proportion.Trials(),
-				other.Rounds, other.StopReason)
+				viaClosure.Proportion.Successes(), viaClosure.Proportion.Trials(),
+				viaClosure.Rounds, viaClosure.StopReason)
 		}
 	}
 }
@@ -211,9 +164,9 @@ func TestBitsChunkZeroAllocs(t *testing.T) {
 	}
 	ctx := context.Background()
 	src := rng.New(7)
-	scratch := bitsScratch(coinBits)()
+	words := wordScratch()
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := runProbChunk(ctx, scratch.bits, src, scratch.words, chunkSize); err != nil {
+		if _, err := runProbChunk(ctx, coinBits, src, words, chunkSize); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -257,10 +210,10 @@ func TestBitsCancellationZeroAllocs(t *testing.T) {
 	}
 	ctx := context.Background()
 	src := rng.New(7)
-	scratch := bitsScratch(coinBits)()
+	words := wordScratch()
 	n := cancelCheckInterval + 7 // two sub-batches, second a partial word
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := runProbChunk(ctx, scratch.bits, src, scratch.words, n); err != nil {
+		if _, err := runProbChunk(ctx, coinBits, src, words, n); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -286,8 +239,8 @@ func TestBitsContractViolationBackstop(t *testing.T) {
 	}
 }
 
-// TestBitsErrorPropagation mirrors the batch error tests on the bitset
-// entry points.
+// TestBitsErrorPropagation checks error and nil-batch handling on the
+// bitset entry points.
 func TestBitsErrorPropagation(t *testing.T) {
 	ctx := context.Background()
 	sentinel := errors.New("boom")

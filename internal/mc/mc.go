@@ -7,11 +7,11 @@
 // results are merged in chunk order. An estimate therefore depends only
 // on (seed, trials) — never on the worker count or goroutine scheduling.
 //
-// # The bit-parallel hot path
+// # Trial contracts
 //
-// Boolean trials can be driven three ways, all bit-identical. The
-// canonical contract is the bitset interface (BatchTrialBits,
-// EstimateProbabilityBits): the harness hands an implementation a whole
+// The harness has two batch contracts. Boolean trials implement
+// BatchTrialBits and run through EstimateProbabilityBits and
+// EstimateAdaptiveBits: the harness hands an implementation a whole
 // chunk's reusable []uint64 buffer and the chunk's RNG substream, the
 // implementation packs 64 trial outcomes into each word (LSB-first; see
 // BatchTrialBits for the partial-word contract), and the engine counts
@@ -19,16 +19,11 @@
 // and counting overhead all collapse to a fraction of a word operation,
 // and the steady-state chunk loop performs zero allocations (per-worker
 // scratch is reused across chunks; per-chunk result slots are
-// preallocated). The []bool batch interface (BatchTrial,
-// EstimateProbabilityBatch) is a documented adapter over the bitset
-// engine — each worker fills a private bool buffer and packs it — kept
-// as the reference implementation for property tests and for trials
-// that are more natural to express boolean-at-a-time. The per-trial
-// closures (Trial, EstimateProbability) adapt likewise. All three
-// routes consume the RNG substreams identically, so their runs are
-// bit-identical: same chunk plan, same substream derivation, same
-// counts. Real-valued sampling (BatchMean, EstimateMeanBatch) keeps the
-// PR 5 []float64 chunk engine — there is no bitset analog for floats.
+// preallocated). A per-trial closure (Trial) reaches the same engine
+// through BitsFromTrial, which consumes the substream exactly as the
+// closure calls would. Real-valued samplers implement BatchMean and run
+// through EstimateMeanBatch and EstimateMeanAdaptiveBatch on a
+// []float64 chunk buffer — there is no bitset analog for floats.
 package mc
 
 import (
@@ -56,43 +51,8 @@ const chunkSize = 8192
 // Trial is a single randomized experiment returning whether the event of
 // interest occurred. Implementations must use only the provided Source for
 // randomness and must be safe to call from one goroutine at a time.
+// BitsFromTrial adapts one to the harness's BatchTrialBits contract.
 type Trial func(src *rng.Source) (success bool, err error)
-
-// BatchTrial evaluates len(out) consecutive trials on src, recording the
-// i-th trial's success in out[i]. It is the []bool form of the batch
-// contract: the harness calls it once per chunk with a reusable buffer,
-// so implementations amortize per-trial setup (validation, option
-// construction, scratch buffers) over the whole chunk. An implementation
-// must consume src exactly as len(out) sequential Trial calls would, so
-// batch and closure runs stay bit-identical; distinct calls receive
-// distinct sources and may run concurrently, so any state shared between
-// calls must be immutable.
-//
-// BatchTrialBits is the canonical contract; the engine runs []bool
-// batches through a per-worker pack-to-bitset adapter with identical
-// results (a packed buffer has exactly as many set bits as the bool
-// buffer has trues). Prefer BatchTrialBits for new hot paths; implement
-// BatchTrial when boolean-at-a-time output is more natural — it is a
-// supported adapter, not a deprecated one, and doubles as the reference
-// implementation the bitset property tests are gated on.
-type BatchTrial func(src *rng.Source, out []bool) error
-
-// BatchFromTrial adapts a per-trial closure to the batch interface. The
-// adapter preserves the closure's semantics exactly (same calls, same
-// RNG stream); it exists so every closure call site keeps working on the
-// batched engine.
-func BatchFromTrial(trial Trial) BatchTrial {
-	return func(src *rng.Source, out []bool) error {
-		for i := range out {
-			ok, err := trial(src)
-			if err != nil {
-				return err
-			}
-			out[i] = ok
-		}
-		return nil
-	}
-}
 
 // Config controls a Monte Carlo run.
 type Config struct {
@@ -199,7 +159,10 @@ func runChunks(ctx context.Context, workers, nChunks int, fn func(ctx context.Co
 		func(ctx context.Context, chunk int, _ struct{}) error { return fn(ctx, chunk) })
 }
 
-// floatScratch allocates one worker's reusable chunk buffer.
+// wordScratch allocates one worker's reusable bitset chunk buffer.
+func wordScratch() []uint64 { return make([]uint64, BitWords(chunkSize)) }
+
+// floatScratch allocates one worker's reusable mean chunk buffer.
 func floatScratch() []float64 { return make([]float64, chunkSize) }
 
 // cancelCheckInterval is the cancellation granularity inside a chunk:
@@ -248,35 +211,18 @@ func (r *Result) WilsonCI(level float64) (lo, hi float64, err error) {
 	return r.Proportion.WilsonCI(level)
 }
 
-// EstimateProbability runs trials of the given Trial function in parallel
-// and returns the aggregated proportion. The context cancels the run early;
-// a canceled run returns ctx.Err() alongside the results of the chunks
-// that completed. It adapts the closure onto the bitset engine; see
-// EstimateProbabilityBits for the hot path.
-func EstimateProbability(ctx context.Context, cfg Config, trial Trial) (*Result, error) {
-	if trial == nil {
-		return nil, fmt.Errorf("%w: nil trial", ErrBadConfig)
-	}
-	return EstimateProbabilityBits(ctx, cfg, BitsFromTrial(trial))
-}
-
-// EstimateProbabilityBatch runs cfg.Trials trials of the batched []bool
-// trial in parallel and returns the aggregated proportion. It adapts the
-// batch onto the bitset engine (each worker fills a private bool buffer
-// and packs it); results are bit-identical to EstimateProbabilityBits
-// and EstimateProbability with the equivalent trial: same chunk plan,
-// same substreams, same counts.
-func EstimateProbabilityBatch(ctx context.Context, cfg Config, batch BatchTrial) (*Result, error) {
+// EstimateProbabilityBits runs cfg.Trials trials of the bitset trial in
+// parallel and returns the aggregated proportion. Chunks are evaluated
+// whole — one bitset call per chunk (sliced only at cancellation
+// checkpoints) on a per-worker reusable []uint64 buffer — and successes
+// are counted with bits.OnesCount64, so the steady-state loop is free of
+// per-trial call overhead and of allocations. The context cancels the
+// run early; a canceled run returns ctx.Err() alongside the results of
+// the chunks that completed.
+func EstimateProbabilityBits(ctx context.Context, cfg Config, batch BatchTrialBits) (*Result, error) {
 	if batch == nil {
 		return nil, fmt.Errorf("%w: nil trial", ErrBadConfig)
 	}
-	return estimateProbability(ctx, cfg, boolScratch(batch))
-}
-
-// estimateProbability is the shared fixed-trial-count engine: one bitset
-// chunk loop, parameterized only by the per-worker scratch factory the
-// entry points (bitset, []bool adapter, closure adapter) supply.
-func estimateProbability(ctx context.Context, cfg Config, newScratch func() probScratch) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -294,9 +240,9 @@ func estimateProbability(ctx context.Context, cfg Config, newScratch func() prob
 		obs.L("chunks", strconv.Itoa(len(sources))),
 		obs.L("trials", strconv.Itoa(cfg.Trials)))
 
-	runErr := runChunksWith(ctx, cfg.Workers, len(sources), newScratch,
-		func(ctx context.Context, chunk int, s probScratch) error {
-			n, err := runProbChunk(ctx, s.bits, sources[chunk], s.words, quotas[chunk])
+	runErr := runChunksWith(ctx, cfg.Workers, len(sources), wordScratch,
+		func(ctx context.Context, chunk int, words []uint64) error {
+			n, err := runProbChunk(ctx, batch, sources[chunk], words, quotas[chunk])
 			if err != nil {
 				if err == ctx.Err() {
 					return err
@@ -393,49 +339,20 @@ func EstimateDistribution(ctx context.Context, cfg Config, buckets int, sample I
 	return merged, nil
 }
 
-// MeanEstimator runs a real-valued sampler and returns an online Summary.
-type MeanEstimator func(src *rng.Source) (value float64, err error)
-
 // BatchMean evaluates len(out) consecutive real-valued samples on src,
-// recording the i-th observation in out[i]. It is the batched form of
-// MeanEstimator, with exactly BatchTrial's contract: bit-identical RNG
-// consumption to sequential closure calls, concurrent invocation on
+// recording the i-th observation in out[i]. It is the real-valued
+// counterpart of BatchTrialBits, with the same obligations: consume src
+// exactly as len(out) sequential single-sample draws would, so chunk
+// sub-slicing never changes results, and tolerate concurrent calls on
 // distinct sources.
 type BatchMean func(src *rng.Source, out []float64) error
-
-// BatchFromMean adapts a per-trial sampler to the batch interface,
-// preserving its semantics exactly.
-func BatchFromMean(sample MeanEstimator) BatchMean {
-	return func(src *rng.Source, out []float64) error {
-		for i := range out {
-			v, err := sample(src)
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		}
-		return nil
-	}
-}
-
-// EstimateMean runs the sampler cfg.Trials times and returns summary
-// statistics of the observations. Chunk summaries are merged in chunk
-// order, so the result is bit-identical at any worker count even though
-// summary merging is not floating-point associative. It adapts the
-// closure onto the batched engine; see EstimateMeanBatch for the hot
-// path.
-func EstimateMean(ctx context.Context, cfg Config, sample MeanEstimator) (*stats.Summary, error) {
-	if sample == nil {
-		return nil, fmt.Errorf("%w: nil sampler", ErrBadConfig)
-	}
-	return EstimateMeanBatch(ctx, cfg, BatchFromMean(sample))
-}
 
 // EstimateMeanBatch runs cfg.Trials samples of the batched sampler in
 // parallel and returns summary statistics of the observations, folding
 // each chunk's buffer into its summary in trial order and merging chunk
-// summaries in chunk order — bit-identical to EstimateMean with the
-// equivalent closure, at any worker count.
+// summaries in chunk order. Summary merging is not floating-point
+// associative, so the fixed merge order is what makes the result
+// bit-identical at any worker count.
 func EstimateMeanBatch(ctx context.Context, cfg Config, batch BatchMean) (*stats.Summary, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -9,11 +9,20 @@ import (
 	"memreliability/internal/rng"
 )
 
+// uniformMean is a BatchMean drawing one uniform [0,1) sample per
+// observation.
+func uniformMean(src *rng.Source, out []float64) error {
+	for i := range out {
+		out[i] = src.Float64()
+	}
+	return nil
+}
+
 func TestEstimateProbabilityBasic(t *testing.T) {
 	ctx := context.Background()
-	res, err := EstimateProbability(ctx, Config{Trials: 200000, Seed: 1}, func(src *rng.Source) (bool, error) {
+	res, err := EstimateProbabilityBits(ctx, Config{Trials: 200000, Seed: 1}, BitsFromTrial(func(src *rng.Source) (bool, error) {
 		return src.Bool(0.37), nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +40,13 @@ func TestEstimateProbabilityBasic(t *testing.T) {
 
 func TestEstimateProbabilityDeterministic(t *testing.T) {
 	ctx := context.Background()
-	trial := func(src *rng.Source) (bool, error) { return src.Bool(0.5), nil }
+	trial := BitsFromTrial(func(src *rng.Source) (bool, error) { return src.Bool(0.5), nil })
 	cfg := Config{Trials: 50000, Workers: 4, Seed: 99}
-	a, err := EstimateProbability(ctx, cfg, trial)
+	a, err := EstimateProbabilityBits(ctx, cfg, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EstimateProbability(ctx, cfg, trial)
+	b, err := EstimateProbabilityBits(ctx, cfg, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +60,10 @@ func TestEstimateProbabilityWorkerCountInvariance(t *testing.T) {
 	// The chunked harness is deterministic in (seed, trials) alone:
 	// every worker count must produce the identical estimate.
 	ctx := context.Background()
-	trial := func(src *rng.Source) (bool, error) { return src.Bool(0.2), nil }
+	trial := BitsFromTrial(func(src *rng.Source) (bool, error) { return src.Bool(0.2), nil })
 	var want float64
 	for i, workers := range []int{1, 2, 7} {
-		res, err := EstimateProbability(ctx, Config{Trials: 100000, Workers: workers, Seed: 5}, trial)
+		res, err := EstimateProbabilityBits(ctx, Config{Trials: 100000, Workers: workers, Seed: 5}, trial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,10 +83,9 @@ func TestEstimateMeanWorkerCountInvariance(t *testing.T) {
 	// Summary merging is not float-associative, so this exercises the
 	// in-order chunk merge: means must be bit-identical across workers.
 	ctx := context.Background()
-	sample := func(src *rng.Source) (float64, error) { return src.Float64(), nil }
 	var want float64
 	for i, workers := range []int{1, 3, 8} {
-		sum, err := EstimateMean(ctx, Config{Trials: 50000, Workers: workers, Seed: 9}, sample)
+		sum, err := EstimateMeanBatch(ctx, Config{Trials: 50000, Workers: workers, Seed: 9}, uniformMean)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,32 +99,57 @@ func TestEstimateMeanWorkerCountInvariance(t *testing.T) {
 
 func TestEstimateProbabilityValidation(t *testing.T) {
 	ctx := context.Background()
-	if _, err := EstimateProbability(ctx, Config{Trials: 0}, nil); !errors.Is(err, ErrBadConfig) {
+	if _, err := EstimateProbabilityBits(ctx, Config{Trials: 0}, coinBatch); !errors.Is(err, ErrBadConfig) {
 		t.Error("zero trials accepted")
 	}
-	if _, err := EstimateProbability(ctx, Config{Trials: 10, Workers: -1}, nil); !errors.Is(err, ErrBadConfig) {
+	if _, err := EstimateProbabilityBits(ctx, Config{Trials: 10, Workers: -1}, coinBatch); !errors.Is(err, ErrBadConfig) {
 		t.Error("negative workers accepted")
 	}
-	if _, err := EstimateProbability(ctx, Config{Trials: 10}, nil); !errors.Is(err, ErrBadConfig) {
+	if _, err := EstimateProbabilityBits(ctx, Config{Trials: 10}, nil); !errors.Is(err, ErrBadConfig) {
 		t.Error("nil trial accepted")
+	}
+	if _, err := EstimateMeanBatch(ctx, Config{Trials: 0}, uniformMean); !errors.Is(err, ErrBadConfig) {
+		t.Error("zero mean trials accepted")
+	}
+	if _, err := EstimateMeanBatch(ctx, Config{Trials: 10, Workers: -1}, uniformMean); !errors.Is(err, ErrBadConfig) {
+		t.Error("negative mean workers accepted")
 	}
 }
 
 func TestEstimateProbabilityPropagatesTrialError(t *testing.T) {
 	ctx := context.Background()
 	sentinel := errors.New("boom")
-	_, err := EstimateProbability(ctx, Config{Trials: 1000, Workers: 2, Seed: 1},
-		func(src *rng.Source) (bool, error) { return false, sentinel })
+	_, err := EstimateProbabilityBits(ctx, Config{Trials: 1000, Workers: 2, Seed: 1},
+		BitsFromTrial(func(src *rng.Source) (bool, error) { return false, sentinel }))
 	if !errors.Is(err, sentinel) {
 		t.Errorf("err = %v, want wrapped sentinel", err)
+	}
+}
+
+// TestRunChunksPrefersRootCause: when one chunk fails, the chunks its
+// cancellation interrupts report context.Canceled; the run must return
+// the failure itself, whichever workers happened to report first.
+func TestRunChunksPrefersRootCause(t *testing.T) {
+	sentinel := errors.New("root cause")
+	for i := 0; i < 10; i++ {
+		err := runChunks(context.Background(), 4, 4, func(ctx context.Context, chunk int) error {
+			if chunk == 3 {
+				return sentinel
+			}
+			<-ctx.Done() // held until chunk 3's failure cancels the run
+			return ctx.Err()
+		})
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("run %d: err = %v, want the root-cause failure", i, err)
+		}
 	}
 }
 
 func TestEstimateProbabilityCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := EstimateProbability(ctx, Config{Trials: 1 << 22, Workers: 2, Seed: 1},
-		func(src *rng.Source) (bool, error) { return src.Bool(0.5), nil })
+	_, err := EstimateProbabilityBits(ctx, Config{Trials: 1 << 22, Workers: 2, Seed: 1},
+		BitsFromTrial(func(src *rng.Source) (bool, error) { return src.Bool(0.5), nil }))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
@@ -124,8 +157,8 @@ func TestEstimateProbabilityCancellation(t *testing.T) {
 
 func TestEstimateProbabilityMoreWorkersThanTrials(t *testing.T) {
 	ctx := context.Background()
-	res, err := EstimateProbability(ctx, Config{Trials: 3, Workers: 16, Seed: 1},
-		func(src *rng.Source) (bool, error) { return true, nil })
+	res, err := EstimateProbabilityBits(ctx, Config{Trials: 3, Workers: 16, Seed: 1},
+		BitsFromTrial(func(src *rng.Source) (bool, error) { return true, nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +228,13 @@ func TestEstimateDistributionError(t *testing.T) {
 
 func TestEstimateMean(t *testing.T) {
 	ctx := context.Background()
-	sum, err := EstimateMean(ctx, Config{Trials: 300000, Workers: 4, Seed: 7},
-		func(src *rng.Source) (float64, error) { return src.Float64() * 6, nil })
+	sum, err := EstimateMeanBatch(ctx, Config{Trials: 300000, Workers: 4, Seed: 7},
+		func(src *rng.Source, out []float64) error {
+			for i := range out {
+				out[i] = src.Float64() * 6
+			}
+			return nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +252,8 @@ func TestEstimateMean(t *testing.T) {
 func TestEstimateMeanError(t *testing.T) {
 	ctx := context.Background()
 	sentinel := errors.New("bad")
-	_, err := EstimateMean(ctx, Config{Trials: 100, Seed: 1},
-		func(src *rng.Source) (float64, error) { return 0, sentinel })
+	_, err := EstimateMeanBatch(ctx, Config{Trials: 100, Seed: 1},
+		func(src *rng.Source, out []float64) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Errorf("err = %v", err)
 	}

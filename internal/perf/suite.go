@@ -69,20 +69,6 @@ func benchEstimate(q estimator.Query) func(b *testing.B) {
 	}
 }
 
-// coinBatch is the suite's trivial allocation-free batch trial; with it,
-// the harness's own dispatch overhead is everything being measured.
-func coinBatch(src *rng.Source, out []bool) error {
-	for i := range out {
-		out[i] = src.Uint64()&1 == 0
-	}
-	return nil
-}
-
-// coinTrial is the per-trial closure equivalent of coinBatch.
-func coinTrial(src *rng.Source) (bool, error) {
-	return src.Uint64()&1 == 0, nil
-}
-
 // coinBits is the native-bitset trivial batch: one generator step per
 // word, masked to the mc.BatchTrialBits partial-word contract. With it,
 // the scenario measures the bit-parallel harness floor — 64 trials per
@@ -148,62 +134,6 @@ func Suite() []Scenario {
 			Description: "Theorem 6.1 hybrid estimate through the registry (batched product expectation), WO, n=6, m=32, 8192 trials",
 			Trials:      8192,
 			Bench:       benchEstimate(query(estimator.Hybrid, "WO", 6, 32, 8192, 1)),
-		},
-		{
-			ID:          "mc-closure/coin-64k",
-			Description: "harness overhead, per-trial closure route: 65536 trivial coin trials, one worker",
-			Trials:      65536,
-			Bench: func(b *testing.B) {
-				b.ReportAllocs()
-				cfg := mc.Config{Trials: 65536, Workers: 1, Seed: 1}
-				for i := 0; i < b.N; i++ {
-					res, err := mc.EstimateProbability(context.Background(), cfg, coinTrial)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sink += res.Proportion.Successes()
-				}
-			},
-		},
-		{
-			ID:          "mc-batch/coin-64k",
-			Description: "harness overhead, batched route: 65536 trivial coin trials, one worker",
-			Trials:      65536,
-			Bench: func(b *testing.B) {
-				b.ReportAllocs()
-				cfg := mc.Config{Trials: 65536, Workers: 1, Seed: 1}
-				for i := 0; i < b.N; i++ {
-					res, err := mc.EstimateProbabilityBatch(context.Background(), cfg, coinBatch)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sink += res.Proportion.Successes()
-				}
-			},
-		},
-		{
-			ID:          "mc-batch/chunk-8k",
-			Description: "steady-state batch chunk: fill one 8192-trial buffer and count successes (the fixed-MC inner loop)",
-			Trials:      chunkTrials,
-			ZeroAlloc:   true,
-			Bench: func(b *testing.B) {
-				b.ReportAllocs()
-				src := rng.New(1)
-				out := make([]bool, chunkTrials)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := coinBatch(src, out); err != nil {
-						b.Fatal(err)
-					}
-					n := 0
-					for _, ok := range out {
-						if ok {
-							n++
-						}
-					}
-					sink += n
-				}
-			},
 		},
 		{
 			ID:          "bits-kernel/chunk-8k",

@@ -132,11 +132,11 @@ func TestExactTheorem51AgainstMonteCarlo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mc.EstimateProbability(context.Background(),
+		res, err := mc.EstimateProbabilityBits(context.Background(),
 			mc.Config{Trials: 400000, Seed: 42},
-			func(src *rng.Source) (bool, error) {
+			mc.BitsFromTrial(func(src *rng.Source) (bool, error) {
 				return DisjointTrial(lengths, src)
-			})
+			}))
 		if err != nil {
 			t.Fatal(err)
 		}

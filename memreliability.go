@@ -27,9 +27,8 @@
 //
 // The Monte Carlo harness underneath is bit-parallel: batched trials
 // emit 64 outcomes per uint64 word (BatchTrialBits) and successes are
-// counted by popcount, with the []bool and per-trial interfaces kept as
-// adapters that produce bit-identical estimates. Custom experiments
-// reach the same engine through EstimateProbabilityBits.
+// counted by popcount. Custom experiments reach the same engine through
+// EstimateProbabilityBits.
 //
 // Types are re-exported as aliases so downstream code needs only this
 // package for the common workflows; the cmd/ tools and examples/ show
@@ -61,7 +60,7 @@ type Interval = analytic.Interval
 // Config configures a joined-model experiment.
 type Config = core.Config
 
-// BatchTrialBits is the Monte Carlo harness's canonical batched trial
+// BatchTrialBits is the Monte Carlo harness's batched boolean trial
 // interface: one call evaluates n consecutive trials on the chunk's RNG
 // substream and packs the outcomes 64 per uint64 word, LSB-first —
 // trial i lands in bit i%64 of out[i/64]. When n is not a multiple of
@@ -69,23 +68,12 @@ type Config = core.Config
 // (the harness popcounts whole words). Config.NoBugBits builds one for
 // the joined process; custom experiments implement it directly for the
 // bit-parallel hot path (see examples/bitstrial) and run it with
-// EstimateProbabilityBits. PackBools satisfies the packing contract for
-// implementations that naturally produce booleans.
+// EstimateProbabilityBits.
 type BatchTrialBits = mc.BatchTrialBits
-
-// BatchTrial is the []bool batched trial interface — an adapter form
-// over BatchTrialBits: the harness packs its output into bitsets
-// (PackBools) on a per-worker buffer, so it keeps the zero
-// steady-state-allocation property at a small packing cost.
-// Config.NoBugBatch builds one for the joined process; it remains fully
-// supported as the convenient interface when bit packing is not worth
-// hand-writing.
-type BatchTrial = mc.BatchTrial
 
 // BatchMean is the batched form of a real-valued sampler, used by the
 // Theorem 6.1 hybrid route's product expectation (Config.ProductBatch).
-// Real-valued samples have no bitset form; this interface is not an
-// adapter.
+// Real-valued samples have no bitset form.
 type BatchMean = mc.BatchMean
 
 // MCWordBits is the number of trials packed into one BatchTrialBits
@@ -95,12 +83,6 @@ const MCWordBits = mc.WordBits
 // MCBitWords returns the number of uint64 words a BatchTrialBits output
 // buffer needs for n trials: ⌈n/64⌉.
 func MCBitWords(n int) int { return mc.BitWords(n) }
-
-// MCPackBools packs boolean trial outcomes into dst under the
-// BatchTrialBits layout, zeroing the unused high bits of the final word
-// per the partial-word contract. len(dst) must be at least
-// MCBitWords(len(src)).
-func MCPackBools(dst []uint64, src []bool) { mc.PackBools(dst, src) }
 
 // MCConfig configures a direct Monte Carlo run (trials, workers, seed).
 // Most callers should prefer a Query through Estimate; the direct
@@ -118,13 +100,6 @@ type MCResult = mc.Result
 // cancellation. This is the same engine every registry kind runs on.
 func EstimateProbabilityBits(ctx context.Context, cfg MCConfig, batch BatchTrialBits) (*MCResult, error) {
 	return mc.EstimateProbabilityBits(ctx, cfg, batch)
-}
-
-// EstimateProbabilityBatch is the []bool adapter over
-// EstimateProbabilityBits: same engine, same guarantees, identical
-// estimates for implementations that consume the RNG identically.
-func EstimateProbabilityBatch(ctx context.Context, cfg MCConfig, batch BatchTrial) (*MCResult, error) {
-	return mc.EstimateProbabilityBatch(ctx, cfg, batch)
 }
 
 // HybridResult is a Theorem 6.1 hybrid estimate.
@@ -216,8 +191,8 @@ const (
 	SweepHybrid     = sweep.Hybrid
 	SweepWindowDist = sweep.WindowDist
 	// SweepCompiledMC is full Monte Carlo on the query-compiled kernel
-	// engine — bit-identical to SweepFullMC on the same query, faster
-	// per trial.
+	// engine — bit-identical to SweepFullMC on the same query; faster
+	// per trial on SC and TSO, slower on the relaxed models.
 	SweepCompiledMC = sweep.CompiledMC
 )
 
