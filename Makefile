@@ -8,7 +8,7 @@ GO ?= go
 # Pinned staticcheck (2025.1.1); CI installs exactly this version.
 STATICCHECK_VERSION ?= v0.6.1
 
-.PHONY: all build test bench bench-adaptive bench-bits bench-compare staticcheck staticcheck-install lint smoke-serve smoke-cluster fuzz-smoke vuln ci
+.PHONY: all build test bench bench-adaptive bench-bits bench-compare bench-module staticcheck staticcheck-install lint smoke-serve smoke-cluster fuzz-smoke vuln ci
 
 all: ci
 
@@ -66,6 +66,13 @@ bench-bits:
 bench-compare:
 	$(GO) run ./cmd/membench -rev new -o BENCH_new.json -baseline BENCH_baseline.json
 
+# bench-module vets and race-tests bench/, the end-to-end workload
+# benchmark. It is a Go module of its own (replace memreliability => ../),
+# so the root build, vet and test targets never compile it; this target
+# keeps an internal API change from breaking bench/run.sh unnoticed.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test -race ./...
+
 smoke-serve:
 	./scripts/smoke_serve.sh
 
@@ -95,4 +102,4 @@ vuln:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-ci: lint staticcheck build test bench bench-adaptive bench-bits bench-compare smoke-serve smoke-cluster fuzz-smoke vuln
+ci: lint staticcheck build test bench bench-adaptive bench-bits bench-compare bench-module smoke-serve smoke-cluster fuzz-smoke vuln

@@ -178,6 +178,17 @@ func splitURLs(s string) []string {
 	return out
 }
 
+// readHeaderTimeout bounds how long a client may take to send a
+// request's headers. Without it, a client that never finishes its
+// request line holds a connection and a goroutine forever.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer returns the http.Server that every memserved listener,
+// the API's and pprof's, runs on.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // startPprof serves the standard pprof handlers on their own listener —
 // a separate address so profiling is never exposed through the API
 // port. The returned stop function closes the profiling server.
@@ -192,7 +203,7 @@ func startPprof(addr string, logw io.Writer) (func(), error) {
 	if err != nil {
 		return nil, fmt.Errorf("pprof listener: %w", err)
 	}
-	srv := &http.Server{Handler: mux}
+	srv := newHTTPServer(mux)
 	go srv.Serve(l)
 	fmt.Fprintf(logw, "memserved: pprof on %s/debug/pprof/\n", l.Addr())
 	return func() { srv.Close() }, nil
@@ -214,7 +225,7 @@ func serveListener(ctx context.Context, l net.Listener, cfg serve.Config, drainT
 // handlers answer quickly with 503 instead of holding connections for a
 // full compute), and open connections get drainTimeout to finish.
 func serveHandler(ctx context.Context, l net.Listener, h http.Handler, closeWork func(), drainTimeout time.Duration, logw io.Writer) error {
-	httpSrv := &http.Server{Handler: h}
+	httpSrv := newHTTPServer(h)
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(l) }()

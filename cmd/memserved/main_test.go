@@ -278,3 +278,17 @@ func TestRunModeFlags(t *testing.T) {
 		t.Error("unusable store dir accepted")
 	}
 }
+
+// TestHTTPServerHasReadHeaderTimeout checks the one constructor both
+// memserved servers (API and pprof) are built with: a client that never
+// finishes its headers must not hold a connection forever.
+func TestHTTPServerHasReadHeaderTimeout(t *testing.T) {
+	h := http.NotFoundHandler()
+	srv := newHTTPServer(h)
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v (> 0)", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.Handler == nil {
+		t.Error("handler not set")
+	}
+}

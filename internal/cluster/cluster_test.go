@@ -134,6 +134,59 @@ func TestBatchDispatchCoalesces(t *testing.T) {
 	}
 }
 
+// stallingWorker holds its first request until release is closed.
+type stallingWorker struct {
+	h       http.Handler
+	served  atomic.Int64
+	release chan struct{}
+}
+
+func (sw *stallingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if sw.served.Add(1) == 1 {
+		<-sw.release
+	}
+	sw.h.ServeHTTP(w, r)
+}
+
+// TestIdleWorkerTakesQueuedCells stalls one worker on its first batch:
+// the other must run every remaining cell, its own shard's and the
+// stalled worker's queued ones, before the stall ends, and the artifact
+// must not change. Without taking cells from another worker's queue it
+// would finish its own shard and wait.
+func TestIdleWorkerTakesQueuedCells(t *testing.T) {
+	spec := testSpec()
+	want := standaloneBytes(t, spec)
+	cells := len(spec.Normalized().Expand())
+
+	sw := &stallingWorker{h: NewWorker(WorkerConfig{Workers: 1}), release: make(chan struct{})}
+	stalled := httptest.NewServer(sw)
+	t.Cleanup(stalled.Close)
+	otherURLs, others := startWorkers(t, 1)
+	go func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for others[0].n.Load() < int64(cells-1) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		close(sw.release)
+	}()
+
+	coord, err := New(Config{Workers: []string{stalled.URL, otherURLs[0]}, MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := coord.RunSweep(context.Background(), spec, sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := artifactBytes(t, art); !bytes.Equal(got, want) {
+		t.Error("artifact differs from standalone")
+	}
+	if got := others[0].n.Load(); got != int64(cells-1) {
+		t.Errorf("the free worker served %d of %d cells while the other stalled on one, want %d",
+			got, cells, cells-1)
+	}
+}
+
 // killableWorker serves its first request normally, then drops every
 // connection — indistinguishable from a killed worker process.
 type killableWorker struct {

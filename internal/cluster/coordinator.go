@@ -34,7 +34,8 @@ var errPermanent = errors.New("cluster: permanent rejection")
 type Config struct {
 	// Workers are the fleet's worker base URLs (e.g.
 	// "http://10.0.0.7:8081"); at least one is required. Cells are
-	// sharded across them by canonical cell key.
+	// sharded across them by canonical cell key, and a worker whose
+	// shard runs dry takes queued cells from the others.
 	Workers []string
 	// Store, when non-nil, is the shared content-addressed result
 	// store: cells present in it are merged without dispatch, and every
@@ -131,6 +132,42 @@ type dispatchState struct {
 	queued int // cells sitting in shard queues
 	pend   int // cells not yet completed
 	err    error
+	// writes tracks the batches whose results are still being written
+	// through the store and delivered to the sink.
+	writes sync.WaitGroup
+}
+
+// takeLocked removes and returns worker w's next batch of at most limit
+// cells; the mutex must be held and some queue must hold a cell. The
+// batch comes from the head of w's own shard queue or, once that is
+// empty, from the tail of the longest queue, taking at most half of it:
+// a worker whose shard runs dry shares the rest of the sweep instead of
+// idling, so a sweep's wall time follows its total work rather than how
+// the cell keys happen to hash.
+func (st *dispatchState) takeLocked(w, limit int) []*task {
+	v := w
+	if len(st.queues[w]) == 0 {
+		for i, q := range st.queues {
+			if len(q) > len(st.queues[v]) {
+				v = i
+			}
+		}
+	}
+	q := st.queues[v]
+	k := min(limit, len(q))
+	var batch []*task
+	if v == w {
+		batch, st.queues[v] = q[:k:k], q[k:]
+	} else {
+		k = min(k, (len(q)+1)/2)
+		// Capped, so that a later append to the owner's queue cannot
+		// write over the taken cells.
+		n := len(q) - k
+		batch, st.queues[v] = q[n:], q[:n:n]
+	}
+	st.queued -= len(batch)
+	queueDepthGauge.Set(float64(st.queued))
+	return batch
 }
 
 // failLocked records the sweep's first fatal error; the mutex must be
@@ -162,11 +199,13 @@ func shardIndex(key string, n int) int {
 //     dispatch (cross-node, cross-restart dedup).
 //  3. Shard the remaining cells across workers by canonical cell key
 //     and dispatch them concurrently, up to MaxBatch cells per
-//     bounded-timeout request. A failed worker is retired and its
+//     bounded-timeout request; a worker whose shard runs dry takes
+//     cells from the longest queue. A failed worker is retired and its
 //     cells move to survivors, each failed attempt counting against
 //     every attempted cell's bounded retry budget.
-//  4. Write computed results through the store and merge all cells in
-//     canonical cell-index order.
+//  4. Write computed results through the store while the next batches
+//     run, and merge all cells in canonical cell-index order once every
+//     write has finished.
 //
 // opts follows sweep.Options: Sink receives each completed cell
 // (completion order, serialized); Timing is rejected because remote
@@ -239,8 +278,9 @@ func (c *Coordinator) RunSweep(ctx context.Context, spec sweep.Spec, opts sweep.
 }
 
 // dispatchAll runs the pending cells on the fleet: one goroutine per
-// configured worker consuming its shard queue, with failure handling
-// that retires the failed worker and moves its cells to survivors.
+// configured worker consuming its shard queue and then the others',
+// with failure handling that retires the failed worker and moves its
+// cells to survivors. It returns once every write-through has finished.
 func (c *Coordinator) dispatchAll(ctx context.Context, pending []*task, cells []sweep.Cell, results []sweep.CellResult, emit func(sweep.CellResult)) error {
 	n := len(c.cfg.Workers)
 	st := &dispatchState{
@@ -280,6 +320,7 @@ func (c *Coordinator) dispatchAll(ctx context.Context, pending []*task, cells []
 		}(w)
 	}
 	wg.Wait()
+	st.writes.Wait()
 	queueDepthGauge.Set(0)
 
 	st.mu.Lock()
@@ -297,27 +338,20 @@ func (c *Coordinator) dispatchAll(ctx context.Context, pending []*task, cells []
 	return st.err
 }
 
-// workerLoop drains worker w's shard queue until the sweep completes,
-// fails, or the worker is retired. Each iteration takes up to MaxBatch
-// queued cells and dispatches them as one request.
+// workerLoop dispatches worker w's batches (see takeLocked) until the
+// sweep completes, fails, or the worker is retired. Each iteration
+// takes up to MaxBatch queued cells and dispatches them as one request.
 func (c *Coordinator) workerLoop(ctx context.Context, st *dispatchState, w int, cells []sweep.Cell, results []sweep.CellResult, emit func(sweep.CellResult)) {
 	for {
 		st.mu.Lock()
-		for st.err == nil && st.pend > 0 && st.alive[w] && len(st.queues[w]) == 0 {
+		for st.err == nil && st.pend > 0 && st.alive[w] && st.queued == 0 {
 			st.cond.Wait()
 		}
 		if st.err != nil || st.pend == 0 || !st.alive[w] {
 			st.mu.Unlock()
 			return
 		}
-		k := c.cfg.MaxBatch
-		if k > len(st.queues[w]) {
-			k = len(st.queues[w])
-		}
-		batch := st.queues[w][:k:k]
-		st.queues[w] = st.queues[w][k:]
-		st.queued -= k
-		queueDepthGauge.Set(float64(st.queued))
+		batch := st.takeLocked(w, c.cfg.MaxBatch)
 		st.mu.Unlock()
 
 		res, err := c.dispatchBatch(ctx, w, batch)
@@ -333,20 +367,25 @@ func (c *Coordinator) workerLoop(ctx context.Context, st *dispatchState, w int, 
 			results[t.idx] = sweep.CellResultOf(cells[t.idx], res[bi])
 		}
 		st.pend -= len(batch)
+		st.writes.Add(1)
 		st.cond.Broadcast()
 		st.mu.Unlock()
 
-		// Write-through outside the lock; persistence is best-effort
-		// (the store counts its own put errors) and never gates the
-		// sweep.
-		for bi, t := range batch {
-			if c.cfg.Store != nil {
-				if payload, err := json.Marshal(res[bi]); err == nil {
-					c.cfg.Store.Put(t.key, payload) //nolint:errcheck // best-effort tier
+		// Write-through runs beside the next dispatch, so a slow disk
+		// does not hold the worker idle; persistence is best-effort (the
+		// store counts its own put errors) and never gates the sweep.
+		// Each cell reaches the sink once its write has finished.
+		go func() {
+			defer st.writes.Done()
+			for bi, t := range batch {
+				if c.cfg.Store != nil {
+					if payload, err := json.Marshal(res[bi]); err == nil {
+						c.cfg.Store.Put(t.key, payload) //nolint:errcheck // best-effort tier
+					}
 				}
+				emit(results[t.idx])
 			}
-			emit(results[t.idx])
-		}
+		}()
 	}
 }
 

@@ -24,16 +24,24 @@ type latticeCase struct {
 }
 
 // compileLattice sweeps models × thread counts × prefix lengths ×
-// edge-and-interior probabilities.
+// edge-and-interior probabilities. Prefixes of 63, 64 and 65 run at the
+// interior points only, the ones that take the fused trial: it packs the
+// prefix into one word, so m = 64 is its widest case (a zero-bit shift
+// before the window scans) and m = 65 falls back to the composed path.
 func compileLattice(t *testing.T) []latticeCase {
 	t.Helper()
 	type probs struct{ store, swap float64 }
 	cases := []probs{{0.5, 0.5}, {0.3, 0.7}, {0, 0.5}, {1, 0.5}, {0.5, 0}, {0.5, 1}, {1, 1}, {0, 0}}
+	interior := cases[:2]
 	var out []latticeCase
 	for _, model := range kernelModels() {
 		for _, n := range []int{2, 3, 4} {
-			for _, m := range []int{0, 1, 7, 16} {
-				for _, pr := range cases {
+			for _, m := range []int{0, 1, 7, 16, 63, 64, 65} {
+				points := cases
+				if m > 16 {
+					points = interior
+				}
+				for _, pr := range points {
 					cfg := Config{Model: model, Threads: n, PrefixLen: m,
 						StoreProb: pr.store, SwapProb: pr.swap}
 					out = append(out, latticeCase{cfg: cfg, name: model.Name()})

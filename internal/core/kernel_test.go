@@ -8,11 +8,13 @@ import (
 	"memreliability/internal/rng"
 )
 
-// kernelModels covers every canonical model — the full spread of
+// kernelModels covers every registered model — the full spread of
 // relaxation matrices the swap table must tabulate, from all-forbidden
-// (SC) to all-permitted (WO).
+// (SC) to all-permitted (WO), including the permission rows no canonical
+// model has: LRO lets an element pass only an earlier LD, and RMO gives
+// LD and ST different rows.
 func kernelModels() []memmodel.Model {
-	return []memmodel.Model{memmodel.SC(), memmodel.TSO(), memmodel.PSO(), memmodel.WO()}
+	return memmodel.Registered()
 }
 
 // TestKernelBitsMatchReference sweeps models × thread counts × prefix

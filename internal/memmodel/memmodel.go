@@ -20,6 +20,7 @@ package memmodel
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -80,12 +81,17 @@ type Pair struct {
 	Moving OpType
 }
 
-// The four ordered pairs of Table 1, in the paper's column order.
-var table1Pairs = []Pair{
-	{Store, Store}, // ST/ST
-	{Store, Load},  // ST/LD
-	{Load, Store},  // LD/ST
-	{Load, Load},   // LD/LD
+// pairBit returns the bit of a model's relaxation mask that stands for
+// the ordered pair (prev, moving), or 0 unless both are plain memory
+// operations. Bit i is column i of Table 1 in the paper's order: ST/ST,
+// ST/LD, LD/ST, LD/LD.
+func pairBit(prev, moving OpType) uint8 {
+	if !prev.IsMemOp() || !moving.IsMemOp() {
+		return 0
+	}
+	// Store−t is 0 for ST and 1 for LD, so the index is prev's column
+	// half (ST/· then LD/·) plus moving's place within it.
+	return 1 << uint((Store-prev)<<1|(Store-moving))
 }
 
 // ErrUnknownModel reports a model name that is not registered.
@@ -97,8 +103,9 @@ var ErrBadModel = errors.New("memmodel: bad model definition")
 // Model is a memory consistency model: a name plus the set of relaxed
 // ordered pairs. The zero value is invalid; use one of the constructors.
 type Model struct {
-	name    string
-	relaxed map[Pair]bool
+	name string
+	// relaxed is the relaxation set: one pairBit bit per relaxed pair.
+	relaxed uint8
 }
 
 // New returns a custom model relaxing exactly the given pairs. Pairs must
@@ -107,13 +114,14 @@ func New(name string, relaxed []Pair) (Model, error) {
 	if name == "" {
 		return Model{}, fmt.Errorf("%w: empty name", ErrBadModel)
 	}
-	m := Model{name: name, relaxed: make(map[Pair]bool, len(relaxed))}
+	m := Model{name: name}
 	for _, p := range relaxed {
-		if !p.Prev.IsMemOp() || !p.Moving.IsMemOp() {
+		bit := pairBit(p.Prev, p.Moving)
+		if bit == 0 {
 			return Model{}, fmt.Errorf("%w: pair %v/%v is not a memory-op pair",
 				ErrBadModel, p.Prev, p.Moving)
 		}
-		m.relaxed[p] = true
+		m.relaxed |= bit
 	}
 	return m, nil
 }
@@ -199,43 +207,27 @@ func (m Model) Relaxed(prev, moving OpType) bool {
 	case FenceRelease:
 		return true
 	}
-	return m.relaxed[Pair{Prev: prev, Moving: moving}]
+	return m.relaxed&pairBit(prev, moving) != 0
 }
 
 // RelaxedPairCount returns how many of the four Table 1 entries are
 // relaxed; it orders models by weakness (SC=0, TSO=1, PSO=2, WO=4).
 func (m Model) RelaxedPairCount() int {
-	count := 0
-	for _, p := range table1Pairs {
-		if m.relaxed[p] {
-			count++
-		}
-	}
-	return count
+	return bits.OnesCount8(m.relaxed)
 }
 
 // StrongerThan reports whether m permits a strict subset of the
 // reorderings of other.
 func (m Model) StrongerThan(other Model) bool {
-	subset := true
-	strict := false
-	for _, p := range table1Pairs {
-		if m.relaxed[p] && !other.relaxed[p] {
-			subset = false
-		}
-		if !m.relaxed[p] && other.relaxed[p] {
-			strict = true
-		}
-	}
-	return subset && strict
+	return m.relaxed&^other.relaxed == 0 && m.relaxed != other.relaxed
 }
 
 // Table1Row returns the model's row of Table 1: one boolean per column in
 // the paper's order (ST/ST, ST/LD, LD/ST, LD/LD).
 func (m Model) Table1Row() [4]bool {
 	var row [4]bool
-	for i, p := range table1Pairs {
-		row[i] = m.relaxed[p]
+	for i := range row {
+		row[i] = m.relaxed>>uint(i)&1 != 0
 	}
 	return row
 }

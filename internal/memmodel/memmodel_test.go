@@ -200,3 +200,63 @@ func TestPerPairSwapProbabilities(t *testing.T) {
 		t.Error("bad default accepted")
 	}
 }
+
+// TestRelaxationMaskMatchesPairSet checks the mask encoding against the
+// set semantics it replaces, exhaustively: every subset of the four
+// Table 1 pairs as a model, every (prev, moving) pair of types including
+// fences and invalid values, and every pair of subsets for StrongerThan.
+func TestRelaxationMaskMatchesPairSet(t *testing.T) {
+	columns := []Pair{{Store, Store}, {Store, Load}, {Load, Store}, {Load, Load}}
+	subset := func(bits int) (Model, map[Pair]bool) {
+		set := map[Pair]bool{}
+		var pairs []Pair
+		for i, p := range columns {
+			if bits>>i&1 != 0 {
+				set[p] = true
+				pairs = append(pairs, p, p) // duplicates are harmless
+			}
+		}
+		m, err := New("m", pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, set
+	}
+	types := []OpType{0, Load, Store, FenceAcquire, FenceRelease, FenceFull, 99}
+	for a := 0; a < 16; a++ {
+		m, set := subset(a)
+		for _, prev := range types {
+			for _, moving := range types {
+				want := set[Pair{prev, moving}]
+				switch {
+				case moving.IsFence(), prev == FenceAcquire, prev == FenceFull:
+					want = false
+				case prev == FenceRelease:
+					want = true
+				}
+				if got := m.Relaxed(prev, moving); got != want {
+					t.Errorf("set %04b: Relaxed(%v, %v) = %v, want %v", a, prev, moving, got, want)
+				}
+			}
+		}
+		row := m.Table1Row()
+		for i, p := range columns {
+			if row[i] != set[p] {
+				t.Errorf("set %04b: Table1Row()[%d] = %v", a, i, row[i])
+			}
+		}
+		if got := m.RelaxedPairCount(); got != len(set) {
+			t.Errorf("set %04b: RelaxedPairCount() = %d, want %d", a, got, len(set))
+		}
+		for b := 0; b < 16; b++ {
+			other, otherSet := subset(b)
+			want := len(set) < len(otherSet)
+			for p := range set {
+				want = want && otherSet[p]
+			}
+			if got := m.StrongerThan(other); got != want {
+				t.Errorf("set %04b StrongerThan set %04b = %v, want %v", a, b, got, want)
+			}
+		}
+	}
+}

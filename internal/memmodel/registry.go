@@ -45,7 +45,7 @@ func Register(m Model) error {
 	registry.Lock()
 	defer registry.Unlock()
 	if prev, ok := registry.byName[key]; ok {
-		if prev.name == m.name && prev.Table1Row() == m.Table1Row() {
+		if prev == m {
 			return nil
 		}
 		return fmt.Errorf("%w: model %q already registered with a different definition",

@@ -37,6 +37,7 @@ func ConditionalWindowDist(model memmodel.Model, prefix []memmodel.OpType, s flo
 				ErrBadInput, i, t)
 		}
 	}
+	d := newDP(model, s)
 	cur := []float64{1}
 	for i, t := range prefix {
 		// stepStringDist draws the round's type Bernoulli(pStore); pinning
@@ -45,14 +46,14 @@ func ConditionalWindowDist(model memmodel.Model, prefix []memmodel.OpType, s flo
 		if t == memmodel.Store {
 			pStore = 1.0
 		}
-		cur = stepStringDist(model, cur, i, pStore, s)
+		cur = d.stepStringDist(cur, i, pStore)
 	}
 	mass := make([]float64, m+1)
 	for mask, w := range cur {
 		if w == 0 {
 			continue
 		}
-		accumWindow(model, uint64(mask), m, s, w, mass)
+		d.accumWindow(uint64(mask), m, w, mass)
 	}
 	return dist.NewPMF(mass)
 }

@@ -23,6 +23,7 @@ package settle
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"memreliability/internal/dist"
 	"memreliability/internal/memmodel"
@@ -202,27 +203,68 @@ func ExactWindowDist(model memmodel.Model, m int, pStore, s float64, maxGamma in
 	if maxGamma < 0 {
 		return nil, fmt.Errorf("%w: maxGamma=%d", ErrBadInput, maxGamma)
 	}
-	strings, err := prefixStringDist(model, m, pStore, s)
-	if err != nil {
-		return nil, err
-	}
+	d := newDP(model, s)
+	strings := d.prefixStringDist(m, pStore)
 	mass := make([]float64, maxGamma+1)
 	for mask, w := range strings {
 		if w == 0 {
 			continue
 		}
-		accumWindow(model, uint64(mask), m, s, w, mass)
+		d.accumWindow(uint64(mask), m, w, mass)
 	}
 	return dist.NewPMF(mass)
 }
 
-// typeAt reports the type at position j of a mask-encoded string
-// (bit set = ST).
-func typeAt(mask uint64, j int) memmodel.OpType {
-	if mask&(1<<uint(j)) != 0 {
-		return memmodel.Store
+// The exact DP works on type strings encoded as masks: bit j is the type
+// at position j (set = ST, clear = LD), position 0 is the top, and a
+// length-n string is a mask below 2^n.
+
+// blockers is one moving type's row of a model's permission matrix in the
+// mask encoding: st is all ones when a preceding ST stops the moving
+// instruction and zero when it may settle past one, and ld likewise for
+// a preceding LD, so mask&st | ^mask&ld marks every position that stops
+// it.
+type blockers struct{ st, ld uint64 }
+
+func blockersOf(model memmodel.Model, moving memmodel.OpType) blockers {
+	var b blockers
+	if !model.Relaxed(memmodel.Store, moving) {
+		b.st = ^uint64(0)
 	}
-	return memmodel.Load
+	if !model.Relaxed(memmodel.Load, moving) {
+		b.ld = ^uint64(0)
+	}
+	return b
+}
+
+// reach returns how many instructions of the length-n string mask an
+// instruction entering directly below it can settle past before the
+// first one that stops it (n when none does): n minus the bit length of
+// the blocked positions, since it passes positions n-1, n-2, ... in turn.
+func (b blockers) reach(mask uint64, n int) int {
+	return n - bits.Len64((mask&b.st|^mask&b.ld)&(1<<uint(n)-1))
+}
+
+// dp is one exact-DP evaluation: the model's four plain-pair permissions
+// and the swap probability, read once per call, so that the inner loops
+// compare integers and multiply by stay, with no permission lookup.
+//
+// Every loop walks an instruction upward as the settling process does:
+// each step short of its reach is a swap attempt that fails with
+// probability stay = 1 − s, and the step at its reach stops it with
+// certainty. The floating-point operations and their order are part of
+// every result: testdata/exact_dp_golden.txt pins them bit for bit.
+type dp struct {
+	ld, st blockers // the rows of a moving LD and a moving ST
+	stay   float64
+}
+
+func newDP(model memmodel.Model, s float64) dp {
+	return dp{
+		ld:   blockersOf(model, memmodel.Load),
+		st:   blockersOf(model, memmodel.Store),
+		stay: 1 - s,
+	}
 }
 
 // prefixStringDist computes the exact distribution over type strings of the
@@ -231,71 +273,56 @@ func typeAt(mask uint64, j int) memmodel.OpType {
 // entry mask holds the weight of the length-m type string mask. A dense
 // slice (rather than a map) keeps the floating-point accumulation order
 // deterministic, so exact-DP results are bit-identical across runs.
-func prefixStringDist(model memmodel.Model, m int, pStore, s float64) ([]float64, error) {
+func (d dp) prefixStringDist(m int, pStore float64) []float64 {
 	cur := []float64{1} // the single empty string
 	for i := 0; i < m; i++ {
-		cur = stepStringDist(model, cur, i, pStore, s)
+		cur = d.stepStringDist(cur, i, pStore)
 	}
-	return cur, nil
+	return cur
 }
 
 // stepStringDist performs settling round i+1 on a distribution over
 // length-i type strings: the new instruction (ST with probability pStore)
 // enters at position i (the bottom of the current string) and settles
 // upward; stopping after passing a instructions leaves it at position i-a.
-func stepStringDist(model memmodel.Model, cur []float64, i int, pStore, s float64) []float64 {
+func (d dp) stepStringDist(cur []float64, i int, pStore float64) []float64 {
 	next := make([]float64, 2*len(cur))
+	pLoad := 1 - pStore
 	for maskInt, w := range cur {
 		if w == 0 {
 			continue
 		}
 		mask := uint64(maskInt)
-		for _, tc := range []struct {
-			typ  memmodel.OpType
-			prob float64
-		}{
-			{memmodel.Store, pStore},
-			{memmodel.Load, 1 - pStore},
-		} {
-			if tc.prob == 0 {
-				continue
-			}
-			remaining := w * tc.prob
-			for a := 0; a <= i; a++ {
-				var stop float64
-				if a == i {
-					stop = remaining // reached the top
-				} else {
-					prevType := typeAt(mask, i-1-a)
-					if !model.Relaxed(prevType, tc.typ) {
-						stop = remaining
-					} else {
-						stop = remaining * (1 - s)
-					}
-				}
-				if stop > 0 {
-					next[insertAt(mask, i, i-a, tc.typ)] += stop
-				}
-				remaining -= stop
-				if remaining <= 0 {
-					break
-				}
-			}
+		if pStore != 0 {
+			d.insert(next, mask, i, 1, d.st.reach(mask, i), w*pStore)
+		}
+		if pLoad != 0 {
+			d.insert(next, mask, i, 0, d.ld.reach(mask, i), w*pLoad)
 		}
 	}
 	return next
 }
 
-// insertAt returns the mask of length length+1 formed by inserting typ at
-// position k of the length-length string mask (positions ≥ k shift up).
-func insertAt(mask uint64, length, k int, typ memmodel.OpType) uint64 {
-	low := mask & ((1 << uint(k)) - 1)
-	high := mask >> uint(k) << uint(k+1)
-	out := low | high
-	if typ == memmodel.Store {
-		out |= 1 << uint(k)
+// insert spreads weight w of an instruction of type bit typ (1 = ST) that
+// enters below the length-i string mask and can pass at most reach of its
+// instructions over the length-(i+1) strings next: stopping after a
+// passes puts typ at position i-a, shifting the positions below it down.
+func (d dp) insert(next []float64, mask uint64, i int, typ uint64, reach int, w float64) {
+	remaining := w
+	for a := 0; a <= reach; a++ {
+		stop := remaining
+		if a < reach {
+			stop = remaining * d.stay
+		}
+		if stop > 0 {
+			k := uint(i - a)
+			next[mask&(1<<k-1)|mask>>k<<(k+1)|typ<<k] += stop
+		}
+		remaining -= stop
+		if remaining <= 0 {
+			break
+		}
 	}
-	return out
 }
 
 // accumWindow adds, for the settled prefix string mask (length m, weight
@@ -307,35 +334,24 @@ func insertAt(mask uint64, length, k int, typ memmodel.OpType) uint64 {
 // it, so the critical ST then passes b ≤ a of them from the bottom and
 // stops automatically when it reaches the critical LD (same address).
 // γ = a − b.
-func accumWindow(model memmodel.Model, mask uint64, m int, s float64, w float64, mass []float64) {
+func (d dp) accumWindow(mask uint64, m int, w float64, mass []float64) {
+	reachLD, reachST := d.ld.reach(mask, m), d.st.reach(mask, m)
 	remainingLD := w
-	for a := 0; a <= m; a++ {
-		var stopLD float64
-		if a == m {
-			stopLD = remainingLD
-		} else {
-			prevType := typeAt(mask, m-1-a)
-			if !model.Relaxed(prevType, memmodel.Load) {
-				stopLD = remainingLD
-			} else {
-				stopLD = remainingLD * (1 - s)
-			}
+	for a := 0; a <= reachLD; a++ {
+		stopLD := remainingLD
+		if a < reachLD {
+			stopLD = remainingLD * d.stay
 		}
 		if stopLD > 0 {
 			// Critical ST passes b of the a instructions below the LD;
-			// from the bottom those are t[m-1], t[m-2], ..., t[m-a].
+			// from the bottom those are t[m-1], t[m-2], ..., t[m-a], and
+			// the critical LD itself stops it at b = a (same address).
+			limit := min(a, reachST)
 			remainingST := stopLD
-			for b := 0; b <= a; b++ {
-				var stopST float64
-				if b == a {
-					stopST = remainingST // blocked by the critical LD
-				} else {
-					prevType := typeAt(mask, m-1-b)
-					if !model.Relaxed(prevType, memmodel.Store) {
-						stopST = remainingST
-					} else {
-						stopST = remainingST * (1 - s)
-					}
+			for b := 0; b <= limit; b++ {
+				stopST := remainingST
+				if b < limit {
+					stopST = remainingST * d.stay
 				}
 				if stopST > 0 {
 					gamma := a - b
@@ -368,17 +384,14 @@ func ExactContiguousStoreDist(model memmodel.Model, m int, pStore, s float64, ma
 	if maxMu < 0 {
 		return nil, fmt.Errorf("%w: maxMu=%d", ErrBadInput, maxMu)
 	}
-	strings, err := prefixStringDist(model, m, pStore, s)
-	if err != nil {
-		return nil, err
-	}
+	strings := newDP(model, s).prefixStringDist(m, pStore)
 	mass := make([]float64, maxMu+1)
 	for mask, w := range strings {
 		if w == 0 {
 			continue
 		}
 		mu := 0
-		for j := m - 1; j >= 0 && typeAt(uint64(mask), j) == memmodel.Store; j-- {
+		for j := m - 1; j >= 0 && mask>>uint(j)&1 != 0; j-- {
 			mu++
 		}
 		if mu < len(mass) {
@@ -396,13 +409,14 @@ func BottomStoreDensity(model memmodel.Model, m int, pStore, s float64) ([]float
 	if err := validateExactArgs(model, m, pStore, s); err != nil {
 		return nil, err
 	}
+	d := newDP(model, s)
 	out := make([]float64, 0, m)
 	cur := []float64{1}
 	for i := 0; i < m; i++ {
-		cur = stepStringDist(model, cur, i, pStore, s)
+		cur = d.stepStringDist(cur, i, pStore)
 		density := 0.0
 		for mask, w := range cur {
-			if typeAt(uint64(mask), i) == memmodel.Store {
+			if mask>>uint(i)&1 != 0 {
 				density += w
 			}
 		}

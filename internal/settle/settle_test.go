@@ -474,10 +474,18 @@ func BenchmarkSettleTSO64(b *testing.B) {
 	}
 }
 
-func BenchmarkExactWindowDistTSO14(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := ExactWindowDist(memmodel.TSO(), 14, 0.5, 0.5, 10); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExactWindowDist times the window DP for every registered model
+// at m = 16, p = s = 1/2: the prefix every exact and windowdist sweep cell
+// is clamped to (estimator.ExactPrefixCap), where the weak models' DP sets
+// a sweep's tail.
+func BenchmarkExactWindowDist(b *testing.B) {
+	for _, model := range memmodel.Registered() {
+		b.Run(model.Name(), func(b *testing.B) {
+			for b.Loop() {
+				if _, err := ExactWindowDist(model, 16, 0.5, 0.5, 16); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
