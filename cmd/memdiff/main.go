@@ -9,6 +9,8 @@
 //   - mc vs mc-compiled vs the reference oracle
 //     (core.Config.ReferenceNoBugBits), bit-identical on fixed-trials
 //     and adaptive-precision queries alike;
+//   - the hybrid kind's product expectation against the ProductTrial
+//     closure looped on the same substream, bit-identical likewise;
 //   - the independent exact enumerations against each other and, for
 //     n=2, against the settling-DP interval;
 //   - the Monte Carlo success count against the exact Pr[A] under an
@@ -61,18 +63,21 @@ func run(args []string) error {
 	ctx := context.Background()
 	gen := scenariogen.New(*seed)
 	params := scenariogen.QueryParams{
-		Kinds:      []estimator.Kind{estimator.FullMC, estimator.CompiledMC},
+		Kinds:      []estimator.Kind{estimator.FullMC, estimator.CompiledMC, estimator.Hybrid},
 		MaxThreads: 4,
 		MaxPrefix:  24,
 		MaxTrials:  4096,
 	}
 	deadline := time.Now().Add(*duration)
-	checked, adaptives, exacts := 0, 0, 0
+	checked, adaptives, hybrids, exacts := 0, 0, 0, 0
 	for time.Now().Before(deadline) && (*queries == 0 || checked < *queries) {
 		q := gen.Query(params)
 		if checked%4 == 3 {
 			q.Precision = &estimator.Precision{TargetHalfWidth: 0.02, MaxTrials: 1 << 14}
 			adaptives++
+		}
+		if q.Kind == estimator.Hybrid {
+			hybrids++
 		}
 		if diffcheck.ExactFeasible(q.Threads, q.PrefixLen) {
 			exacts++
@@ -98,7 +103,7 @@ func run(args []string) error {
 		}
 		checked++
 	}
-	fmt.Printf("memdiff: %d scenarios cross-checked (%d adaptive, %d exact-route), all routes agree (seed %d)\n",
-		checked, adaptives, exacts, *seed)
+	fmt.Printf("memdiff: %d scenarios cross-checked (%d adaptive, %d hybrid, %d exact-route), all routes agree (seed %d)\n",
+		checked, adaptives, hybrids, exacts, *seed)
 	return nil
 }

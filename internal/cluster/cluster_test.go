@@ -423,3 +423,33 @@ func TestConfigValidation(t *testing.T) {
 		t.Errorf("bad spec: err = %v, want sweep.ErrBadSpec", err)
 	}
 }
+
+// TestWorkerRejectsOversizedBatch sends a worker a cell batch one byte
+// over MaxCellBatchBytes — a valid batch padded with whitespace — and
+// expects 400, the permanent rejection the coordinator does not retry
+// elsewhere; a normal batch still succeeds afterwards.
+func TestWorkerRejectsOversizedBatch(t *testing.T) {
+	ts := httptest.NewServer(NewWorker(WorkerConfig{Workers: 1}))
+	t.Cleanup(ts.Close)
+	batch := `{"cells":[{"index":0,"query":{"kind":"exact","model":"TSO","threads":2,"prefix_len":8,` +
+		`"store_prob":0.5,"swap_prob":0.5},"seed":1}]}`
+	send := func(body string) (int, string) {
+		resp, err := http.Post(ts.URL+"/v1/cells", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(data)
+	}
+	padded := strings.Repeat(" ", MaxCellBatchBytes+1-len(batch)) + batch
+	if code, data := send(padded); code != http.StatusBadRequest {
+		t.Errorf("%d-byte batch: status %d, want 400 (%s)", len(padded), code, data)
+	}
+	if code, data := send(batch); code != http.StatusOK {
+		t.Fatalf("normal batch after an oversized one: status %d: %s", code, data)
+	}
+}

@@ -482,7 +482,7 @@ func (c *Coordinator) postCells(ctx context.Context, workerURL string, batch []*
 		return nil, fmt.Errorf("cluster: cell %d: %w", batch[0].idx, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxCellBatchBytes))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: cell %d: %w", batch[0].idx, err)
 	}

@@ -13,6 +13,12 @@ import (
 // ErrBadRequest reports a malformed or invalid worker request.
 var ErrBadRequest = errors.New("cluster: bad request")
 
+// MaxCellBatchBytes bounds a cell batch on the wire, both ways: a
+// worker reads no further into a request body (a longer one fails to
+// decode, 400), and the coordinator no further into a worker's
+// response.
+const MaxCellBatchBytes = 16 << 20
+
 // WorkerConfig tunes a worker. The zero value gets sensible defaults.
 type WorkerConfig struct {
 	// Workers bounds each cell's internal Monte Carlo parallelism
@@ -53,11 +59,12 @@ func NewWorker(cfg WorkerConfig) http.Handler {
 
 // handleCells validates and executes one batch of cells. Validation
 // failures are the client's fault (400, permanent — the coordinator
-// must not retry them elsewhere); execution failures are this worker's
-// (500, retryable on a surviving worker).
+// must not retry them elsewhere), a body over MaxCellBatchBytes
+// included; execution failures are this worker's (500, retryable on a
+// surviving worker).
 func handleCells(w http.ResponseWriter, r *http.Request, cfg WorkerConfig) {
 	var req cellsRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxCellBatchBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeWorkerError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrBadRequest, err))

@@ -8,7 +8,7 @@ import (
 )
 
 // This file holds the reference bitset batch of the joined-model trial
-// and the kernel-backed product batch. Estimation runs on the trial
+// and the compiled product batch. Estimation runs on the trial
 // engines (NoBugBits, CompiledNoBugBits); ReferenceNoBugBits is the
 // oracle their property tests and diffcheck compare against.
 
@@ -42,19 +42,17 @@ func (c Config) ReferenceNoBugBits() (mc.BatchTrialBits, error) {
 
 // ProductBatch returns the batched form of the Theorem 6.1 product
 // trial: out[i] is one sample of Π_{i=1}^{n-1} 2^-i·Γᵢ from a fresh
-// joined-process draw. It runs on the table-driven kernel (one private
-// kernel per call, as NoBugBits), bit-identical to the ProductTrial
-// closure route.
+// joined-process draw. It runs on the compiled engine through the
+// default plan cache (Program.FillProducts; repeated queries share one
+// Program), bit-identical to the ProductTrial closure route. An invalid
+// config fails before it reaches the cache.
 func (c Config) ProductBatch() (mc.BatchMean, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := c
-	return func(src *rng.Source, out []float64) error {
-		k, err := cfg.NewKernel()
-		if err != nil {
-			return err
-		}
-		return k.FillProducts(src, out)
-	}, nil
+	prog, err := DefaultPlanCache().Lookup(c)
+	if err != nil {
+		return nil, err
+	}
+	return prog.FillProducts, nil
 }

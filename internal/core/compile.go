@@ -17,23 +17,33 @@ import (
 // resolves all of that once, at query time, into monomorphized closures:
 //
 //   - the swap surface collapses to a per-row permission mask plus one
-//     uniform threshold held in a register (memmodel.Uniform guarantees
-//     every permitted pair shares a threshold);
+//     uniform threshold (memmodel.Uniform guarantees every permitted
+//     pair shares a threshold);
+//   - the all-interior lattice point (0 < p, s < 1, m ≤ 64) runs on
+//     bit-sliced decision streams: every refill of the bulk draw buffer
+//     turns its words into one success bitmask per distinct threshold,
+//     and the trial reads its prefix as one m-bit extraction, each
+//     settling walk and each geometric shift as a run of ones found with
+//     a bit scan (compileStreams);
 //   - the p ∈ {0,1} draw-free edges — constant program prefix, s = 0
 //     (settling never moves anything, γ ≡ 0) and s = 1 (a deterministic
-//     settling walk) — are resolved at compile time into variants that
-//     touch the RNG exactly as often as the reference does: never;
-//   - loop bounds (m, n) and thresholds are captured constants;
-//   - every draw comes from a bulk-filled word buffer (drawCursor over
-//     rng.FillUint64s) instead of a per-draw generator step, amortizing
-//     the xoshiro state round-trip across a whole buffer.
+//     settling walk) — and prefixes wider than one word run on composed
+//     per-draw closures that touch the RNG exactly as often as the
+//     reference does;
+//   - loop bounds (m, n) and thresholds are captured constants.
+//
+// A Program serves both trial shapes from one segment stage: FillBits
+// (the mc-compiled kind's event-A bits) adds the shift stage, and
+// FillProducts (the hybrid kind's Theorem 6.1 products, through
+// Config.ProductBatch) folds the segments into Π 2^-i·Γᵢ.
 //
 // The only correctness gate is bit-identity with the table-driven kernel
-// and the reference oracle (Config.ReferenceNoBugBits) on the same
-// source — same draws, same order, same final generator state — which
-// the cross-engine property tests (compile_test.go) enforce across the
-// full parameter lattice. A hand-built IR the compiler cannot specialize
-// (per-pair swap thresholds, which Config.BuildIR never emits) reports
+// and the reference oracle (Config.ReferenceNoBugBits and the
+// ProductTrial closure) on the same source — same draws, same order,
+// same final generator state — which the cross-engine property tests
+// (compile_test.go) enforce across the full parameter lattice. A
+// hand-built IR the compiler cannot specialize (per-pair swap
+// thresholds, which Config.BuildIR never emits) reports
 // ErrNotCompilable.
 
 // ErrNotCompilable reports an IR outside the compiler's specialization
@@ -45,61 +55,202 @@ var ErrNotCompilable = errors.New("core: IR not compilable")
 // by drawCursor.sync), well under 1% of a chunk's draws.
 const cursorWords = 1024
 
-// drawCursor serves 53-bit draws from a bulk-filled word buffer while
+// maxStreams bounds the decision streams one Program reads: one per
+// distinct threshold among store, swap and shift.
+const maxStreams = 3
+
+// streamWords is one decision stream's length in words: cursorWords
+// bits, then as many zero words again, so a 64-bit window read at any
+// position up to the spent mark (pos = cursorWords) indexes in bounds
+// under a mask and reads zeros — failures — past the buffer's end.
+const streamWords = 2 * cursorWords / 64
+
+// stream is one decision stream: bit i is set iff draw i of the current
+// buffer succeeds against the stream's threshold.
+type stream [streamWords]uint64
+
+// window returns the stream's 64 bits from position pos on (pos ≤
+// cursorWords), bit 0 first, zero past the buffer's end.
+func (s *stream) window(pos int) uint64 {
+	w, off := uint(pos)>>6, uint(pos)&63
+	return s[w&(streamWords-1)]>>off | s[(w+1)&(streamWords-1)]<<1<<(63-off)
+}
+
+// drawCursor serves decisions from a bulk-filled word buffer while
 // keeping the underlying source externally indistinguishable from
 // sequential Uint64 consumption. The mc harness calls a batch function
 // repeatedly on the same source (sub-batches between cancellation
 // checks) and asserts the source's final state matches the per-draw
 // route, so the cursor snapshots the generator state before each refill
 // and, on sync, rewinds and re-advances by exactly the draws consumed.
+//
+// The decision-stream stages read the streams: refillStreams builds
+// them, take and skip consume a prefix's draws, and a reader consumes
+// runs. The composed closures draw from src directly and leave the
+// buffer unfilled, so sync has nothing to undo for them.
 type drawCursor struct {
 	src *rng.Source
 	// pos is the next unconsumed word; pos == cursorWords means the
-	// buffer is spent (and doubles as the attach-time "never filled"
-	// sentinel, keeping v53's empty test a compare against a constant —
-	// that is what fits it under the inlining budget).
+	// buffer is spent, and doubles as the attach-time "never filled"
+	// mark.
 	pos  int
 	snap [4]uint64
-	buf  [cursorWords]uint64
+	// thr holds the decision streams' raw thresholds (a draw word d
+	// succeeds iff d < thr[k]); nstreams is how many refillStreams
+	// builds for the current batch call.
+	thr      [maxStreams]uint64
+	nstreams int
+	streams  [maxStreams]stream
+	buf      [cursorWords]uint64
 }
 
-// attach binds the cursor to a source at the start of a batch call.
-func (c *drawCursor) attach(src *rng.Source) {
-	c.src, c.pos = src, cursorWords
+// attach binds the cursor to a source at the start of a batch call,
+// which will read the first nstreams decision streams (0 for the
+// composed closures).
+func (c *drawCursor) attach(src *rng.Source, nstreams int) {
+	c.src, c.pos, c.nstreams = src, cursorWords, nstreams
 }
 
-// next returns the next draw's raw word; callers shift by 11 for the
-// 53-bit variate drawThreshold compares against. The body is tuned to
-// sit just under the compiler's inlining budget (cost 79 of 80 — the
-// refill call's fixed charge leaves no room for even the shift, which
-// is why it lives at the call sites), so a buffered draw compiles to a
-// compare, an array load, and an increment.
-func (c *drawCursor) next() uint64 {
-	pos := c.pos
-	if pos == cursorWords {
-		return c.refillWord()
+// refillStreams snapshots the source, bulk-fills the buffer and decides
+// every draw of it against each stream's threshold, 64 draws per word.
+// The caller continues at position 0.
+func (c *drawCursor) refillStreams() {
+	c.snap = c.src.State()
+	c.src.FillUint64s(c.buf[:])
+	for k := 0; k < c.nstreams; k++ {
+		thr, s := c.thr[k], &c.streams[k]
+		for w := range s[:cursorWords/64] {
+			var word uint64
+			// Eight independent decisions per step, each the borrow of
+			// d - thr (d < thr), keep the accumulation off one long
+			// dependency chain.
+			for j := 0; j < 64; j += 8 {
+				b := c.buf[w*64+j:][:8]
+				_, b0 := bits.Sub64(b[0], thr, 0)
+				_, b1 := bits.Sub64(b[1], thr, 0)
+				_, b2 := bits.Sub64(b[2], thr, 0)
+				_, b3 := bits.Sub64(b[3], thr, 0)
+				_, b4 := bits.Sub64(b[4], thr, 0)
+				_, b5 := bits.Sub64(b[5], thr, 0)
+				_, b6 := bits.Sub64(b[6], thr, 0)
+				_, b7 := bits.Sub64(b[7], thr, 0)
+				word |= (b0 | b1<<1 | b2<<2 | b3<<3 | b4<<4 | b5<<5 | b6<<6 | b7<<7) << uint(j)
+			}
+			s[w] = word
+		}
 	}
-	c.pos++
-	return c.buf[pos]
 }
 
-// refillWord snapshots the source, bulk-fills the buffer, and serves the
-// buffer's first word.
-func (c *drawCursor) refillWord() uint64 {
-	c.snap = c.src.State()
-	c.src.FillUint64s(c.buf[:])
-	c.pos = 1
-	return c.buf[0]
+// Each decision primitive below has a fast path and, out of line, a slow
+// path for a read that crosses the end of the buffer (or of a reader's
+// window), which the fast path detects.
+
+// take reads m ≤ 64 decisions of stream k from pos as one bitmask, bit
+// i the decision of draw pos+i, and returns it with the next position.
+func (c *drawCursor) take(k, pos, m int) (uint64, int) {
+	if m > cursorWords-pos {
+		return c.takeSlow(k, pos, m)
+	}
+	return c.streams[k].window(pos) & (1<<uint(m) - 1), pos + m
 }
 
-// refill is refillWord for the fused trial closure, which keeps the
-// cursor position in a local and writes it back once per trial: it
-// snapshots and fills but serves nothing, leaving the position at 0 for
-// the caller's local to take over.
-func (c *drawCursor) refill() {
-	c.snap = c.src.State()
-	c.src.FillUint64s(c.buf[:])
-	c.pos = 0
+// takeSlow is take across a refill: the buffer's remaining decisions
+// (the window reads zeros past its end), then the rest from a fresh one.
+func (c *drawCursor) takeSlow(k, pos, m int) (uint64, int) {
+	avail := cursorWords - pos
+	low := c.streams[k].window(pos)
+	c.refillStreams()
+	high := c.streams[k].window(0) & (1<<uint(m-avail) - 1)
+	return low | high<<uint(avail), m - avail
+}
+
+// skip consumes m ≤ 64 draws whose decisions nothing reads.
+func (c *drawCursor) skip(pos, m int) int {
+	if m > cursorWords-pos {
+		m -= cursorWords - pos
+		c.refillStreams()
+		pos = 0
+	}
+	return pos + m
+}
+
+// reader is a position in one decision stream, held in registers by a
+// stage for a whole trial: a 63-decision window of the buffer with the
+// failures it holds as a bitmask, so consuming a run is a bit scan and a
+// clear on a register, with no load on the chain from one run to the
+// next. It is a value of four words, small enough for the compiler to
+// keep in registers.
+type reader struct {
+	base int    // buffer position of the window's bit 0
+	cur  int    // window offset of the next unconsumed decision
+	lim  int    // a read that ends past offset lim is left to runSlow
+	z    uint64 // failures at offsets ≥ cur; bit 63 is always set
+}
+
+// reader opens a reader on stream k at buffer position pos ≤
+// cursorWords. The window's bit 63 is forced to a failure, so the bit
+// scan needs no zero guard; lim keeps every read that could depend on
+// it, or on a position past the buffer's end, off the fast path.
+func (c *drawCursor) reader(k, pos int) reader {
+	return reader{base: pos, lim: min(63, cursorWords-pos), z: ^c.streams[k].window(pos) | 1<<63}
+}
+
+// pos is the reader's buffer position.
+func (r *reader) pos() int { return r.base + r.cur }
+
+// capped reads a run of successes: s = min(successes before the first
+// failure, limit) for limit ≤ 64, consuming s draws plus the failure
+// when it came first (s < limit) — what a loop that stops on the first
+// failed draw or after limit successes consumes. The choice between the
+// two stops is arithmetic, so nothing branches on the drawn values. ok
+// is false, and nothing consumed, when the run does not end inside the
+// window; runSlow finishes it.
+func (r *reader) capped(limit int) (s int, ok bool) {
+	// z's bit 63 is set, and saying so again drops the scan's zero guard.
+	end := bits.TrailingZeros64(r.z|1<<63) + 1 // just past the next failure
+	d := r.cur + limit - end
+	capped := d >> 63 // -1 when the limit comes first
+	end += d & capped
+	if end > r.lim {
+		return 0, false
+	}
+	s = end - r.cur - 1 - capped
+	r.z &= (r.z - 1) | uint64(capped) // consume the failure unless capped
+	r.cur = end
+	return s, true
+}
+
+// A geometric variate — the successes before the first failure,
+// consumed with the failure — is a run capped at geomCap: inside a
+// window no run reaches 64, so the cap never applies there, and a run
+// the window cannot hold is finished by runSlow at maxRun, which no run
+// reaches.
+const (
+	geomCap = 64
+	maxRun  = int(^uint(0) >> 1)
+)
+
+// runSlow finishes a run the reader's window could not hold — a capped
+// run up to limit, or a geometric run at maxRun — over as many windows
+// and refills as it needs, and reopens the reader after it.
+func (c *drawCursor) runSlow(k int, r reader, limit int) (int, reader) {
+	s, pos := 0, r.pos()
+	for {
+		if pos == cursorWords {
+			c.refillStreams()
+			pos = 0
+		}
+		ones := bits.TrailingZeros64(^c.streams[k].window(pos))
+		switch {
+		case ones >= limit:
+			return s + limit, c.reader(k, pos+limit)
+		case ones < 64 && ones < cursorWords-pos:
+			return s + ones, c.reader(k, pos+ones+1)
+		}
+		// Every decision the window held was a success (64 of them, or
+		// the run reached the buffer's end): consume them and read on.
+		s, pos, limit = s+ones, pos+ones, limit-ones
+	}
 }
 
 // sync leaves the source exactly where sequential per-draw consumption
@@ -137,26 +288,28 @@ type compiledState struct {
 // eviction from a plan cache.
 type Program struct {
 	ir KernelIR
-	// prefix fills st.typ with one generated program prefix (a no-op
-	// for the p ∈ {0,1} constant-prefix variants, prefilled in newState).
-	prefix func(st *compiledState)
-	// settle returns γ for one settled copy of st.typ.
-	settle func(st *compiledState) int
-	// disjoint draws the shifts for st.segments and reports the event A.
+	// segments draws one program prefix and settles Threads copies of
+	// it into st.segments (Γ_k = γ_k + 2): the decision-stream stage at
+	// the all-interior lattice point, the composed prefix and settle
+	// closures elsewhere.
+	segments func(st *compiledState)
+	// disjoint draws the shifts for st.segments and reports the event A:
+	// from the decision streams when segments reads them, from the
+	// source directly otherwise.
 	disjoint func(st *compiledState) bool
-	// trial, when non-nil, is the fused fast path for the all-interior
-	// lattice point: prefix, settling, and disjointness in one closure
-	// that holds the draw-cursor position in a register for the whole
-	// trial (see compileFusedTrial). Draw-identical to the composed
-	// closures above, which remain the engine for every edge variant.
-	trial func(st *compiledState) bool
+	// thr holds the decision streams' raw thresholds. The segment stage
+	// reads the first segStreams, the shift stage up to allStreams; both
+	// are 0 on the composed closures.
+	thr                    [maxStreams]uint64
+	segStreams, allStreams int
 	// constTyp is the compile-time program prefix when p ∈ {0,1}.
 	constTyp []uint8
 	pool     sync.Pool
 }
 
-// Compile lowers the IR into a monomorphized Program, selecting one
-// variant per lattice coordinate (prefix × settle × disjoint).
+// Compile lowers the IR into a monomorphized Program: the
+// decision-stream stages where compileStreams takes the lattice point,
+// else one composed variant per coordinate (prefix × settle × disjoint).
 func (ir *KernelIR) Compile() (*Program, error) {
 	mask, swapThr, ok := ir.uniformSwap()
 	if !ok {
@@ -169,237 +322,277 @@ func (ir *KernelIR) Compile() (*Program, error) {
 	}
 	p := &Program{ir: *ir}
 	p.pool.New = func() any { return p.newState() }
-	p.prefix = compilePrefix(ir, p)
-	p.settle = compileSettle(ir, mask, swapThr)
-	p.disjoint = compileDisjoint(ir)
-	p.trial = compileFusedTrial(ir, mask, swapThr)
+	if !p.compileStreams(mask, swapThr) {
+		prefix := compilePrefix(ir, p)
+		settle := compileSettle(ir, mask, swapThr)
+		p.segments = func(st *compiledState) {
+			prefix(st)
+			for t := range st.segments {
+				st.segments[t] = settle(st) + 2
+			}
+		}
+		p.disjoint = compileDisjoint(ir)
+	}
 	corePlansCompiled.Inc()
 	return p, nil
 }
 
-// compileFusedTrial lowers the all-interior lattice point — probabilistic
-// prefix, general masked settling, geometric shifts — into one fused
-// closure built on two register-residency tricks the composed closures
-// cannot use:
+// compileStreams lowers the all-interior lattice point — probabilistic
+// prefix, general masked settling, geometric shifts, m ≤ 64 — onto the
+// cursor's decision streams and reports whether it did. Edge variants
+// (p ∈ {0,1}, s ∈ {0,1}, an empty relaxation set, shift probability 0)
+// and prefixes wider than one word stay on the composed closures.
 //
-//   - the draw-cursor position lives in a local from the first prefix
-//     draw to the last shift draw, written back once per trial (the
-//     composed closures round-trip it through memory on every draw), and
-//     the buffer index is masked so the bounds check vanishes;
-//   - the program prefix and the settling order are bit-packed into one
-//     uint64 (prefix kinds are binary — LD or ST — and the critical pair
-//     never enters the walked sequence), so the bubble walk reads,
-//     tests, and swaps register bits instead of byte-array elements, and
-//     "copy the prefix per thread" is a register move.
+// Three facts make the streams enough:
 //
-// The draw sequence is identical to the composed path (and hence to the
-// reference kernel): every permission test short-circuits before its
-// draw, exactly as the interpreter's sentinel guards do. Edge variants
-// (p ∈ {0,1}, s ∈ {0,1}, shift probability 0) and prefixes wider than
-// one word return nil and stay on the composed closures.
-func compileFusedTrial(ir *KernelIR, mask [4]uint8, swapThr uint64) func(*compiledState) bool {
+//   - Every draw is one threshold decision, so the refill decides a
+//     whole buffer at once and the trial reads bits: the prefix is one
+//     m-bit extraction (bit = kind, LD=0, ST=1), and the prefix and the
+//     settling order fit one uint64 register (the critical pair never
+//     enters the walked sequence).
+//   - A settling walk stops at its first failed draw, at a kind its
+//     permission row forbids (no draw), or at the top (no draw). The
+//     first is a run of ones in the swap stream; the other two are one
+//     limit, the distance to the nearest blocking kind below the
+//     walker, found with bits.Len64 on the order register. So a walk is
+//     s = min(run, limit), consuming s draws plus the failure when
+//     run < limit — one bit scan instead of a branch per draw.
+//   - A geometric shift is a run of ones in the shift stream.
+//
+// Elements walk in position order, and each is visited at its ORIGINAL
+// position with its original kind — settling only disturbs positions
+// below the element being walked — so which elements walk at all (those
+// whose permission row is not all-zero) is a pure function of the drawn
+// prefix. When every permission row and both critical columns admit
+// both kinds (WO), no walk ever blocks: the order register is dropped,
+// the prefix draws are skipped undecided, and each walk is a pure skip
+// along the swap stream.
+//
+// The draws, their order and the final generator state are exactly the
+// composed closures' (and hence the reference kernel's).
+func (p *Program) compileStreams(mask [4]uint8, swapThr uint64) bool {
+	ir := &p.ir
 	storeThr, shiftThr, m := ir.StoreThr, ir.ShiftThr, ir.PrefixLen
 	if storeThr == neverThr || storeThr == alwaysThr ||
 		swapThr == neverThr || swapThr == alwaysThr || mask == [4]uint8{} ||
 		shiftThr == neverThr || shiftThr == alwaysThr || m > 64 ||
 		storeThr >= 1<<53 || swapThr >= 1<<53 || shiftThr >= 1<<53 {
-		return nil
+		return false
 	}
-	// Thresholds compare the 53-bit variate word>>11; pre-shifting them
-	// instead compares the raw word and drops one shift per draw. Exact
-	// because ⌊d/2¹¹⌋ < t ⟺ d < t·2¹¹, and the gate above keeps t·2¹¹
-	// from wrapping (t = 2⁵³ would, and falls back to the composed path).
-	rawStore, rawSwap, rawShift := storeThr<<11, swapThr<<11, shiftThr<<11
-	// Lower the permission surfaces onto binary kinds (bit = kind, LD=0,
-	// ST=1): rowAllow{0,1} bit p permits a moving LD/ST to swap past prev
-	// kind p, ldAllow/stAllow bit k lets the critical LD/ST settle past
-	// kind k.
-	var rowAllow0, rowAllow1, ldAllow, stAllow uint8
+	// Lower the permission surfaces onto binary kinds: rowAllow{0,1}
+	// bit k permits a moving LD/ST to settle past prev kind k,
+	// ldAllow/stAllow bit k lets the critical LD/ST settle past kind k.
+	var rowAllow [2]uint8
+	var ldAllow, stAllow uint8
 	for prev := 0; prev < 2; prev++ {
-		rowAllow0 |= (mask[prev] >> kindLoad & 1) << uint(prev)
-		rowAllow1 |= (mask[prev] >> kindStore & 1) << uint(prev)
+		rowAllow[0] |= (mask[prev] >> kindLoad & 1) << uint(prev)
+		rowAllow[1] |= (mask[prev] >> kindStore & 1) << uint(prev)
 		ldAllow |= (mask[prev] >> kindCritLoad & 1) << uint(prev)
 		stAllow |= (mask[prev] >> kindCritStore & 1) << uint(prev)
 	}
-	// Elements whose permission row is all-zero break before their first
-	// draw, so the walk can skip them without visiting: sel0/sel1 select
-	// which prefix kinds walk at all, and the closure combines them with
-	// the drawn prefix into a bitmask it jumps across with TrailingZeros
-	// instead of stepping element by element. Position 0 never walks.
-	var sel0, sel1 uint64
-	if rowAllow0 != 0 {
-		sel0 = ^uint64(0)
-	}
-	if rowAllow1 != 0 {
-		sel1 = ^uint64(0)
-	}
-	rangeMask := (uint64(1)<<uint(m) - 1) &^ 1
-	two := ir.Threads == 2
-	return func(st *compiledState) bool {
-		cur := &st.cur
-		pos := cur.pos
-		segments := st.segments
+	orderFree := rowAllow == [2]uint8{3, 3} && ldAllow == 3 && stAllow == 3
 
-		var typ uint64 // bit i = kind of prefix position i
-		for i := 0; i < m; i++ {
-			if pos == cursorWords {
-				cur.refill()
-				pos = 0
+	// One stream per distinct threshold. Thresholds compare the 53-bit
+	// variate word>>11; pre-shifting them compares the raw word instead.
+	// Exact because ⌊d/2¹¹⌋ < t ⟺ d < t·2¹¹, and the gate above keeps
+	// t·2¹¹ from wrapping. The segment stage's streams come first, so a
+	// products fill need not build the shift stream.
+	n := 0
+	streamOf := func(thr uint64) int {
+		for k := 0; k < n; k++ {
+			if p.thr[k] == thr<<11 {
+				return k
 			}
-			if cur.buf[pos&(cursorWords-1)] < rawStore {
-				typ |= 1 << uint(i)
-			}
-			pos++
 		}
+		p.thr[n] = thr << 11
+		n++
+		return n - 1
+	}
+	storeK := 0
+	if !orderFree {
+		storeK = streamOf(storeThr)
+	}
+	swapK := streamOf(swapThr)
+	p.segStreams = n
+	shiftK := streamOf(shiftThr)
+	p.allStreams = n
 
-		// Elements walk in position order, and each is visited at its
-		// ORIGINAL position with its original kind — settling only
-		// disturbs positions below the element being walked — so the
-		// visit set is a pure function of the drawn prefix, computed once
-		// and jumped across bit by bit. Skipped elements are exactly
-		// those whose first permission test fails: no draw, no movement.
-		elems := (typ&sel1 | ^typ&sel0) & rangeMask
+	if orderFree {
+		p.segments = func(st *compiledState) {
+			cur, segments := &st.cur, st.segments
+			rd := cur.reader(swapK, cur.skip(cur.pos, m))
+			for t := range segments {
+				for at := 1; at < m; at++ {
+					if _, ok := rd.capped(at); !ok {
+						_, rd = cur.runSlow(swapK, rd, at)
+					}
+				}
+				a, ok := rd.capped(m)
+				if !ok {
+					a, rd = cur.runSlow(swapK, rd, m)
+				}
+				b, ok := rd.capped(a)
+				if !ok {
+					b, rd = cur.runSlow(swapK, rd, a)
+				}
+				segments[t] = a - b + 2
+			}
+			cur.pos = rd.pos()
+		}
+	} else {
+		p.segments = orderedSegments(m, storeK, swapK, rowAllow, ldAllow, stAllow)
+	}
+	p.disjoint = streamDisjoint(ir.Threads, shiftK)
+	return true
+}
+
+// blocking lowers a permission row (bit k: may settle past kind k) to
+// the pair of masks whose combination o&st | ^o&ld marks, in an order
+// register o, the positions holding a kind the row forbids.
+func blocking(allow uint8) (st, ld uint64) {
+	if allow>>kindStore&1 == 0 {
+		st = ^uint64(0)
+	}
+	if allow>>kindLoad&1 == 0 {
+		ld = ^uint64(0)
+	}
+	return st, ld
+}
+
+// orderedSegments is the segment stage for permission surfaces that
+// block some walks: it keeps the settling order in a register and caps
+// each walk at the nearest blocking kind below it.
+func orderedSegments(m, storeK, swapK int, rowAllow [2]uint8, ldAllow, stAllow uint8) func(*compiledState) {
+	// sel[k] selects whether prefix kind k walks at all; position 0
+	// never walks.
+	var sel [2]uint64
+	var blockST, blockLD [2]uint64
+	for k := range sel {
+		if rowAllow[k] != 0 {
+			sel[k] = ^uint64(0)
+		}
+		blockST[k], blockLD[k] = blocking(rowAllow[k])
+	}
+	// When no walking row admits both kinds (TSO, PSO, LRO), every
+	// element a walker passes is of the one kind its row admits, so a
+	// walk only exchanges the walker's bit with its landing position's:
+	// flip[k] is set when kind k differs from the kind it passes.
+	single := true
+	var flip [2]uint64
+	for k, allow := range rowAllow {
+		switch allow {
+		case 3:
+			single = false
+		case 1 << kindLoad, 1 << kindStore:
+			if allow>>uint(k)&1 == 0 {
+				flip[k] = ^uint64(0)
+			}
+		}
+	}
+	ldST, ldLD := blocking(ldAllow)
+	stST, stLD := blocking(stAllow)
+	all := uint64(1)<<uint(m) - 1
+	rangeMask := all &^ 1
+	return func(st *compiledState) {
+		cur, segments := &st.cur, st.segments
+		typ, pos := cur.take(storeK, cur.pos, m)
+		rd := cur.reader(swapK, pos)
+		elems := (typ&sel[1] | ^typ&sel[0]) & rangeMask
 		for t := range segments {
 			o := typ
 			for e := elems; e != 0; e &= e - 1 {
-				// Walk the element at position `at` down. While it
-				// settles, the bits it has yet to pass keep their
-				// positions, so prev kinds come from an MSB-scan register
-				// (one shift per step, no re-indexing into o); o itself
-				// is patched once at the end — drop the moving bit, close
-				// the gap, land the element s places down.
+				// Walk the element at position at down past s elements,
+				// then patch o once: exchange two bits, or in general
+				// drop the moving bit, close the gap and land the
+				// element s places down. At s = 0 either patch leaves o
+				// as it is, so neither needs a branch.
 				at := bits.TrailingZeros64(e)
 				moving := typ >> uint(at) & 1
-				rA := rowAllow0
-				if moving != 0 {
-					rA = rowAllow1
+				// The blockers below at, shifted up over a set bit 0:
+				// the scan then never sees zero and needs no guard.
+				blk := (o&blockST[moving] | ^o&blockLD[moving]) << 1 & (2<<uint(at&63) - 1)
+				limit := at + 1 - bits.Len64(blk|1)
+				s, ok := rd.capped(limit)
+				if !ok {
+					s, rd = cur.runSlow(swapK, rd, limit)
 				}
-				v := o << uint(64-at)
-				s := 0
-				for s < at {
-					prev := v >> 63
-					v <<= 1
-					if rA>>prev&1 == 0 {
-						break
-					}
-					if pos == cursorWords {
-						cur.refill()
-						pos = 0
-					}
-					d := cur.buf[pos&(cursorWords-1)]
-					pos++
-					if d >= rawSwap {
-						break
-					}
-					s++
-				}
-				if s > 0 {
-					seg := o >> uint(at-s) & (1<<uint(s) - 1)
-					o = o&^((1<<uint(s+1)-1)<<uint(at-s)) |
-						seg<<uint(at-s+1) | moving<<uint(at-s)
+				// Shift counts are masked to 6 bits, which drops the
+				// compiler's ≥ 64 guards: s and lo are at most 63, and a
+				// shift by lo+1 = 64 only ever moves an empty seg.
+				lo, u := uint(at-s)&63, uint(s)&63
+				if single {
+					o ^= flip[moving] & (1<<lo ^ 1<<uint(at&63))
+				} else {
+					seg := o >> lo & (1<<u - 1)
+					o = o&^((2<<u-1)<<lo) | seg<<((lo+1)&63) | moving<<lo
 				}
 			}
-			a := 0
-			va := o << uint(64-m) // MSB-first scan from position m-1
-			for a < m {
-				if ldAllow>>(va>>63)&1 == 0 {
-					break
-				}
-				if pos == cursorWords {
-					cur.refill()
-					pos = 0
-				}
-				d := cur.buf[pos&(cursorWords-1)]
-				pos++
-				if d >= rawSwap {
-					break
-				}
-				va <<= 1
-				a++
+			// The critical LD walks down from position m-1; the critical
+			// ST follows past at most the a elements the LD passed (the
+			// LD itself blocks it: same location, no draw).
+			limit := m - bits.Len64((o&ldST|^o&ldLD)&all)
+			a, ok := rd.capped(limit)
+			if !ok {
+				a, rd = cur.runSlow(swapK, rd, limit)
 			}
-			b := 0
-			vb := o << uint(64-m)
-			for b < a { // b == a is the critical LD: same location, no draw
-				if stAllow>>(vb>>63)&1 == 0 {
-					break
-				}
-				if pos == cursorWords {
-					cur.refill()
-					pos = 0
-				}
-				d := cur.buf[pos&(cursorWords-1)]
-				pos++
-				if d >= rawSwap {
-					break
-				}
-				vb <<= 1
-				b++
+			limit = min(a, m-bits.Len64((o&stST|^o&stLD)&all))
+			b, ok := rd.capped(limit)
+			if !ok {
+				b, rd = cur.runSlow(swapK, rd, limit)
 			}
 			segments[t] = a - b + 2
 		}
+		cur.pos = rd.pos()
+	}
+}
 
-		ok := false
-		if two {
-			s0 := 0
-			for {
-				if pos == cursorWords {
-					cur.refill()
-					pos = 0
-				}
-				d := cur.buf[pos&(cursorWords-1)]
-				pos++
-				if d >= rawShift {
-					break
-				}
-				s0++
+// streamDisjoint is the decision-stream shift stage: the n geometric
+// shifts as runs of the shift stream, then the disjointness check — the
+// n = 2 single pair, or the general nested scan.
+func streamDisjoint(threads, shiftK int) func(*compiledState) bool {
+	if threads == 2 {
+		return func(st *compiledState) bool {
+			cur, seg := &st.cur, st.segments
+			rd := cur.reader(shiftK, cur.pos)
+			s0, ok := rd.capped(geomCap)
+			if !ok {
+				s0, rd = cur.runSlow(shiftK, rd, maxRun)
 			}
-			s1 := 0
-			for {
-				if pos == cursorWords {
-					cur.refill()
-					pos = 0
-				}
-				d := cur.buf[pos&(cursorWords-1)]
-				pos++
-				if d >= rawShift {
-					break
-				}
-				s1++
+			s1, ok := rd.capped(geomCap)
+			if !ok {
+				s1, rd = cur.runSlow(shiftK, rd, maxRun)
 			}
-			ok = s0 > s1+segments[1] || s1 > s0+segments[0]
-		} else {
-			shifts := st.shifts
-			for i := range shifts {
-				s := 0
-				for {
-					if pos == cursorWords {
-						cur.refill()
-						pos = 0
-					}
-					d := cur.buf[pos&(cursorWords-1)]
-					pos++
-					if d >= rawShift {
-						break
-					}
-					s++
-				}
-				shifts[i] = s
+			cur.pos = rd.pos()
+			return s0 > s1+seg[1] || s1 > s0+seg[0]
+		}
+	}
+	return func(st *compiledState) bool {
+		cur, shifts := &st.cur, st.shifts
+		rd := cur.reader(shiftK, cur.pos)
+		for i := range shifts {
+			s, ok := rd.capped(geomCap)
+			if !ok {
+				s, rd = cur.runSlow(shiftK, rd, maxRun)
 			}
-			ok = true
-			n := len(shifts)
-		scan:
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					if shifts[i] <= shifts[j]+segments[j] && shifts[j] <= shifts[i]+segments[i] {
-						ok = false
-						break scan
-					}
-				}
+			shifts[i] = s
+		}
+		cur.pos = rd.pos()
+		return disjointShifts(shifts, st.segments)
+	}
+}
+
+// disjointShifts reports whether the closed windows [sᵢ, sᵢ+Γᵢ] are
+// pairwise disjoint.
+func disjointShifts(shifts, seg []int) bool {
+	n := len(shifts)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if shifts[i] <= shifts[j]+seg[j] && shifts[j] <= shifts[i]+seg[i] {
+				return false
 			}
 		}
-		cur.pos = pos
-		return ok
 	}
+	return true
 }
 
 // compilePrefix selects the program-prefix generator variant.
@@ -420,10 +613,10 @@ func compilePrefix(ir *KernelIR, p *Program) func(*compiledState) {
 		return func(*compiledState) {}
 	default:
 		return func(st *compiledState) {
-			typ, cur := st.typ, &st.cur
+			typ, src := st.typ, st.cur.src
 			for i := range typ {
 				k := uint8(kindLoad)
-				if cur.next()>>11 < thr {
+				if src.Uint64()>>11 < thr {
 					k = kindStore
 				}
 				typ[i] = k
@@ -482,20 +675,20 @@ func compileSettle(ir *KernelIR, mask [4]uint8, swapThr uint64) func(*compiledSt
 		}
 	default:
 		// General uniform surface: one threshold in a register, one
-		// mask test per attempt, one bulk-buffered draw per permitted
-		// attempt — the same draws, in the same order, as the
-		// interpreter's table walk.
+		// mask test per attempt, one draw per permitted attempt — the
+		// same draws, in the same order, as the interpreter's table
+		// walk.
 		return func(st *compiledState) int {
 			order := st.order
 			copy(order, st.typ)
-			cur := &st.cur
+			src := st.cur.src
 			for r := 2; r <= m; r++ {
 				pos := r - 1
 				moving := order[pos] & 3
 				bit := uint8(1) << moving
 				for pos > 0 {
 					prev := order[pos-1] & 3
-					if mask[prev]&bit == 0 || cur.next()>>11 >= swapThr {
+					if mask[prev]&bit == 0 || src.Uint64()>>11 >= swapThr {
 						break
 					}
 					order[pos], order[pos-1] = prev, moving
@@ -504,14 +697,14 @@ func compileSettle(ir *KernelIR, mask [4]uint8, swapThr uint64) func(*compiledSt
 			}
 			a := 0
 			for a < m {
-				if ldMask>>(order[m-1-a]&3)&1 == 0 || cur.next()>>11 >= swapThr {
+				if ldMask>>(order[m-1-a]&3)&1 == 0 || src.Uint64()>>11 >= swapThr {
 					break
 				}
 				a++
 			}
 			b := 0
 			for b < a { // b == a is the critical LD: same location, no draw
-				if stMask>>(order[m-1-b]&3)&1 == 0 || cur.next()>>11 >= swapThr {
+				if stMask>>(order[m-1-b]&3)&1 == 0 || src.Uint64()>>11 >= swapThr {
 					break
 				}
 				b++
@@ -521,54 +714,45 @@ func compileSettle(ir *KernelIR, mask [4]uint8, swapThr uint64) func(*compiledSt
 	}
 }
 
-// compileDisjoint selects the shifted-disjointness variant: the n = 2
-// single pair check, or the general nested scan.
+// compileDisjoint selects the composed shifted-disjointness variant: the
+// n = 2 single pair check, or the general nested scan.
 func compileDisjoint(ir *KernelIR) func(*compiledState) bool {
 	thr := ir.ShiftThr
 	if ir.Threads == 2 {
 		return func(st *compiledState) bool {
-			cur := &st.cur
-			s0 := geometricDraw(cur, thr)
-			s1 := geometricDraw(cur, thr)
+			src := st.cur.src
+			s0 := geometricDraw(src, thr)
+			s1 := geometricDraw(src, thr)
 			seg := st.segments
 			// Closed-interval disjointness of [s0, s0+Γ0] and [s1, s1+Γ1].
 			return s0 > s1+seg[1] || s1 > s0+seg[0]
 		}
 	}
 	return func(st *compiledState) bool {
-		cur, shifts := &st.cur, st.shifts
+		src, shifts := st.cur.src, st.shifts
 		for i := range shifts {
-			shifts[i] = geometricDraw(cur, thr)
+			shifts[i] = geometricDraw(src, thr)
 		}
-		seg := st.segments
-		n := len(shifts)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if shifts[i] <= shifts[j]+seg[j] && shifts[j] <= shifts[i]+seg[i] {
-					return false
-				}
-			}
-		}
-		return true
+		return disjointShifts(shifts, st.segments)
 	}
 }
 
 // geometricDraw replays rng-draw-identical geometric sampling: count
 // successes below thr until the first failure. thr == neverThr draws
 // nothing, exactly as the reference's sentinel guard.
-func geometricDraw(cur *drawCursor, thr uint64) int {
+func geometricDraw(src *rng.Source, thr uint64) int {
 	if thr == neverThr {
 		return 0
 	}
 	s := 0
-	for cur.next()>>11 < thr {
+	for src.Uint64()>>11 < thr {
 		s++
 	}
 	return s
 }
 
-// newState builds one scratch state, prefilling the constant prefix and
-// the constant segments of the draw-free settle variants.
+// newState builds one scratch state, prefilling the constant prefix of
+// the draw-free prefix variants and the decision streams' thresholds.
 func (p *Program) newState() *compiledState {
 	st := &compiledState{
 		typ:      make([]uint8, p.ir.PrefixLen),
@@ -577,16 +761,8 @@ func (p *Program) newState() *compiledState {
 		shifts:   make([]int, p.ir.Threads),
 	}
 	copy(st.typ, p.constTyp)
+	st.cur.thr = p.thr
 	return st
-}
-
-// sample runs one iteration of the §6 generative process into
-// st.segments — the compiled engine's analog of Kernel.sampleSegments.
-func (p *Program) sample(st *compiledState) {
-	p.prefix(st)
-	for t := range st.segments {
-		st.segments[t] = p.settle(st) + 2
-	}
 }
 
 // FillBits evaluates n consecutive no-bug trials into out under the
@@ -596,24 +772,33 @@ func (p *Program) sample(st *compiledState) {
 func (p *Program) FillBits(src *rng.Source, out []uint64, n int) error {
 	st := p.pool.Get().(*compiledState)
 	defer p.pool.Put(st)
-	st.cur.attach(src)
+	st.cur.attach(src, p.allStreams)
 	words := out[:mc.BitWords(n)]
 	for w := range words {
 		words[w] = 0
 	}
-	if trial := p.trial; trial != nil {
-		for i := 0; i < n; i++ {
-			if trial(st) {
-				words[i>>6] |= 1 << uint(i&63)
-			}
+	for i := 0; i < n; i++ {
+		p.segments(st)
+		if p.disjoint(st) {
+			words[i>>6] |= 1 << uint(i&63)
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			p.sample(st)
-			if p.disjoint(st) {
-				words[i>>6] |= 1 << uint(i&63)
-			}
-		}
+	}
+	st.cur.sync()
+	return nil
+}
+
+// FillProducts evaluates len(out) consecutive Theorem 6.1 product
+// trials into out under the mc.BatchMean contract, bit-identical to the
+// ProductTrial closure on the same source, including the source's final
+// state. It runs the segment stage alone: a product trial draws no
+// shifts. Zero steady-state allocations.
+func (p *Program) FillProducts(src *rng.Source, out []float64) error {
+	st := p.pool.Get().(*compiledState)
+	defer p.pool.Put(st)
+	st.cur.attach(src, p.segStreams)
+	for i := range out {
+		p.segments(st)
+		out[i] = productOf(st.segments)
 	}
 	st.cur.sync()
 	return nil

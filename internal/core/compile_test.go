@@ -12,10 +12,11 @@ import (
 )
 
 // These are the compiler engine's promotion gate: the compiled Program
-// must be bit-identical to the reference oracle (ReferenceNoBugBits) —
-// same bitsets, same final generator state — across the full parameter
-// lattice, including the draw-free p, s ∈ {0, 1} edges, batch sizes
-// that end mid-word, and the harness's sub-batch call pattern.
+// must be bit-identical to the reference oracles (ReferenceNoBugBits for
+// bits, the ProductTrial closure for products) — same outputs, same
+// final generator state — across the full parameter lattice, including
+// the draw-free p, s ∈ {0, 1} edges, batch sizes that end mid-word, and
+// the harness's sub-batch call pattern.
 
 // latticeCase is one point of the cross-engine test grid.
 type latticeCase struct {
@@ -25,9 +26,10 @@ type latticeCase struct {
 
 // compileLattice sweeps models × thread counts × prefix lengths ×
 // edge-and-interior probabilities. Prefixes of 63, 64 and 65 run at the
-// interior points only, the ones that take the fused trial: it packs the
-// prefix into one word, so m = 64 is its widest case (a zero-bit shift
-// before the window scans) and m = 65 falls back to the composed path.
+// interior points only, the ones that take the decision streams: they
+// pack the prefix into one word, so m = 64 is their widest case (a full
+// word, and a critical walk of up to 64) and m = 65 falls back to the
+// composed path.
 func compileLattice(t *testing.T) []latticeCase {
 	t.Helper()
 	type probs struct{ store, swap float64 }
@@ -212,8 +214,8 @@ func TestCompiledAdaptiveMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCompiledZeroAllocs asserts the compiled batch entry point
-// allocates nothing in steady state (after the pool is warm) — the
+// TestCompiledZeroAllocs asserts the compiled batch entry points,
+// bits and products, allocate nothing in steady state (after the pool is warm) — the
 // guarantee the compiled-kernel perf scenario gates.
 func TestCompiledZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -234,6 +236,17 @@ func TestCompiledZeroAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("FillBits allocates %.1f per call, want 0", avg)
+	}
+	products := make([]float64, 300)
+	if err := prog.FillProducts(src, products); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		if err := prog.FillProducts(src, products); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("FillProducts allocates %.1f per call, want 0", avg)
 	}
 }
 
@@ -288,5 +301,211 @@ func TestCompileRejectsNonUniformIR(t *testing.T) {
 	ir.SwapThr[0][1] = drawThreshold(0.25) // break uniformity
 	if _, err := ir.Compile(); !errors.Is(err, ErrNotCompilable) {
 		t.Fatalf("want ErrNotCompilable, got %v", err)
+	}
+}
+
+// TestCompiledProductsMatchClosure is the products fill's equality
+// property: ProductBatch (Program.FillProducts through the default plan
+// cache) against the ProductTrial closure over the whole lattice —
+// identical float64 bits and identical final generator states. The
+// closure runs on the independent prog and settle packages, so this
+// pins both the decision-stream segment stage (m ≤ 64, interior
+// probabilities) and the composed closures (the edges, m = 65).
+func TestCompiledProductsMatchClosure(t *testing.T) {
+	for _, lc := range compileLattice(t) {
+		cfg := lc.cfg
+		batch, err := cfg.ProductBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		const trials = 97
+		out := make([]float64, trials)
+		batchSrc, closureSrc := rng.New(13), rng.New(13)
+		if err := batch(batchSrc, out); err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range out {
+			want, err := cfg.ProductTrial(closureSrc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s n=%d m=%d p=%v s=%v trial %d: batch %v != closure %v",
+					lc.name, cfg.Threads, cfg.PrefixLen, cfg.StoreProb, cfg.SwapProb, i, got, want)
+			}
+		}
+		if batchSrc.State() != closureSrc.State() {
+			t.Fatalf("%s n=%d m=%d p=%v s=%v: batch and closure consumed different draws",
+				lc.name, cfg.Threads, cfg.PrefixLen, cfg.StoreProb, cfg.SwapProb)
+		}
+	}
+}
+
+// TestCompiledProductsSubBatchResync replays the mean harness's call
+// pattern on the products fill — repeated calls on one source with
+// sub-chunk sizes — and checks every call against the closure, values
+// and source state, at the decision streams' widest prefix and past it.
+func TestCompiledProductsSubBatchResync(t *testing.T) {
+	for _, m := range []int{64, 65} {
+		cfg := Config{Model: memmodel.RMO(), Threads: 6, PrefixLen: m, StoreProb: 0.5, SwapProb: 0.5}
+		prog := compileFor(t, cfg)
+		batchSrc, closureSrc := rng.New(47), rng.New(47)
+		for call, trials := range []int{1024, 1024, 137, 64, 1, 1024} {
+			out := make([]float64, trials)
+			if err := prog.FillProducts(batchSrc, out); err != nil {
+				t.Fatal(err)
+			}
+			for i, got := range out {
+				want, err := cfg.ProductTrial(closureSrc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("m=%d call %d trial %d: batch %v != closure %v", m, call, i, got, want)
+				}
+			}
+			if batchSrc.State() != closureSrc.State() {
+				t.Fatalf("m=%d call %d (n=%d): sources desynchronized", m, call, trials)
+			}
+		}
+	}
+}
+
+// TestCompiledConcurrentProductCalls runs concurrent products fills on
+// one shared Program, each stream checked against the closure: the
+// pooled states must not alias.
+func TestCompiledConcurrentProductCalls(t *testing.T) {
+	cfg := Config{Model: memmodel.PSO(), Threads: 5, PrefixLen: 40, StoreProb: 0.5, SwapProb: 0.5}
+	prog := compileFor(t, cfg)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			out := make([]float64, 200)
+			batchSrc, closureSrc := rng.New(seed), rng.New(seed)
+			for rep := 0; rep < 3; rep++ {
+				if err := prog.FillProducts(batchSrc, out); err != nil {
+					t.Error(err)
+					return
+				}
+				for i, got := range out {
+					want, err := cfg.ProductTrial(closureSrc)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got != want {
+						t.Errorf("seed %d rep %d trial %d: batch %v != closure %v", seed, rep, i, got, want)
+						return
+					}
+				}
+			}
+		}(uint64(200 + g))
+	}
+	wg.Wait()
+}
+
+// TestDecisionPrimitivesAcrossRefill checks the cursor's decision
+// primitives — the m-bit extraction (take), the capped run and the
+// geometric run (reader.capped, at geomCap for the latter, finished by
+// runSlow) —
+// against per-word references on sequential draws, from every start
+// position in the last 70 words of a buffer, so each primitive reads
+// across the end of its buffer into a refill at every offset. Each case
+// compares the result and, after sync, the generator state: the
+// primitive must consume exactly the reference's draws. Thresholds up to
+// p = 0.999 make runs long enough to span windows and buffers.
+func TestDecisionPrimitivesAcrossRefill(t *testing.T) {
+	type primitive struct {
+		name string
+		args []int
+		// cursor applies the primitive to stream 0 from pos.
+		cursor func(c *drawCursor, pos, arg int) (uint64, int)
+		// ref is the per-word reference: d succeeds iff d < thr.
+		ref func(src *rng.Source, thr uint64, arg int) uint64
+	}
+	prims := []primitive{
+		{
+			name: "take",
+			args: []int{0, 1, 2, 31, 63, 64},
+			cursor: func(c *drawCursor, pos, m int) (uint64, int) {
+				return c.take(0, pos, m)
+			},
+			ref: func(src *rng.Source, thr uint64, m int) uint64 {
+				var x uint64
+				for i := 0; i < m; i++ {
+					if src.Uint64() < thr {
+						x |= 1 << uint(i)
+					}
+				}
+				return x
+			},
+		},
+		{
+			name: "capped",
+			args: []int{0, 1, 2, 7, 31, 63, 64},
+			cursor: func(c *drawCursor, pos, limit int) (uint64, int) {
+				rd := c.reader(0, pos)
+				s, ok := rd.capped(limit)
+				if !ok {
+					s, rd = c.runSlow(0, rd, limit)
+				}
+				return uint64(s), rd.pos()
+			},
+			ref: func(src *rng.Source, thr uint64, limit int) uint64 {
+				s := 0
+				for s < limit && src.Uint64() < thr {
+					s++
+				}
+				return uint64(s)
+			},
+		},
+		{
+			name: "geom",
+			args: []int{0},
+			cursor: func(c *drawCursor, pos, _ int) (uint64, int) {
+				rd := c.reader(0, pos)
+				s, ok := rd.capped(geomCap)
+				if !ok {
+					s, rd = c.runSlow(0, rd, maxRun)
+				}
+				return uint64(s), rd.pos()
+			},
+			ref: func(src *rng.Source, thr uint64, _ int) uint64 {
+				s := 0
+				for src.Uint64() < thr {
+					s++
+				}
+				return uint64(s)
+			},
+		},
+	}
+	for _, p := range []float64{0.5, 0.9, 0.999} {
+		thr := drawThreshold(p) << 11
+		for _, seed := range []uint64{1, 2, 3} {
+			for _, prim := range prims {
+				for _, arg := range prim.args {
+					for start := cursorWords - 70; start <= cursorWords; start++ {
+						src, ref := rng.New(seed), rng.New(seed)
+						var c drawCursor
+						c.thr[0] = thr
+						c.attach(src, 1)
+						c.refillStreams()
+						for i := 0; i < start; i++ {
+							ref.Uint64()
+						}
+						got, next := prim.cursor(&c, start, arg)
+						want := prim.ref(ref, thr, arg)
+						c.pos = next
+						c.sync()
+						if got != want || src.State() != ref.State() {
+							t.Fatalf("p=%v seed %d %s(%d) from %d: got %d, want %d (same draws: %v)",
+								p, seed, prim.name, arg, start, got, want, src.State() == ref.State())
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -13,8 +13,9 @@
 //     Pr[A] = (2/3)·E[2^-Γ] (Theorem 6.2's derivation, which needs only
 //     the marginal window distribution);
 //   - HybridPrA: Theorem 6.1 with the joint product expectation
-//     E[Π_{i=1}^{n-1} 2^-i·Γᵢ] estimated by Monte Carlo — this reaches
-//     the e^{-Θ(n²)} regime of Theorem 6.3 that direct simulation cannot.
+//     E[Π_{i=1}^{n-1} 2^-i·Γᵢ] estimated by Monte Carlo on the compiled
+//     engine's products fill (ProductBatch) — this reaches the
+//     e^{-Θ(n²)} regime of Theorem 6.3 that direct simulation cannot.
 package core
 
 import (

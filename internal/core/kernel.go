@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the table-driven joined-process kernel behind the bitset
-// batch constructors (NoBugBits, ProductBatch). The reference route —
+// batch constructor NoBugBits (the mc kind's engine). The reference route —
 // prog.Generate → settle.Settle → shift.DisjointTrial, as ManifestTrial
 // and ReferenceNoBugBits run it — allocates a program, a settling order, a
 // permutation, and a shift placement on every trial and consults the
@@ -241,17 +241,6 @@ func (k *Kernel) FillBits(src *rng.Source, out []uint64, n int) error {
 		if k.NoBugTrial(src) {
 			words[i>>6] |= 1 << uint(i&63)
 		}
-	}
-	return nil
-}
-
-// FillProducts evaluates len(out) consecutive Theorem 6.1 product
-// trials into out under the mc.BatchMean contract. Zero allocations per
-// call.
-func (k *Kernel) FillProducts(src *rng.Source, out []float64) error {
-	for i := range out {
-		k.sampleSegments(src)
-		out[i] = productOf(k.segments)
 	}
 	return nil
 }

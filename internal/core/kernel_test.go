@@ -81,9 +81,11 @@ func TestKernelBitsMatchReference(t *testing.T) {
 	}
 }
 
-// TestKernelProductsMatchClosure checks the kernel-backed ProductBatch
-// against the ProductTrial closure across every model: identical float64
-// bits on identical substreams.
+// TestKernelProductsMatchClosure checks ProductBatch (the compiled
+// engine's products fill) against the ProductTrial closure across every
+// model: identical float64 bits on identical substreams. The compiled
+// lattice test (TestCompiledProductsMatchClosure) covers the rest of
+// the parameter space.
 func TestKernelProductsMatchClosure(t *testing.T) {
 	for _, model := range kernelModels() {
 		cfg := Config{Model: model, Threads: 5, PrefixLen: 12, StoreProb: 0.4, SwapProb: 0.6}
@@ -103,7 +105,7 @@ func TestKernelProductsMatchClosure(t *testing.T) {
 				t.Fatal(err)
 			}
 			if out[i] != want {
-				t.Fatalf("%s trial %d: kernel=%v closure=%v", model.Name(), i, out[i], want)
+				t.Fatalf("%s trial %d: batch=%v closure=%v", model.Name(), i, out[i], want)
 			}
 		}
 	}
@@ -131,8 +133,8 @@ func TestKernelTrialMatchesManifest(t *testing.T) {
 	}
 }
 
-// TestKernelZeroAllocs asserts the prebuilt kernel's fill entry points
-// allocate nothing per call — the guarantee the perf suite's strict
+// TestKernelZeroAllocs asserts the prebuilt kernel's fill entry point
+// allocates nothing per call — the guarantee the perf suite's strict
 // zero-alloc gate rides on.
 func TestKernelZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -153,14 +155,6 @@ func TestKernelZeroAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("FillBits allocates %.1f per call, want 0", avg)
-	}
-	products := make([]float64, 128)
-	if avg := testing.AllocsPerRun(10, func() {
-		if err := k.FillProducts(src, products); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Errorf("FillProducts allocates %.1f per call, want 0", avg)
 	}
 }
 

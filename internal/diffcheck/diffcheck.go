@@ -11,6 +11,12 @@
 //     and shift packages), fixed-trials and adaptive: estimator seed
 //     derivation is kind-independent, so these must be BIT-identical —
 //     no tolerance at all.
+//   - hybrid vs a closure reference: the hybrid kind's product
+//     expectation (the compiled engine's products fill,
+//     core.Config.ProductBatch) against the ProductTrial closure, built
+//     on the independent prog and settle packages, looped on the same
+//     substream under the same harness calls, fixed-trials and adaptive:
+//     BIT-identical expectation, standard error, trials and rounds.
 //   - ExactSmallPrA vs ExactSmallPrAViaTheorem61: two independent exact
 //     enumerations (joint DP vs Theorem 6.1 factorization) that must
 //     agree to float rounding.
@@ -40,7 +46,9 @@ import (
 	"memreliability/internal/estimator"
 	"memreliability/internal/mc"
 	"memreliability/internal/memmodel"
+	"memreliability/internal/rng"
 	"memreliability/internal/settle"
+	"memreliability/internal/shift"
 )
 
 // ContainmentAlpha is the per-side significance threshold of the
@@ -78,7 +86,8 @@ func ExactFeasible(threads, prefix int) bool {
 }
 
 // Check runs every cross-check applicable to the query: engine
-// bit-identity for trial-consuming kinds, the exact-route agreements
+// bit-identity for trial-consuming kinds (the bits engines for mc and
+// mc-compiled, the products fill for hybrid), the exact-route agreements
 // and exact-vs-MC containment when the query is within enumeration
 // range, and the window-distribution bounds at the analytic normal
 // form. A nil return means every applicable route agreed.
@@ -93,6 +102,11 @@ func Check(ctx context.Context, q estimator.Query) error {
 	}
 	if q.Kind == estimator.FullMC || q.Kind == estimator.CompiledMC {
 		if err := CheckEngines(ctx, q); err != nil {
+			return err
+		}
+	}
+	if q.Kind == estimator.Hybrid {
+		if err := CheckProducts(ctx, q); err != nil {
 			return err
 		}
 	}
@@ -165,13 +179,8 @@ func CheckEngines(ctx context.Context, q estimator.Query) error {
 	sub := estimator.DeriveSeeds(q.Seed, 1)[0]
 	var out *mc.Result
 	trials, rounds := q.Trials, 0
-	if p := q.Precision; p != nil {
-		confidence := q.Confidence
-		if confidence == 0 {
-			confidence = estimator.DefaultConfidence
-		}
-		adaptive, err := mc.EstimateAdaptiveBits(ctx, mc.AdaptiveConfig{MaxTrials: p.MaxTrials, Seed: sub,
-			TargetHalfWidth: p.TargetHalfWidth, TargetRelErr: p.TargetRelErr, Confidence: confidence}, batch)
+	if q.Precision != nil {
+		adaptive, err := mc.EstimateAdaptiveBits(ctx, stoppingRule(q, sub), batch)
 		if err != nil {
 			return fmt.Errorf("reference oracle: %w", err)
 		}
@@ -185,6 +194,84 @@ func CheckEngines(ctx context.Context, q estimator.Query) error {
 	if out.Estimate() != ref.Estimate || trials != ref.TrialsUsed || rounds != ref.Rounds {
 		return fmt.Errorf("reference oracle diverged: oracle %v (trials %d, rounds %d), engines %v (trials %d, rounds %d)",
 			out.Estimate(), trials, rounds, ref.Estimate, ref.TrialsUsed, ref.Rounds)
+	}
+	return nil
+}
+
+// stoppingRule is the adaptive harness configuration the estimator
+// builds for a normalized adaptive query on substream seed sub:
+// normalized MaxTrials, both targets, the query's confidence.
+func stoppingRule(q estimator.Query, sub uint64) mc.AdaptiveConfig {
+	confidence := q.Confidence
+	if confidence == 0 {
+		confidence = estimator.DefaultConfidence
+	}
+	p := q.Precision
+	return mc.AdaptiveConfig{MaxTrials: p.MaxTrials, Seed: sub,
+		TargetHalfWidth: p.TargetHalfWidth, TargetRelErr: p.TargetRelErr, Confidence: confidence}
+}
+
+// CheckProducts requires the hybrid estimator's product expectation to
+// match a reference that loops the ProductTrial closure — built on the
+// independent prog and settle packages — on the substream the estimator
+// derives, through the same harness entry point: mc.EstimateMeanBatch
+// for fixed-trials queries, and for adaptive ones
+// mc.EstimateMeanAdaptiveBatch under the estimator's stopping rule, its
+// half-width target rescaled by K(n) as core.HybridPrAAdaptive does. The
+// expectation, its standard error, the trials used and the rounds must
+// all be bit-identical: any difference is a bug in the products engine.
+func CheckProducts(ctx context.Context, q estimator.Query) error {
+	q = q.Normalized()
+	q.Kind = estimator.Hybrid
+	res, err := estimator.Estimate(ctx, q)
+	if err != nil {
+		return fmt.Errorf("hybrid: %w", err)
+	}
+	model, err := memmodel.ByName(q.Model)
+	if err != nil {
+		return err
+	}
+	cfg := core.Config{Model: model, Threads: q.Threads, PrefixLen: q.PrefixLen,
+		StoreProb: q.StoreProb, SwapProb: q.SwapProb}
+	batch := mc.BatchMean(func(src *rng.Source, out []float64) error {
+		for i := range out {
+			v, err := cfg.ProductTrial(src)
+			if err != nil {
+				return err
+			}
+			out[i] = v
+		}
+		return nil
+	})
+	sub := estimator.DeriveSeeds(q.Seed, 1)[0]
+	var mean, stdErr float64
+	trials, rounds := q.Trials, 0
+	if q.Precision != nil {
+		rule := stoppingRule(q, sub)
+		if rule.TargetHalfWidth > 0 {
+			k, err := shift.Theorem61(q.Threads, 1)
+			if err != nil {
+				return err
+			}
+			rule.TargetHalfWidth /= k
+		}
+		adaptive, err := mc.EstimateMeanAdaptiveBatch(ctx, rule, batch)
+		if err != nil {
+			return fmt.Errorf("products reference: %w", err)
+		}
+		mean, stdErr = adaptive.Summary.Mean(), adaptive.Summary.StdErr()
+		trials, rounds = adaptive.TrialsUsed(), adaptive.Rounds
+	} else {
+		sum, err := mc.EstimateMeanBatch(ctx, mc.Config{Trials: q.Trials, Seed: sub}, batch)
+		if err != nil {
+			return fmt.Errorf("products reference: %w", err)
+		}
+		mean, stdErr = sum.Mean(), sum.StdErr()
+	}
+	if mean != res.ProductExpectation || stdErr != res.StdErr || trials != res.TrialsUsed || rounds != res.Rounds {
+		return fmt.Errorf("hybrid products diverged from the closure reference: reference %v ± %v (trials %d, rounds %d), "+
+			"hybrid %v ± %v (trials %d, rounds %d)", mean, stdErr, trials, rounds,
+			res.ProductExpectation, res.StdErr, res.TrialsUsed, res.Rounds)
 	}
 	return nil
 }

@@ -29,6 +29,37 @@ func TestCheckGeneratedQueries(t *testing.T) {
 	}
 }
 
+// TestCheckProducts runs hybrid queries through the products leg: fixed
+// trials ending mid-chunk, and adaptive queries stopping on a half-width
+// target (rescaled by K(n)), on a relative-error target, and at the
+// budget — on the decision-stream segment stage and on the composed
+// closures (an edge probability and a prefix past one word).
+func TestCheckProducts(t *testing.T) {
+	for _, tc := range []struct {
+		model     string
+		n, m      int
+		store     float64
+		trials    int
+		precision *estimator.Precision
+	}{
+		{"WO", 3, 24, 0.5, 10000, nil},
+		{"PSO", 4, 64, 0.5, 3000, nil},
+		{"RMO", 5, 70, 0.5, 2000, nil},
+		{"TSO", 3, 12, 1, 2000, nil},
+		{"LRO", 2, 16, 0.5, 1 << 15, &estimator.Precision{TargetHalfWidth: 0.001}}, // 2 rounds
+		{"TSO", 6, 32, 0.5, 1 << 15, &estimator.Precision{TargetRelErr: 0.05}},     // 1 round
+		{"WO", 3, 20, 0.5, 1 << 15, &estimator.Precision{TargetRelErr: 1e-6, MaxTrials: 9000}},
+	} {
+		q := estimator.DefaultQuery()
+		q.Kind = estimator.Hybrid
+		q.Model, q.Threads, q.PrefixLen, q.StoreProb = tc.model, tc.n, tc.m, tc.store
+		q.Trials, q.Precision, q.Seed = tc.trials, tc.precision, 5
+		if err := CheckProducts(context.Background(), q); err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+	}
+}
+
 // TestCheckExactRoutesCustomModels covers the full 16-point relax-
 // matrix lattice with unregistered generated models — the named models
 // are only 6 of its points.

@@ -16,9 +16,10 @@ import (
 var fuzzProbLattice = []float64{0, 0.05, 0.25, 0.5, 0.75, 0.95, 1}
 
 // queryFromWords decodes two fuzz words into a valid bounded estimator
-// query: seed verbatim, and the choice word's bit fields clamped into
-// the harness's cheap ranges (n ≤ 3, m ≤ 8, ≤ 512 trials) so every
-// input stays well under the fuzz-smoke time budget.
+// query — mc, mc-compiled or hybrid: seed verbatim, and the choice
+// word's bit fields clamped into the harness's cheap ranges (n ≤ 3,
+// m ≤ 8, ≤ 512 trials) so every input stays well under the fuzz-smoke
+// time budget.
 func queryFromWords(seed, choices uint64) estimator.Query {
 	models := memmodel.Registered()
 	take := func(bits uint) uint64 {
@@ -43,6 +44,11 @@ func queryFromWords(seed, choices uint64) estimator.Query {
 	}
 	if take(2) == 3 {
 		q.Precision = &estimator.Precision{TargetHalfWidth: 0.05, MaxTrials: 1 << 11}
+	}
+	// The hybrid kind takes the next bit, above every field before it,
+	// so the corpus entries written before it decode unchanged.
+	if take(1) == 1 {
+		q.Kind = estimator.Hybrid
 	}
 	return q
 }

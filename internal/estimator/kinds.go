@@ -158,8 +158,10 @@ func (e mcEstimator) Estimate(ctx context.Context, q Query, seed uint64, ex Exec
 
 // hybridEstimator is the Theorem 6.1 hybrid route. Its product
 // expectation runs on the mc harness's batched hot path via the
-// table-driven kernel (core.Config.ProductBatch), bit-identical to the
-// per-trial core.Config.ProductTrial.
+// compiled engine's products fill (core.Config.ProductBatch, through
+// core's plan cache), bit-identical to the per-trial
+// core.Config.ProductTrial — diffcheck.CheckProducts gates on exactly
+// that.
 type hybridEstimator struct{}
 
 func (hybridEstimator) Kind() Kind          { return Hybrid }

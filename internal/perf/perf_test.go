@@ -3,6 +3,7 @@ package perf
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -85,6 +86,40 @@ func TestRunScenarioMeasures(t *testing.T) {
 	}
 	if res.TrialsPerSec <= 0 {
 		t.Errorf("trials/sec not derived: %+v", res)
+	}
+}
+
+// TestRunScenarioZeroAllocOps pins the zero-alloc measurement at
+// -benchtime 1x: a ZeroAlloc scenario runs at least minZeroAllocOps ops,
+// and one that allocates on every op still measures one allocation per
+// op, so the gate keeps failing it.
+func TestRunScenarioZeroAllocOps(t *testing.T) {
+	testing.Init()
+	bt := flag.Lookup("test.benchtime")
+	old := bt.Value.String()
+	if err := bt.Value.Set("1x"); err != nil {
+		t.Fatal(err)
+	}
+	defer bt.Value.Set(old)
+	var keep []*int
+	res := RunScenario(Scenario{
+		ID:        "synthetic/alloc-per-op",
+		ZeroAlloc: true,
+		Bench: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				keep = append(keep[:0], new(int))
+			}
+		},
+	})
+	if res.Ops < minZeroAllocOps {
+		t.Errorf("zero-alloc scenario measured over %d ops at 1x, want ≥ %d", res.Ops, minZeroAllocOps)
+	}
+	if res.AllocsPerOp < 1 {
+		t.Errorf("a body allocating on every op measured %v allocs/op, want ≥ 1", res.AllocsPerOp)
+	}
+	if v := ZeroAllocViolations(&Record{Scenarios: []ScenarioResult{res}}); len(v) != 1 {
+		t.Errorf("zero-alloc gate missed a scenario allocating on every op: %+v", res)
 	}
 }
 

@@ -24,6 +24,9 @@
 //	GET  /healthz                  liveness
 //	GET  /metrics                  expvar counters (hits, misses, …)
 //
+// JSON request bodies are read up to MaxRequestBodyBytes (1 MiB); a
+// longer body is answered with 413.
+//
 // Cache state travels in the X-Cache response header (miss | hit |
 // dedup | disk), never in the body — bodies stay byte-identical across
 // cache states. The disk state reports a hit in the optional persistent
@@ -32,11 +35,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -56,6 +61,15 @@ var ErrBadConfig = errors.New("serve: bad config")
 
 // ErrBadRequest reports a malformed or invalid API request.
 var ErrBadRequest = errors.New("serve: bad request")
+
+// ErrBodyTooLarge reports a request body over MaxRequestBodyBytes; the
+// API answers it with 413.
+var ErrBodyTooLarge = errors.New("serve: request body too large")
+
+// MaxRequestBodyBytes bounds a JSON request body (/v1/estimate,
+// /v1/windowdist, POST /v1/sweeps). The largest legitimate body, a sweep
+// spec, is a few kilobytes; the server reads no further than this.
+const MaxRequestBodyBytes = 1 << 20
 
 // Config configures a Server. The zero value gets sensible defaults.
 type Config struct {
@@ -317,6 +331,8 @@ func errorStatus(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrUnknownJob):
 		return http.StatusNotFound
+	case errors.Is(err, ErrBodyTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrBadRequest), errors.Is(err, sweep.ErrBadSpec),
 		errors.Is(err, estimator.ErrBadQuery):
 		return http.StatusBadRequest
@@ -326,9 +342,18 @@ func errorStatus(err error) int {
 
 // decodeStrict decodes the request body over the given defaults base,
 // rejecting unknown fields and trailing garbage. Omitted fields keep the
-// base's paper defaults; explicit zeros stick.
-func decodeStrict(r *http.Request, base any) error {
-	dec := json.NewDecoder(r.Body)
+// base's paper defaults; explicit zeros stick. A body over
+// MaxRequestBodyBytes is read no further and fails with ErrBodyTooLarge.
+func decodeStrict(w http.ResponseWriter, r *http.Request, base any) error {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBodyBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return fmt.Errorf("%w: over %d bytes", ErrBodyTooLarge, MaxRequestBodyBytes)
+		}
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(base); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -619,8 +644,8 @@ func cellResult(res estimator.Result, model string, threads, prefixLen int) swee
 // estimator's canonical rules, and dispatch through the registry.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	req := defaultEstimateRequest()
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := decodeStrict(w, r, &req); err != nil {
+		writeError(w, errorStatus(err), err)
 		return
 	}
 	req.Estimator = sweep.Kind(strings.ToLower(string(req.Estimator)))
@@ -714,8 +739,8 @@ func (req WindowDistRequest) query() estimator.Query {
 // surface.
 func (s *Server) handleWindowDist(w http.ResponseWriter, r *http.Request) {
 	req := defaultWindowDistRequest()
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := decodeStrict(w, r, &req); err != nil {
+		writeError(w, errorStatus(err), err)
 		return
 	}
 	req.Model = canonicalModelName(req.Model)
@@ -759,8 +784,8 @@ func (s *Server) handleLitmus(w http.ResponseWriter, r *http.Request) {
 // identical spec returns the existing job (200, not 202).
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	spec := sweep.DefaultSpec()
-	if err := decodeStrict(r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := decodeStrict(w, r, &spec); err != nil {
+		writeError(w, errorStatus(err), err)
 		return
 	}
 	status, created, err := s.jobs.Submit(s.baseCtx, spec)

@@ -552,3 +552,29 @@ func TestMethodNotAllowed(t *testing.T) {
 		t.Errorf("GET /v1/estimate status %d, want 405", resp.StatusCode)
 	}
 }
+
+// TestRequestBodyLimit sends a body one byte over MaxRequestBodyBytes to
+// each JSON endpoint — a valid request padded with whitespace, so only
+// its size is wrong — and expects 413; a normal request still succeeds
+// afterwards.
+func TestRequestBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for path, body := range map[string]string{
+		"/v1/estimate":   `{"model":"TSO","threads":2,"estimator":"exact"}`,
+		"/v1/windowdist": `{"model":"TSO","prefix_len":8}`,
+		"/v1/sweeps":     `{"models":["SC"],"threads":[2],"estimators":["exact"]}`,
+	} {
+		body += strings.Repeat(" ", MaxRequestBodyBytes+1-len(body))
+		resp, data := post(t, ts.URL+path, body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: %d-byte body: status %d, want 413 (%s)", path, len(body), resp.StatusCode, data)
+		}
+		if !strings.Contains(string(data), `"error"`) {
+			t.Errorf("%s: no error envelope: %s", path, data)
+		}
+	}
+	resp, data := post(t, ts.URL+"/v1/estimate", `{"model":"TSO","threads":2,"estimator":"exact","seed":7}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("normal request after over-limit ones: status %d: %s", resp.StatusCode, data)
+	}
+}

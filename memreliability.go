@@ -72,8 +72,9 @@ type Config = core.Config
 type BatchTrialBits = mc.BatchTrialBits
 
 // BatchMean is the batched form of a real-valued sampler, used by the
-// Theorem 6.1 hybrid route's product expectation (Config.ProductBatch).
-// Real-valued samples have no bitset form.
+// Theorem 6.1 hybrid route's product expectation (Config.ProductBatch,
+// which runs on the compiled trial engine). Real-valued samples have no
+// bitset form.
 type BatchMean = mc.BatchMean
 
 // MCWordBits is the number of trials packed into one BatchTrialBits
