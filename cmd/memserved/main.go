@@ -70,7 +70,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	fs.SetOutput(logw)
 	addr := fs.String("addr", ":8080", "listen address")
 	cacheSize := fs.Int("cache-size", 0, "LRU result-cache entries (0 = 1024)")
-	estimateWorkers := fs.Int("estimate-workers", 0, "concurrent estimate computations (0 = GOMAXPROCS)")
+	estimateWorkers := fs.Int("estimate-workers", 0, "worker slots shared by estimate computations: each holds one and borrows idle ones chunk by chunk (0 = GOMAXPROCS)")
 	sweepWorkers := fs.Int("sweep-workers", 0, "concurrent async sweep jobs (0 = 1)")
 	sweepCellWorkers := fs.Int("sweep-cell-workers", 0, "per-job sweep worker budget (0 = GOMAXPROCS); never affects artifacts")
 	queueDepth := fs.Int("queue-depth", 0, "queued sweep jobs before 503 (0 = 16)")

@@ -155,39 +155,3 @@ func TestAdaptiveEasyCellSavings(t *testing.T) {
 		t.Errorf("notes %q do not surface the adaptive cost", res.Notes())
 	}
 }
-
-// TestSplitWorkerBudget pins the remainder distribution: the slices
-// always sum to the whole budget (no idle cores), stay within one slot
-// of each other, and the worker count is min(budget, tasks).
-func TestSplitWorkerBudget(t *testing.T) {
-	cases := []struct {
-		budget, tasks int
-		want          []int
-	}{
-		{8, 3, []int{3, 3, 2}}, // the truncation bug's shape: was 3×2, idling 2 cores
-		{8, 16, []int{1, 1, 1, 1, 1, 1, 1, 1}},
-		{5, 3, []int{2, 2, 1}},
-		{4, 4, []int{1, 1, 1, 1}},
-		{1, 10, []int{1}},
-		{7, 2, []int{4, 3}},
-	}
-	for _, tc := range cases {
-		got := SplitWorkerBudget(tc.budget, tc.tasks)
-		if len(got) != len(tc.want) {
-			t.Errorf("SplitWorkerBudget(%d, %d) = %v, want %v", tc.budget, tc.tasks, got, tc.want)
-			continue
-		}
-		sum := 0
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("SplitWorkerBudget(%d, %d) = %v, want %v", tc.budget, tc.tasks, got, tc.want)
-				break
-			}
-			sum += got[i]
-		}
-		if sum != tc.budget {
-			t.Errorf("SplitWorkerBudget(%d, %d) sums to %d: %d budget slots idle",
-				tc.budget, tc.tasks, sum, tc.budget-sum)
-		}
-	}
-}

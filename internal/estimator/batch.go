@@ -8,43 +8,16 @@ import (
 	"strconv"
 	"sync"
 
+	"memreliability/internal/mc"
 	"memreliability/internal/obs"
 )
 
-// SplitWorkerBudget partitions a total CPU budget across the pool
-// workers sharing `tasks` jobs: min(budget, tasks) workers, each with an
-// inner Monte Carlo budget, the remainder distributed one slot at a time
-// so the slices always sum to the full budget. Without the remainder, a
-// budget that doesn't divide the worker count leaves cores idle (e.g.
-// budget=8 over 3 queries truncated to 3×2 workers, idling 2 cores).
-// The split is pure scheduling — results never depend on it.
-func SplitWorkerBudget(budget, tasks int) []int {
-	workers := budget
-	if workers > tasks {
-		workers = tasks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	inner := make([]int, workers)
-	base, rem := budget/workers, budget%workers
-	for w := range inner {
-		inner[w] = base
-		if w < rem {
-			inner[w]++
-		}
-		if inner[w] < 1 {
-			inner[w] = 1
-		}
-	}
-	return inner
-}
-
 // BatchOptions tunes an EstimateBatch run without affecting its results.
 type BatchOptions struct {
-	// Workers bounds the total CPU budget: at most min(Workers, len)
-	// queries run concurrently, and the leftover budget becomes each
-	// query's inner Monte Carlo parallelism. 0 means GOMAXPROCS.
+	// Workers is the total CPU budget, as a pool of that many slots
+	// (mc.Pool): at most min(Workers, len) queries run at once, each
+	// holding one slot, and their Monte Carlo borrows the slots left
+	// free one chunk at a time. 0 means GOMAXPROCS.
 	Workers int
 	// Timing records per-result wall-clock time (breaks byte-level
 	// reproducibility of encoded results).
@@ -55,12 +28,15 @@ type BatchOptions struct {
 }
 
 // EstimateBatch evaluates the queries concurrently under the options'
-// worker budget and returns the results in query order. Each query's
-// substream seed is derived from its own Seed with the canonical
-// DeriveSeeds derivation, so every result is identical to what a lone
-// Estimate of that query returns — regardless of batch size, worker
-// budget, or completion order. The first failure cancels the remaining
-// queries.
+// worker budget and returns the results in query order. The budget is
+// one slot pool: each query goroutine holds a slot until the feed runs
+// dry, then gives it back, so the last queries in flight borrow it for
+// their remaining chunks (a single query gets the whole budget). Each
+// query's substream seed is derived from its own Seed with the
+// canonical DeriveSeeds derivation, so every result is identical to what
+// a lone Estimate of that query returns — regardless of batch size,
+// worker budget, or completion order. The first failure cancels the
+// remaining queries.
 func EstimateBatch(ctx context.Context, queries []Query, opts BatchOptions) ([]Result, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrBadQuery)
@@ -79,15 +55,12 @@ func EstimateBatch(ctx context.Context, queries []Query, opts BatchOptions) ([]R
 		}
 	}
 
-	// Split the budget across the two parallelism layers instead of
-	// multiplying it, mirroring the sweep engine: queries share the
-	// pool, and each query's inner Monte Carlo gets the leftover slice.
 	budget := opts.Workers
 	if budget == 0 {
 		budget = runtime.GOMAXPROCS(0)
 	}
-	inner := SplitWorkerBudget(budget, len(norm))
-	workers := len(inner)
+	pool := mc.NewPool(budget)
+	workers := min(budget, len(norm))
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -108,10 +81,14 @@ func EstimateBatch(ctx context.Context, queries []Query, opts BatchOptions) ([]R
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			if pool.Acquire(runCtx) != nil {
+				return
+			}
+			defer pool.Release()
 			for idx := range jobs {
 				q := norm[idx]
 				res, err := Run(obs.WithSpan(runCtx, spans[idx]), q, DeriveSeeds(q.Seed, 1)[0],
-					Exec{Workers: inner[w], Timing: opts.Timing})
+					Exec{Workers: 1, Helpers: pool, Timing: opts.Timing})
 				spans[idx].End()
 				if err != nil {
 					errs[w] = fmt.Errorf("estimator: batch query %d: %w", idx, err)

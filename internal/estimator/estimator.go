@@ -20,6 +20,7 @@ import (
 	"math"
 	"strings"
 
+	"memreliability/internal/mc"
 	"memreliability/internal/memmodel"
 	"memreliability/internal/report"
 )
@@ -386,9 +387,14 @@ func (r Result) Notes() string {
 
 // Exec tunes how a query executes without affecting its result.
 type Exec struct {
-	// Workers bounds the estimator's internal Monte Carlo parallelism;
+	// Workers is the number of the estimate's own Monte Carlo workers;
 	// 0 means GOMAXPROCS. Pure scheduling — results never depend on it.
 	Workers int
+	// Helpers, when non-nil, is the slot pool the estimate shares with
+	// concurrent computations: beside its own Workers, its Monte Carlo
+	// borrows each free slot for one chunk at a time (mc.Config.Helpers).
+	// Pure scheduling too: a borrowed slot never changes a result.
+	Helpers *mc.Pool
 	// Timing records wall-clock time in the result. Off by default:
 	// timing breaks byte-identical reproducibility of encoded results.
 	Timing bool

@@ -1,7 +1,9 @@
 package estimator_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"reflect"
@@ -361,6 +363,40 @@ func TestCompiledMCMatchesFullMC(t *testing.T) {
 		ref.Kind = estimator.CompiledMC
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("%s: mc-compiled diverged from mc:\n got %+v\nwant %+v", name, got, ref)
+		}
+	}
+}
+
+// TestBatchByteIdenticalAcrossPoolBudgets: a batch narrower than the
+// larger budgets, of queries spanning several chunks, fixed and
+// adaptive, encodes to the same bytes at budgets 1, 2 and 4 — however
+// many chunks the queries borrowed slots for.
+func TestBatchByteIdenticalAcrossPoolBudgets(t *testing.T) {
+	var queries []estimator.Query
+	for i, kind := range []estimator.Kind{estimator.FullMC, estimator.Hybrid, estimator.CompiledMC} {
+		q := estimator.DefaultQuery()
+		q.Kind, q.Model, q.Threads, q.PrefixLen = kind, "PSO", 3, 16
+		q.Trials, q.Seed = 40000, uint64(30+i)
+		queries = append(queries, q)
+	}
+	adaptive := queries[1]
+	adaptive.Precision = &estimator.Precision{TargetRelErr: 0.02}
+	queries = append(queries, adaptive)
+
+	var want []byte
+	for _, budget := range []int{1, 2, 4} {
+		results, err := estimator.EstimateBatch(context.Background(), queries, estimator.BatchOptions{Workers: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("results at budget %d differ from budget 1's:\n%s\n%s", budget, got, want)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func coreConfig(q Query) (core.Config, error) {
 // mcConfig translates the query and execution budget into the Monte
 // Carlo harness configuration on the derived substream seed.
 func mcConfig(q Query, seed uint64, ex Exec) mc.Config {
-	return mc.Config{Trials: q.Trials, Workers: ex.Workers, Seed: seed}
+	return mc.Config{Trials: q.Trials, Workers: ex.Workers, Helpers: ex.Helpers, Seed: seed}
 }
 
 // adaptiveConfig translates a precision-carrying query into the adaptive
@@ -57,6 +57,7 @@ func adaptiveConfig(q Query, seed uint64, ex Exec) mc.AdaptiveConfig {
 	return mc.AdaptiveConfig{
 		MaxTrials:       max,
 		Workers:         ex.Workers,
+		Helpers:         ex.Helpers,
 		Seed:            seed,
 		TargetHalfWidth: p.TargetHalfWidth,
 		TargetRelErr:    p.TargetRelErr,

@@ -37,9 +37,12 @@ const (
 type AdaptiveConfig struct {
 	// MaxTrials is the hard trial budget cap. Must be positive.
 	MaxTrials int
-	// Workers is the number of parallel workers; 0 means GOMAXPROCS.
-	// Workers is pure scheduling and never affects results.
+	// Workers is the number of the run's own parallel workers; 0 means
+	// GOMAXPROCS. Workers is pure scheduling and never affects results.
 	Workers int
+	// Helpers is the shared slot pool the run borrows from, exactly as
+	// Config.Helpers; nil borrows nothing.
+	Helpers *Pool
 	// Seed is the experiment seed, interpreted exactly as Config.Seed.
 	Seed uint64
 	// TargetHalfWidth, when positive, requires the interval half-width to
@@ -153,7 +156,7 @@ func EstimateAdaptiveBits(ctx context.Context, cfg AdaptiveConfig, batch BatchTr
 		round := parent.Child("mc.round",
 			obs.L("round", strconv.Itoa(result.Rounds)),
 			obs.L("chunks", strconv.Itoa(end-start)))
-		runErr := runChunksWith(ctx, cfg.Workers, end-start, wordScratch,
+		runErr := runChunksWith(ctx, cfg.Workers, cfg.Helpers, end-start, wordScratch,
 			func(ctx context.Context, j int, words []uint64) error {
 				chunk := start + j
 				n, err := runProbChunk(ctx, batch, sources[chunk], words, quotas[chunk])
@@ -238,7 +241,7 @@ func EstimateMeanAdaptiveBatch(ctx context.Context, cfg AdaptiveConfig, batch Ba
 		round := parent.Child("mc.round",
 			obs.L("round", strconv.Itoa(result.Rounds)),
 			obs.L("chunks", strconv.Itoa(end-start)))
-		runErr := runChunksWith(ctx, cfg.Workers, end-start, floatScratch,
+		runErr := runChunksWith(ctx, cfg.Workers, cfg.Helpers, end-start, floatScratch,
 			func(ctx context.Context, j int, out []float64) error {
 				chunk := start + j
 				if err := runMeanChunk(ctx, batch, sources[chunk], out[:quotas[chunk]], &sums[chunk]); err != nil {

@@ -5,7 +5,8 @@
 // partitioned into fixed-size chunks, each chunk derives its own RNG
 // substream from the experiment seed and its chunk index, and chunk
 // results are merged in chunk order. An estimate therefore depends only
-// on (seed, trials) — never on the worker count or goroutine scheduling.
+// on (seed, trials) — never on the worker count, the slots a run borrows
+// from a shared Pool, or goroutine scheduling.
 //
 // # Trial contracts
 //
@@ -30,9 +31,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"memreliability/internal/obs"
@@ -58,9 +59,14 @@ type Trial func(src *rng.Source) (success bool, err error)
 type Config struct {
 	// Trials is the total number of trials to run. Must be positive.
 	Trials int
-	// Workers is the number of parallel workers; 0 means GOMAXPROCS.
-	// Workers is pure scheduling and never affects results.
+	// Workers is the number of the run's own parallel workers; 0 means
+	// GOMAXPROCS. Workers is pure scheduling and never affects results.
 	Workers int
+	// Helpers, when non-nil, is a slot pool the run shares with other
+	// computations: beside its own Workers, the run borrows free slots,
+	// each for one chunk at a time, while it has chunks left (see Pool).
+	// Like Workers it is pure scheduling; nil borrows nothing.
+	Helpers *Pool
 	// Seed is the experiment seed; every run with the same Seed, Trials,
 	// and trial function produces identical counts at any worker count.
 	Seed uint64
@@ -91,60 +97,96 @@ func chunkPlan(cfg Config) (sources []*rng.Source, quotas []int) {
 	return sources, quotas
 }
 
-// runChunksWith executes fn(chunk, scratch) for every chunk index across
-// a worker pool, handing each worker one reusable scratch value from
-// newScratch — the allocation point for the batch engine's per-worker
-// buffers, paid once per worker, never per chunk. The first failure
-// cancels the remaining chunks; the returned error prefers a root-cause
-// failure over the cancellations it induced.
-func runChunksWith[S any](ctx context.Context, workers, nChunks int, newScratch func() S, fn func(ctx context.Context, chunk int, scratch S) error) error {
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nChunks {
-		workers = nChunks
-	}
+// runChunksWith executes fn(chunk, scratch) for every chunk index. The
+// run's own workers, worker w starting on chunk w, claim chunks in
+// index order until none remain. With a helpers pool, whenever chunks
+// are left unclaimed — at the start and each time an own worker claims
+// one — a helper goroutine borrows each free slot: it runs one chunk,
+// gives the slot back, and carries on only while it can take a free
+// slot again, so a caller blocked on the pool waits at most one chunk.
+// Every goroutine gets one reusable scratch value from newScratch — the
+// allocation point for the batch engine's per-worker buffers, paid once
+// per goroutine, never per chunk. Which goroutine runs a chunk never
+// matters: callers store results by chunk index and merge them in chunk
+// order. The first failure cancels the remaining chunks; the returned
+// error prefers a root-cause failure over the cancellations it induced.
+func runChunksWith[S any](ctx context.Context, workers int, helpers *Pool, nChunks int, newScratch func() S, fn func(ctx context.Context, chunk int, scratch S) error) error {
+	workers = effectiveWorkers(workers, nChunks)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	jobs := make(chan int)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
+	var (
+		next     atomic.Int64 // chunks claimed so far
+		wg       sync.WaitGroup
+		errMu    sync.Mutex
+		firstErr error
+	)
+	// claim hands out the next chunk, or false once every chunk is
+	// claimed or the run has stopped.
+	claim := func() (int, bool) {
+		if runCtx.Err() != nil {
+			return 0, false
+		}
+		chunk := int(next.Add(1) - 1)
+		return chunk, chunk < nChunks
+	}
+	fail := func(err error) {
+		errMu.Lock()
+		if firstErr == nil || errors.Is(firstErr, context.Canceled) {
+			firstErr = err
+		}
+		errMu.Unlock()
+		cancel()
+	}
+	// borrow is a helper: it holds one borrowed slot per chunk.
+	borrow := func() {
+		defer wg.Done()
+		scratch := newScratch()
+		for {
+			chunk, ok := claim()
+			if !ok {
+				helpers.Release()
+				return
+			}
+			err := fn(runCtx, chunk, scratch)
+			helpers.Release()
+			if err != nil {
+				fail(err)
+				return
+			}
+			mcHelperChunks.Inc()
+			if !helpers.tryAcquire() {
+				return
+			}
+		}
+	}
+	// recruit starts a helper on each free slot, one per unclaimed chunk.
+	recruit := func() {
+		for left := nChunks - int(next.Load()); left > 0 && helpers.tryAcquire(); left-- {
+			wg.Add(1)
+			go borrow()
+		}
+	}
+
+	next.Store(int64(workers))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(chunk int) {
 			defer wg.Done()
 			scratch := newScratch()
-			for chunk := range jobs {
+			for ok := true; ok; chunk, ok = claim() {
+				if helpers != nil {
+					recruit()
+				}
 				if err := fn(runCtx, chunk, scratch); err != nil {
-					errs[w] = err
-					cancel()
+					fail(err)
 					return
 				}
 			}
 		}(w)
 	}
-
-feed:
-	for chunk := 0; chunk < nChunks; chunk++ {
-		select {
-		case jobs <- chunk:
-		case <-runCtx.Done():
-			break feed
-		}
-	}
-	close(jobs)
 	wg.Wait()
 
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil || errors.Is(firstErr, context.Canceled) {
-			firstErr = err
-		}
-	}
 	if firstErr == nil && ctx.Err() != nil {
 		// The parent context died before any chunk could report it.
 		firstErr = ctx.Err()
@@ -153,8 +195,8 @@ feed:
 }
 
 // runChunks is runChunksWith without per-worker scratch.
-func runChunks(ctx context.Context, workers, nChunks int, fn func(ctx context.Context, chunk int) error) error {
-	return runChunksWith(ctx, workers, nChunks,
+func runChunks(ctx context.Context, workers int, helpers *Pool, nChunks int, fn func(ctx context.Context, chunk int) error) error {
+	return runChunksWith(ctx, workers, helpers, nChunks,
 		func() struct{} { return struct{}{} },
 		func(ctx context.Context, chunk int, _ struct{}) error { return fn(ctx, chunk) })
 }
@@ -240,7 +282,7 @@ func EstimateProbabilityBits(ctx context.Context, cfg Config, batch BatchTrialBi
 		obs.L("chunks", strconv.Itoa(len(sources))),
 		obs.L("trials", strconv.Itoa(cfg.Trials)))
 
-	runErr := runChunksWith(ctx, cfg.Workers, len(sources), wordScratch,
+	runErr := runChunksWith(ctx, cfg.Workers, cfg.Helpers, len(sources), wordScratch,
 		func(ctx context.Context, chunk int, words []uint64) error {
 			n, err := runProbChunk(ctx, batch, sources[chunk], words, quotas[chunk])
 			if err != nil {
@@ -298,7 +340,7 @@ func EstimateDistribution(ctx context.Context, cfg Config, buckets int, sample I
 		hists[chunk] = h
 	}
 
-	err := runChunks(ctx, cfg.Workers, len(sources), func(ctx context.Context, chunk int) error {
+	err := runChunks(ctx, cfg.Workers, cfg.Helpers, len(sources), func(ctx context.Context, chunk int) error {
 		src := sources[chunk]
 		for i := 0; i < quotas[chunk]; i++ {
 			if i%1024 == 0 && ctx.Err() != nil {
@@ -365,7 +407,7 @@ func EstimateMeanBatch(ctx context.Context, cfg Config, batch BatchMean) (*stats
 
 	mcRuns.Inc()
 	mcRunWorkers.Observe(float64(effectiveWorkers(cfg.Workers, len(sources))))
-	err := runChunksWith(ctx, cfg.Workers, len(sources), floatScratch,
+	err := runChunksWith(ctx, cfg.Workers, cfg.Helpers, len(sources), floatScratch,
 		func(ctx context.Context, chunk int, out []float64) error {
 			if err := runMeanChunk(ctx, batch, sources[chunk], out[:quotas[chunk]], &sums[chunk]); err != nil {
 				if err == ctx.Err() {

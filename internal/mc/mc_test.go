@@ -132,7 +132,7 @@ func TestEstimateProbabilityPropagatesTrialError(t *testing.T) {
 func TestRunChunksPrefersRootCause(t *testing.T) {
 	sentinel := errors.New("root cause")
 	for i := 0; i < 10; i++ {
-		err := runChunks(context.Background(), 4, 4, func(ctx context.Context, chunk int) error {
+		err := runChunks(context.Background(), 4, nil, 4, func(ctx context.Context, chunk int) error {
 			if chunk == 3 {
 				return sentinel
 			}

@@ -23,8 +23,10 @@ var (
 	mcTrialsPerSec = obs.Default().Gauge("mc_trials_per_sec",
 		"Throughput of the most recent completed run, in trials per second.")
 	mcRunWorkers = obs.Default().Histogram("mc_run_workers",
-		"Effective worker count per run (after GOMAXPROCS default and chunk cap).",
+		"The run's own worker count (after GOMAXPROCS default and chunk cap); borrowed pool slots are not counted.",
 		obs.LogBuckets(1, 2, 9))
+	mcHelperChunks = obs.Default().Counter("mc_helper_chunks_total",
+		"Chunks run on a slot borrowed from a shared pool (Config.Helpers), beside the run's own workers.")
 	mcAdaptiveRounds = obs.Default().Counter("mc_adaptive_rounds_total",
 		"Sampling rounds executed by adaptive runs.")
 	mcAdaptiveStopConverged = obs.Default().Counter("mc_adaptive_stops_total",
@@ -33,9 +35,8 @@ var (
 		"Adaptive runs stopped by reason.", obs.L("reason", "budget"))
 )
 
-// effectiveWorkers mirrors runChunksWith's worker resolution for the
-// worker-split histogram: 0 means GOMAXPROCS, then capped at the chunk
-// count so idle workers are not reported.
+// effectiveWorkers resolves a run's own worker count: 0 means
+// GOMAXPROCS, then capped at the chunk count so no worker starts idle.
 func effectiveWorkers(workers, nChunks int) int {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -50,6 +50,7 @@ import (
 
 	"memreliability/internal/estimator"
 	"memreliability/internal/litmus"
+	"memreliability/internal/mc"
 	"memreliability/internal/memmodel"
 	"memreliability/internal/obs"
 	"memreliability/internal/store"
@@ -75,10 +76,13 @@ const MaxRequestBodyBytes = 1 << 20
 type Config struct {
 	// CacheSize bounds the LRU result cache, in entries. 0 means 1024.
 	CacheSize int
-	// EstimateWorkers bounds concurrent cached-endpoint computations
-	// (estimate, windowdist, litmus). Each admitted computation is
-	// single-streamed, so this is also the endpoint's total CPU
-	// parallelism. 0 means GOMAXPROCS.
+	// EstimateWorkers is the number of worker slots the cached
+	// endpoints' computations (estimate, windowdist, litmus) share, and
+	// so their total CPU parallelism. A computation holds one slot while
+	// it runs, and at most EstimateWorkers run at once; an estimate's
+	// Monte Carlo also borrows idle slots, one chunk at a time (mc.Pool),
+	// so a lone miss fans out over the idle ones. Borrowed slots never
+	// change a response's bytes. 0 means GOMAXPROCS.
 	EstimateWorkers int
 	// SweepWorkers bounds concurrent async sweep jobs. 0 means 1.
 	SweepWorkers int
@@ -194,7 +198,7 @@ type Server struct {
 	jobs    *jobStore
 	metrics *serverMetrics
 	obs     *serveObs
-	sem     chan struct{} // estimate-worker slots
+	pool    *mc.Pool // estimate-worker slots, held by leaders and lent to their Monte Carlo
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -216,7 +220,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:    newJobStore(ctx, cfg.SweepWorkers, cfg.SweepCellWorkers, cfg.QueueDepth, cfg.MaxJobs, so.queueDepth, cfg.RunSweep),
 		metrics: newServerMetrics(),
 		obs:     so,
-		sem:     make(chan struct{}, cfg.EstimateWorkers),
+		pool:    mc.NewPool(cfg.EstimateWorkers),
 		baseCtx: ctx,
 		cancel:  cancel,
 	}
@@ -366,8 +370,8 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, base any) error {
 
 // cached serves one cacheable endpoint: look the canonical key up in the
 // LRU, then (when configured) in the persistent store, and on a full
-// miss run compute behind singleflight and the estimate worker
-// semaphore, caching the encoded body in both tiers. Concurrent
+// miss run compute behind singleflight on one of the estimate worker
+// slots, caching the encoded body in both tiers. Concurrent
 // identical requests share one computation; every path returns the same
 // bytes.
 //
@@ -409,18 +413,16 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, key string, comp
 		}
 		s.metrics.inflight.Add(1)
 		defer s.metrics.inflight.Add(-1)
-		// Refuse before the select: with a free semaphore slot AND a
-		// canceled context both ready, select picks randomly — this
-		// check makes post-Close refusal deterministic.
+		// Refuse before acquiring: Acquire takes a free slot without
+		// looking at the context, so this check is what makes
+		// post-Close refusal deterministic.
 		if s.baseCtx.Err() != nil {
 			return nil, ErrShuttingDown
 		}
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		case <-s.baseCtx.Done():
+		if err := s.pool.Acquire(s.baseCtx); err != nil {
 			return nil, ErrShuttingDown
 		}
+		defer s.pool.Release()
 		// Compute against the server's context, not the request's: the
 		// result is shared with concurrent duplicates and then cached,
 		// so one impatient client must not poison it. The leader's trace
@@ -682,11 +684,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cached(w, r, key, func(ctx context.Context) (any, error) {
-		// Workers: 1 keeps the semaphore, not per-request fan-out, as
-		// the endpoint's parallelism bound — EstimateWorkers concurrent
-		// single-streamed computations, not EstimateWorkers² goroutines.
-		// Results never depend on it.
-		res, err := estimator.EstimateExec(ctx, query, estimator.Exec{Workers: 1})
+		// The leader holds one slot for its own worker; its Monte Carlo
+		// borrows idle slots chunk by chunk, so the endpoint never runs
+		// more than EstimateWorkers chunks at once. Results never
+		// depend on it.
+		res, err := estimator.EstimateExec(ctx, query, estimator.Exec{Workers: 1, Helpers: s.pool})
 		if err != nil {
 			return nil, err
 		}
@@ -755,7 +757,7 @@ func (s *Server) handleWindowDist(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cached(w, r, key, func(ctx context.Context) (any, error) {
-		res, err := estimator.EstimateExec(ctx, query, estimator.Exec{Workers: 1})
+		res, err := estimator.EstimateExec(ctx, query, estimator.Exec{Workers: 1, Helpers: s.pool})
 		if err != nil {
 			return nil, err
 		}

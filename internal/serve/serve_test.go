@@ -578,3 +578,30 @@ func TestRequestBodyLimit(t *testing.T) {
 		t.Fatalf("normal request after over-limit ones: status %d: %s", resp.StatusCode, data)
 	}
 }
+
+// TestMissBodiesIndependentOfSlots: the same misses, computed on an
+// idle server with two estimate worker slots (whose leaders borrow the
+// second slot for their chunks) and on a one-slot server (which has
+// none to lend), return byte-identical bodies.
+func TestMissBodiesIndependentOfSlots(t *testing.T) {
+	_, two := newTestServer(t, Config{EstimateWorkers: 2})
+	_, one := newTestServer(t, Config{EstimateWorkers: 1})
+	for _, body := range []string{
+		`{"model":"TSO","threads":2,"prefix_len":24,"estimator":"mc","trials":65536,"seed":11}`,
+		`{"model":"PSO","threads":3,"prefix_len":16,"estimator":"mc-compiled","trials":16384,"seed":12}`,
+		`{"model":"WO","threads":4,"prefix_len":16,"estimator":"hybrid","trials":30000,"seed":13}`,
+		`{"model":"TSO","threads":3,"prefix_len":16,"estimator":"hybrid","trials":65536,"seed":14,"precision":{"target_rel_err":0.02}}`,
+	} {
+		resp2, body2 := post(t, two.URL+"/v1/estimate", body)
+		resp1, body1 := post(t, one.URL+"/v1/estimate", body)
+		if resp2.StatusCode != http.StatusOK || resp1.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d and %d: %s %s", body, resp2.StatusCode, resp1.StatusCode, body2, body1)
+		}
+		if c2, c1 := resp2.Header.Get("X-Cache"), resp1.Header.Get("X-Cache"); c2 != "miss" || c1 != "miss" {
+			t.Errorf("%s: X-Cache %q and %q, want a miss on both servers", body, c2, c1)
+		}
+		if !bytes.Equal(body2, body1) {
+			t.Errorf("%s: 2-slot and 1-slot bodies differ:\n%s\n%s", body, body2, body1)
+		}
+	}
+}

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"memreliability/internal/estimator"
+	"memreliability/internal/mc"
 	"memreliability/internal/memmodel"
 	"memreliability/internal/obs"
 )
@@ -89,8 +90,10 @@ type Spec struct {
 	Trials int `json:"trials,omitempty"`
 	// Seed is the experiment seed; it fully determines the artifact.
 	Seed uint64 `json:"seed"`
-	// Workers bounds the worker pool sharding cells; 0 means
-	// GOMAXPROCS. Scheduling only — results never depend on it.
+	// Workers is the sweep's budget of worker slots, shared by the
+	// goroutines sharding cells and the Monte Carlo inside them (see
+	// Run); 0 means GOMAXPROCS. Scheduling only — results never depend
+	// on it.
 	Workers int `json:"workers,omitempty"`
 	// StoreProb is p. Zero is honored as a genuine probability (an
 	// all-load program); start from DefaultSpec for the paper's normal
@@ -309,6 +312,14 @@ type Options struct {
 
 // Run expands the spec, shards its cells across the worker pool, and
 // returns the collected artifact with cells in index order.
+//
+// The spec's Workers budget is one slot pool (mc.Pool): each cell
+// goroutine holds a slot while cells remain to be fed, and the Monte
+// Carlo of every cell in flight borrows the free slots one chunk at a
+// time. A goroutine gives its slot back when the feed runs dry, so the
+// last cells in flight can borrow it, and a grid narrower than the
+// budget (a single cell, say) spreads its cells' chunks over the whole
+// budget. Results never depend on which slot ran a chunk.
 func Run(ctx context.Context, spec Spec, opts Options) (*Artifact, error) {
 	norm := spec.Normalized()
 	if err := norm.Validate(); err != nil {
@@ -327,15 +338,8 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Artifact, error) {
 	if budget == 0 {
 		budget = runtime.GOMAXPROCS(0)
 	}
-	// Split the budget across the two parallelism layers instead of
-	// multiplying it: cells share the pool, and each cell's inner Monte
-	// Carlo gets the leftover slice — remainder included, so the slices
-	// always sum to the full budget. A single-cell grid (the memrisk
-	// case) gets the whole budget inside the cell; a wide grid runs its
-	// cells single-streamed. Results are unaffected either way — the mc
-	// harness is deterministic in (seed, trials).
-	inner := estimator.SplitWorkerBudget(budget, len(cells))
-	workers := len(inner)
+	pool := mc.NewPool(budget)
+	workers := min(budget, len(cells))
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -356,8 +360,13 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Artifact, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			if pool.Acquire(runCtx) != nil {
+				return
+			}
+			defer pool.Release()
+			ex := estimator.Exec{Workers: 1, Helpers: pool, Timing: opts.Timing}
 			for idx := range jobs {
-				res, err := runCell(obs.WithSpan(runCtx, spans[idx]), norm, cells[idx], seeds[idx], inner[w], opts.Timing)
+				res, err := runCell(obs.WithSpan(runCtx, spans[idx]), norm, cells[idx], seeds[idx], ex)
 				spans[idx].End()
 				if err != nil {
 					sweepCellsFailed.Inc()
@@ -500,11 +509,10 @@ func CellResultOf(cell Cell, res estimator.Result) CellResult {
 // hybrid) execute on the mc harness's batched hot path — whole chunks
 // per batch call, zero steady-state allocations — which the registry
 // routes give every cell for free; artifacts stay bit-identical to the
-// per-trial era. innerWorkers bounds the cell's Monte Carlo parallelism
-// (scheduling only).
-func runCell(ctx context.Context, spec Spec, cell Cell, seed uint64, innerWorkers int, timing bool) (CellResult, error) {
-	res, err := estimator.Run(ctx, spec.Query(cell), seed,
-		estimator.Exec{Workers: innerWorkers, Timing: timing})
+// per-trial era. ex schedules the cell's Monte Carlo and never changes
+// its result.
+func runCell(ctx context.Context, spec Spec, cell Cell, seed uint64, ex estimator.Exec) (CellResult, error) {
+	res, err := estimator.Run(ctx, spec.Query(cell), seed, ex)
 	if err != nil {
 		return CellResult{Cell: cell, EffectiveM: cell.PrefixLen},
 			fmt.Errorf("sweep: cell %d: %w", cell.Index, err)

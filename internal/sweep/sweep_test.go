@@ -7,11 +7,15 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"memreliability/internal/estimator"
 	"memreliability/internal/mc"
 	"memreliability/internal/memmodel"
+	"memreliability/internal/rng"
 	"memreliability/internal/settle"
 )
 
@@ -386,5 +390,104 @@ func TestThreadScalingValidation(t *testing.T) {
 	}
 	if _, err := ThreadScaling(ctx, []memmodel.Model{memmodel.SC()}, nil, 8, mc.Config{Trials: 10, Seed: 1}); !errors.Is(err, ErrBadSpec) {
 		t.Error("empty ns accepted")
+	}
+}
+
+// TestRunByteIdenticalAcrossPoolBudgets runs grids whose cells span
+// several chunks, fixed and adaptive, narrower than the larger budgets
+// so cells borrow free slots: budgets 1, 2 and 4 must give the same
+// bytes.
+func TestRunByteIdenticalAcrossPoolBudgets(t *testing.T) {
+	spec := DefaultSpec()
+	spec.Models = []string{"TSO"}
+	spec.Threads = []int{3}
+	spec.PrefixLens = []int{16}
+	spec.Estimators = []Kind{FullMC, Hybrid, CompiledMC}
+	spec.Trials = 40000
+	spec.Seed = 21
+	adaptive := spec
+	adaptive.Precision = &estimator.Precision{TargetRelErr: 0.02}
+	for _, base := range []Spec{spec, adaptive} {
+		var want []byte
+		for _, budget := range []int{1, 2, 4} {
+			s := base
+			s.Workers = budget
+			art, err := Run(context.Background(), s, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := art.EncodeJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = buf.Bytes()
+			} else if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("precision %v: artifact at budget %d differs from budget 1's", base.Precision != nil, budget)
+			}
+		}
+	}
+}
+
+// probeKind is a test-only estimator kind whose Monte Carlo releases
+// its chunks only once probeSlots of them run at once.
+const (
+	probeKind  Kind = "pool-probe"
+	probeSlots      = 4
+)
+
+// probeEstimator runs probeSlots chunks, each of which waits at its
+// first batch call until all probeSlots have arrived — so the cell
+// completes only if it gets probeSlots slots at once. A minute without
+// them fails the cell instead of hanging the test.
+type probeEstimator struct{}
+
+func (probeEstimator) Kind() Kind          { return probeKind }
+func (probeEstimator) DisplayName() string { return "pool probe" }
+func (probeEstimator) NeedsTrials() bool   { return true }
+
+func (probeEstimator) Estimate(ctx context.Context, q estimator.Query, seed uint64, ex estimator.Exec) (estimator.Result, error) {
+	var mu sync.Mutex
+	seen := map[*rng.Source]bool{}
+	all := make(chan struct{})
+	batch := func(src *rng.Source, out []uint64, n int) error {
+		mu.Lock()
+		first := !seen[src]
+		if seen[src] = true; first && len(seen) == probeSlots {
+			close(all)
+		}
+		mu.Unlock()
+		if first {
+			select {
+			case <-all:
+			case <-time.After(time.Minute):
+				return errors.New("chunks never ran side by side")
+			}
+		}
+		for i := range out[:mc.BitWords(n)] {
+			out[i] = 0
+		}
+		return nil
+	}
+	cfg := mc.Config{Trials: probeSlots * 8192, Workers: ex.Workers, Helpers: ex.Helpers, Seed: seed}
+	if _, err := mc.EstimateProbabilityBits(ctx, cfg, batch); err != nil {
+		return estimator.Result{}, err
+	}
+	return estimator.Result{Kind: probeKind, EffectiveM: q.PrefixLen}, nil
+}
+
+func init() { estimator.Register(probeEstimator{}) }
+
+// TestSingleCellGridGetsWholeBudget: a one-cell grid at budget 4 runs
+// its cell's chunks on all four slots at once — one held by the cell
+// goroutine, three borrowed.
+func TestSingleCellGridGetsWholeBudget(t *testing.T) {
+	spec := DefaultSpec()
+	spec.Models = []string{"SC"}
+	spec.Estimators = []Kind{probeKind}
+	spec.Trials = 1
+	spec.Workers = probeSlots
+	if _, err := Run(context.Background(), spec, Options{}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,34 +1,45 @@
 #!/bin/sh
 # Smoke-test the memserved daemon over real HTTP: liveness, one estimate,
-# byte-identical repeat with a cache hit, and a clean shutdown. Run by
+# byte-identical repeat with a cache hit, an 8-chunk estimate that is
+# byte-identical on a 2-slot and a 1-slot server (the 2-slot one lending
+# its idle slot to the estimate's chunks), and a clean shutdown. Run by
 # both `make smoke-serve` and the CI smoke-serve job.
 set -eu
 
 ADDR="127.0.0.1:18377"
 BASE="http://$ADDR"
+ADDR1="127.0.0.1:18378"
+BASE1="http://$ADDR1"
 WORKDIR="$(mktemp -d)"
 PID=""
+PID1=""
 
 cleanup() {
-    [ -n "$PID" ] && kill "$PID" 2>/dev/null || true
-    [ -n "$PID" ] && wait "$PID" 2>/dev/null || true
+    for p in $PID $PID1; do
+        kill "$p" 2>/dev/null || true
+        wait "$p" 2>/dev/null || true
+    done
     rm -rf "$WORKDIR"
 }
 trap cleanup EXIT INT TERM
 
 go build -o "$WORKDIR/memserved" ./cmd/memserved
-"$WORKDIR/memserved" -addr "$ADDR" &
+"$WORKDIR/memserved" -addr "$ADDR" -estimate-workers 2 &
 PID=$!
+"$WORKDIR/memserved" -addr "$ADDR1" -estimate-workers 1 -log-requests=false &
+PID1=$!
 
-# Wait for liveness.
-i=0
-until curl -sf "$BASE/healthz" >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -ge 50 ]; then
-        echo "smoke-serve: memserved never became healthy" >&2
-        exit 1
-    fi
-    sleep 0.2
+# Wait for liveness of both servers.
+for base in "$BASE" "$BASE1"; do
+    i=0
+    until curl -sf "$base/healthz" >/dev/null 2>&1; do
+        i=$((i + 1))
+        if [ "$i" -ge 50 ]; then
+            echo "smoke-serve: memserved at $base never became healthy" >&2
+            exit 1
+        fi
+        sleep 0.2
+    done
 done
 echo "smoke-serve: healthz ok"
 
@@ -102,13 +113,36 @@ if ! grep -qi '^x-request-id: ' "$WORKDIR/h1"; then
 fi
 echo "smoke-serve: X-Request-ID present"
 
-# SIGTERM must shut the daemon down cleanly.
-kill "$PID"
-STATUS=0
-wait "$PID" || STATUS=$?
-PID=""
-if [ "$STATUS" -ne 0 ]; then
-    echo "smoke-serve: memserved exited with status $STATUS" >&2
+# A 65,536-trial mc estimate is 8 chunks. The 2-slot server's leader
+# holds one slot and borrows the idle one for chunks; the 1-slot server
+# has none to lend. The bodies must be byte-identical all the same.
+BIG='{"model":"TSO","threads":2,"estimator":"mc","trials":65536,"seed":11}'
+curl -sf -o "$WORKDIR/big2" -H 'Content-Type: application/json' -d "$BIG" "$BASE/v1/estimate"
+curl -sf -o "$WORKDIR/big1" -H 'Content-Type: application/json' -d "$BIG" "$BASE1/v1/estimate"
+if ! cmp -s "$WORKDIR/big2" "$WORKDIR/big1"; then
+    echo "smoke-serve: 8-chunk estimate differs between the 2-slot and 1-slot servers" >&2
+    diff "$WORKDIR/big2" "$WORKDIR/big1" >&2 || true
     exit 1
 fi
+echo "smoke-serve: 8-chunk estimate is byte-identical on 2 slots and 1 slot"
+curl -sf "$BASE/metrics/prom" >"$WORKDIR/prom2"
+if ! grep -qE '^mc_helper_chunks_total [1-9]' "$WORKDIR/prom2"; then
+    echo "smoke-serve: the 2-slot server ran no chunk on a borrowed slot" >&2
+    grep '^mc_helper_chunks_total' "$WORKDIR/prom2" >&2 || true
+    exit 1
+fi
+echo "smoke-serve: the 2-slot server lent its idle slot ($(grep '^mc_helper_chunks_total' "$WORKDIR/prom2"))"
+
+# SIGTERM must shut both daemons down cleanly.
+for p in $PID $PID1; do
+    kill "$p"
+    STATUS=0
+    wait "$p" || STATUS=$?
+    if [ "$STATUS" -ne 0 ]; then
+        echo "smoke-serve: memserved exited with status $STATUS" >&2
+        exit 1
+    fi
+done
+PID=""
+PID1=""
 echo "smoke-serve: clean shutdown"
