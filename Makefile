@@ -8,7 +8,7 @@ GO ?= go
 # Pinned staticcheck (2025.1.1); CI installs exactly this version.
 STATICCHECK_VERSION ?= v0.6.1
 
-.PHONY: all build test bench bench-adaptive bench-bits bench-compare bench-module staticcheck staticcheck-install lint smoke-serve smoke-cluster fuzz-smoke vuln ci
+.PHONY: all build test bench bench-bits bench-compare bench-module staticcheck staticcheck-install lint smoke-serve smoke-cluster fuzz-smoke vuln ci
 
 all: ci
 
@@ -42,16 +42,12 @@ build:
 test:
 	$(GO) test -race ./...
 
-# bench skips the AdaptivePrecision comparison — that one (the most
-# expensive benchmark) runs exactly once, in its own bench-adaptive step.
+# bench runs every root benchmark once, the AdaptivePrecision
+# fixed-vs-adaptive comparison included: both sides meet the same
+# interval target, and the adaptive side reports the trials it actually
+# consumed.
 bench:
-	$(GO) test -bench=. -skip=AdaptivePrecision -benchtime=1x -run='^$$'
-
-# bench-adaptive runs the fixed-vs-adaptive comparison on the same cell:
-# both meet the same interval target, the adaptive side reports the
-# trials it actually consumed.
-bench-adaptive:
-	$(GO) test -bench=AdaptivePrecision -benchtime=1x -run='^$$'
+	$(GO) test -bench=. -benchtime=1x -run='^$$'
 
 # bench-bits is the bit-parallel zero-alloc gate: run just the steady-state
 # chunk scenarios with membench's unconditional zero-alloc check (no
@@ -102,4 +98,4 @@ vuln:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-ci: lint staticcheck build test bench bench-adaptive bench-bits bench-compare bench-module smoke-serve smoke-cluster fuzz-smoke vuln
+ci: lint staticcheck build test bench bench-bits bench-compare bench-module smoke-serve smoke-cluster fuzz-smoke vuln

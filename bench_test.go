@@ -732,7 +732,8 @@ func BenchmarkSweepEngine(b *testing.B) {
 // adaptive estimate-to-target-CI route on one easy cell: both meet a
 // ±0.01 Wilson half-width, but the adaptive run stops as soon as the
 // interval is tight enough instead of burning the whole budget. The
-// per-op times ARE the comparison (run via `make bench-adaptive`).
+// per-op times ARE the comparison (run alone with
+// `go test -bench=AdaptivePrecision -benchtime=1x -run='^$'`).
 func BenchmarkAdaptivePrecision(b *testing.B) {
 	base := estimator.DefaultQuery()
 	base.Kind = estimator.FullMC

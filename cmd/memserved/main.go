@@ -28,8 +28,8 @@
 //
 // Endpoints: POST /v1/estimate, POST /v1/windowdist, GET /v1/litmus,
 // POST /v1/sweeps (+ GET /v1/sweeps, /v1/sweeps/{id},
-// /v1/sweeps/{id}/artifact), GET /healthz, GET /metrics (legacy expvar
-// JSON), GET /metrics/prom (Prometheus text exposition). Every response
+// /v1/sweeps/{id}/artifact), GET /healthz, GET /metrics/prom (Prometheus
+// text exposition, the service's one metrics surface). Every response
 // carries an X-Request-ID; "X-Trace: 1" wraps the response in a span-tree
 // envelope. See the README for the endpoint reference and curl examples.
 package main

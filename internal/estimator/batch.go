@@ -55,61 +55,93 @@ func EstimateBatch(ctx context.Context, queries []Query, opts BatchOptions) ([]R
 		}
 	}
 
-	budget := opts.Workers
+	results := make([]Result, len(norm))
+	var progressMu sync.Mutex
+	err := FanOut(ctx, opts.Workers, len(norm),
+		func(parent *obs.Span, idx int) *obs.Span {
+			return parent.Child("estimate",
+				obs.L("index", strconv.Itoa(idx)),
+				obs.L("kind", string(norm[idx].Kind)))
+		},
+		func(ctx context.Context, idx int, pool *mc.Pool) error {
+			q := norm[idx]
+			res, err := Run(ctx, q, DeriveSeeds(q.Seed, 1)[0],
+				Exec{Workers: 1, Helpers: pool, Timing: opts.Timing})
+			if err != nil {
+				return fmt.Errorf("estimator: batch query %d: %w", idx, err)
+			}
+			results[idx] = res
+			if opts.Progress != nil {
+				progressMu.Lock()
+				opts.Progress(idx, res)
+				progressMu.Unlock()
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("estimator: %w", err)
+	}
+	return results, nil
+}
+
+// FanOut runs item for each index in [0, n) and returns when all have
+// finished. The budget (0 means GOMAXPROCS) is one slot pool (mc.Pool):
+// min(budget, n) goroutines each hold a slot while the feed lasts and
+// give it back when it runs dry, and item receives the pool so its
+// Monte Carlo can borrow the free slots (Exec{Workers: 1, Helpers:
+// pool}). span makes each item's span beneath the context's span; spans
+// are made in the sequential feed, never in the workers, so their order
+// is index order at any budget. The first failure cancels the remaining
+// items, and FanOut returns it in preference to the cancellations it
+// caused. A canceled ctx with no failing item returns nil: callers check
+// ctx.Err() themselves.
+func FanOut(ctx context.Context, budget, n int, span func(parent *obs.Span, idx int) *obs.Span,
+	item func(ctx context.Context, idx int, pool *mc.Pool) error) error {
 	if budget == 0 {
 		budget = runtime.GOMAXPROCS(0)
 	}
 	pool := mc.NewPool(budget)
-	workers := min(budget, len(norm))
-
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	results := make([]Result, len(norm))
-	errs := make([]error, workers)
+	var (
+		wg       sync.WaitGroup
+		errMu    sync.Mutex
+		firstErr error
+	)
 	jobs := make(chan int)
-	var progressMu sync.Mutex
-
-	// Per-query child spans are created in the sequential feed loop below
-	// — never inside the workers — so span order is index order and the
-	// exported trace tree is deterministic at any worker count.
-	parent := obs.SpanFrom(ctx)
-	spans := make([]*obs.Span, len(norm))
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	spans := make([]*obs.Span, n)
+	for range min(budget, n) {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			if pool.Acquire(runCtx) != nil {
 				return
 			}
 			defer pool.Release()
 			for idx := range jobs {
-				q := norm[idx]
-				res, err := Run(obs.WithSpan(runCtx, spans[idx]), q, DeriveSeeds(q.Seed, 1)[0],
-					Exec{Workers: 1, Helpers: pool, Timing: opts.Timing})
+				err := item(obs.WithSpan(runCtx, spans[idx]), idx, pool)
 				spans[idx].End()
 				if err != nil {
-					errs[w] = fmt.Errorf("estimator: batch query %d: %w", idx, err)
+					errMu.Lock()
+					if firstErr == nil || errors.Is(firstErr, context.Canceled) {
+						firstErr = err
+					}
+					errMu.Unlock()
 					cancel()
 					return
 				}
-				results[idx] = res
-				if opts.Progress != nil {
-					progressMu.Lock()
-					opts.Progress(idx, res)
-					progressMu.Unlock()
-				}
 			}
-		}(w)
+		}()
 	}
 
+	parent := obs.SpanFrom(ctx)
 feed:
-	for idx := range norm {
-		spans[idx] = parent.Child("estimate",
-			obs.L("index", strconv.Itoa(idx)),
-			obs.L("kind", string(norm[idx].Kind)))
+	for idx := range n {
+		spans[idx] = span(parent, idx)
 		select {
 		case jobs <- idx:
 		case <-runCtx.Done():
@@ -118,23 +150,5 @@ feed:
 	}
 	close(jobs)
 	wg.Wait()
-
-	// Prefer a root-cause failure over the cancellations it induced in
-	// sibling workers.
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil || errors.Is(firstErr, context.Canceled) {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("estimator: %w", err)
-	}
-	return results, nil
+	return firstErr
 }

@@ -165,11 +165,12 @@ func (p Precision) Validate() error {
 	return nil
 }
 
-// normalized returns a copy with MaxTrials defaulted from the query's
-// fixed trial budget, so a query that spells the default out and one
-// that omits it are identical — and collide wherever canonicalized
-// queries are hashed or cached.
-func (p Precision) normalized(trials int) Precision {
+// Normalized returns a copy with MaxTrials defaulted from the fixed
+// trial budget, so a request that spells the default out and one that
+// omits it are identical — and collide wherever canonicalized queries
+// and sweep specs are hashed or cached. It is the one place that
+// default is written.
+func (p Precision) Normalized(trials int) Precision {
 	if p.MaxTrials == 0 {
 		p.MaxTrials = trials
 	}
@@ -207,7 +208,7 @@ func (q Query) Normalized() Query {
 	if q.Precision != nil {
 		// Clone before defaulting: queries are passed by value, and the
 		// caller's block must not be mutated through the shared pointer.
-		p := q.Precision.normalized(q.Trials)
+		p := q.Precision.Normalized(q.Trials)
 		out.Precision = &p
 	}
 	return out

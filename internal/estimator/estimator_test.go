@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"memreliability/internal/estimator"
+	"memreliability/internal/mc"
+	"memreliability/internal/obs"
 	"memreliability/internal/sweep"
 )
 
@@ -243,6 +246,28 @@ func TestBatchRejectsBadInput(t *testing.T) {
 	bad.Model = "ARM"
 	if _, err := estimator.EstimateBatch(ctx, []estimator.Query{bad}, estimator.BatchOptions{}); !errors.Is(err, estimator.ErrBadQuery) {
 		t.Errorf("bad query err = %v", err)
+	}
+}
+
+// TestFanOutPrefersRootCause pins FanOut's error rule: one item fails,
+// the items beside it see the cancellation that failure causes, and the
+// caller gets the failure, not one of the cancellations.
+func TestFanOutPrefersRootCause(t *testing.T) {
+	sentinel := errors.New("root cause")
+	const n = 4
+	for run := 0; run < 10; run++ {
+		err := estimator.FanOut(context.Background(), n, n,
+			func(parent *obs.Span, idx int) *obs.Span { return parent.Child("item") },
+			func(ctx context.Context, idx int, _ *mc.Pool) error {
+				if idx == n-1 {
+					return sentinel
+				}
+				<-ctx.Done() // held until the last item's failure cancels the run
+				return fmt.Errorf("item %d: %w", idx, ctx.Err())
+			})
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("run %d: err = %v, want the root-cause failure", run, err)
+		}
 	}
 }
 

@@ -44,18 +44,13 @@ func mcConfig(q Query, seed uint64, ex Exec) mc.Config {
 }
 
 // adaptiveConfig translates a precision-carrying query into the adaptive
-// harness configuration. The query must be normalized (Precision cloned,
-// MaxTrials defaulted), which Estimate/EstimateBatch/sweep dispatch all
-// guarantee; the MaxTrials fallback repeats the default defensively for
+// harness configuration. Estimate, EstimateBatch and sweep dispatch
+// normalize the query first; normalizing the block again here covers
 // direct Run callers.
 func adaptiveConfig(q Query, seed uint64, ex Exec) mc.AdaptiveConfig {
-	p := *q.Precision
-	max := p.MaxTrials
-	if max == 0 {
-		max = q.Trials
-	}
+	p := q.Precision.Normalized(q.Trials)
 	return mc.AdaptiveConfig{
-		MaxTrials:       max,
+		MaxTrials:       p.MaxTrials,
 		Workers:         ex.Workers,
 		Helpers:         ex.Helpers,
 		Seed:            seed,

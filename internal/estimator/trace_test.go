@@ -9,23 +9,11 @@ import (
 	"memreliability/internal/obs"
 )
 
-// traceQuery is a small adaptive full-MC query: adaptive rounds are the
-// span-richest path (per-round children under the dispatch span).
-func traceQuery() estimator.Query {
-	q := estimator.DefaultQuery()
-	q.Model = "TSO"
-	q.Kind = estimator.FullMC
-	q.Trials = 40000
-	q.Seed = 7
-	q.Precision = &estimator.Precision{TargetHalfWidth: 1e-3}
-	return q
-}
-
-func runTraced(t *testing.T, workers int) string {
+func runTraced(t *testing.T, q estimator.Query, workers int) string {
 	t.Helper()
 	root := obs.NewTrace("estimate")
 	ctx := obs.WithSpan(context.Background(), root)
-	if _, err := estimator.EstimateExec(ctx, traceQuery(), estimator.Exec{Workers: workers}); err != nil {
+	if _, err := estimator.EstimateExec(ctx, q, estimator.Exec{Workers: workers}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -35,18 +23,33 @@ func runTraced(t *testing.T, workers int) string {
 // TestSpanTreeDeterministic is the tentpole's span-determinism
 // guarantee: the same (query, seed) yields the identical span structure
 // — names, nesting, attributes — run to run and at any worker count,
-// because spans are created only at sequential barriers.
+// because spans are created only at sequential barriers. The inputs are
+// a small adaptive full-MC query, the span-richest path (per-round
+// children under the dispatch span), and a fixed query of the default
+// kind, hybrid, whose mean run shows its chunk sweep and merge.
 func TestSpanTreeDeterministic(t *testing.T) {
-	first := runTraced(t, 1)
-	if !strings.Contains(first, "estimator.dispatch[kind=mc]") {
-		t.Fatalf("trace missing dispatch span:\n%s", first)
-	}
-	if !strings.Contains(first, "mc.round[") {
-		t.Fatalf("trace missing adaptive round spans:\n%s", first)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		if got := runTraced(t, workers); got != first {
-			t.Errorf("span structure differs at workers=%d:\n%s\nwant:\n%s", workers, got, first)
+	adaptive := estimator.DefaultQuery()
+	adaptive.Model, adaptive.Kind, adaptive.Trials, adaptive.Seed = "TSO", estimator.FullMC, 40000, 7
+	adaptive.Precision = &estimator.Precision{TargetHalfWidth: 1e-3}
+	fixed := estimator.DefaultQuery()
+	fixed.Model, fixed.Trials, fixed.Seed = "TSO", 40000, 7
+	for _, tc := range []struct {
+		q     estimator.Query
+		spans []string
+	}{
+		{adaptive, []string{"estimator.dispatch[kind=mc]", "mc.round["}},
+		{fixed, []string{"estimator.dispatch[kind=hybrid]", "mc.chunks[chunks=5 trials=40000]", "mc.merge"}},
+	} {
+		first := runTraced(t, tc.q, 1)
+		for _, span := range tc.spans {
+			if !strings.Contains(first, span) {
+				t.Fatalf("%s trace missing %s:\n%s", tc.q.Kind, span, first)
+			}
+		}
+		for _, workers := range []int{1, 2, 4} {
+			if got := runTraced(t, tc.q, workers); got != first {
+				t.Errorf("%s span structure differs at workers=%d:\n%s\nwant:\n%s", tc.q.Kind, workers, got, first)
+			}
 		}
 	}
 }

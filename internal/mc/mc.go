@@ -253,6 +253,26 @@ func (r *Result) WilsonCI(level float64) (lo, hi float64, err error) {
 	return r.Proportion.WilsonCI(level)
 }
 
+// runFixed runs every chunk of a fixed-trial run under one mc.chunks
+// span and records the run on the harness metrics, mc_trials_per_sec
+// only when every chunk completed. Spans mark sequential barriers only
+// (this one and the caller's mc.merge), never chunks, so the chunk loop
+// stays allocation-free.
+func runFixed[S any](ctx context.Context, cfg Config, nChunks int, newScratch func() S, fn func(ctx context.Context, chunk int, scratch S) error) error {
+	mcRuns.Inc()
+	mcRunWorkers.Observe(float64(effectiveWorkers(cfg.Workers, nChunks)))
+	start := time.Now()
+	span := obs.SpanFrom(ctx).Child("mc.chunks",
+		obs.L("chunks", strconv.Itoa(nChunks)),
+		obs.L("trials", strconv.Itoa(cfg.Trials)))
+	err := runChunksWith(ctx, cfg.Workers, cfg.Helpers, nChunks, newScratch, fn)
+	span.End()
+	if elapsed := time.Since(start).Seconds(); err == nil && elapsed > 0 {
+		mcTrialsPerSec.Set(float64(cfg.Trials) / elapsed)
+	}
+	return err
+}
+
 // EstimateProbabilityBits runs cfg.Trials trials of the bitset trial in
 // parallel and returns the aggregated proportion. Chunks are evaluated
 // whole — one bitset call per chunk (sliced only at cancellation
@@ -272,17 +292,7 @@ func EstimateProbabilityBits(ctx context.Context, cfg Config, batch BatchTrialBi
 	successes := make([]int, len(sources))
 	trialsRun := make([]int, len(sources))
 
-	mcRuns.Inc()
-	mcRunWorkers.Observe(float64(effectiveWorkers(cfg.Workers, len(sources))))
-	start := time.Now()
-	// Spans mark the run's sequential barriers only — one for the whole
-	// chunk sweep, one for the in-order merge — never per chunk, so the
-	// chunk loop itself stays allocation-free.
-	span := obs.SpanFrom(ctx).Child("mc.chunks",
-		obs.L("chunks", strconv.Itoa(len(sources))),
-		obs.L("trials", strconv.Itoa(cfg.Trials)))
-
-	runErr := runChunksWith(ctx, cfg.Workers, cfg.Helpers, len(sources), wordScratch,
+	runErr := runFixed(ctx, cfg, len(sources), wordScratch,
 		func(ctx context.Context, chunk int, words []uint64) error {
 			n, err := runProbChunk(ctx, batch, sources[chunk], words, quotas[chunk])
 			if err != nil {
@@ -297,10 +307,6 @@ func EstimateProbabilityBits(ctx context.Context, cfg Config, batch BatchTrialBi
 			mcTrials.Add(int64(quotas[chunk]))
 			return nil
 		})
-	span.End()
-	if elapsed := time.Since(start).Seconds(); runErr == nil && elapsed > 0 {
-		mcTrialsPerSec.Set(float64(cfg.Trials) / elapsed)
-	}
 
 	merge := obs.SpanFrom(ctx).Child("mc.merge")
 	result := &Result{}
@@ -405,9 +411,7 @@ func EstimateMeanBatch(ctx context.Context, cfg Config, batch BatchMean) (*stats
 	sources, quotas := chunkPlan(cfg)
 	sums := make([]stats.Summary, len(sources))
 
-	mcRuns.Inc()
-	mcRunWorkers.Observe(float64(effectiveWorkers(cfg.Workers, len(sources))))
-	err := runChunksWith(ctx, cfg.Workers, cfg.Helpers, len(sources), floatScratch,
+	err := runFixed(ctx, cfg, len(sources), floatScratch,
 		func(ctx context.Context, chunk int, out []float64) error {
 			if err := runMeanChunk(ctx, batch, sources[chunk], out[:quotas[chunk]], &sums[chunk]); err != nil {
 				if err == ctx.Err() {
@@ -423,9 +427,11 @@ func EstimateMeanBatch(ctx context.Context, cfg Config, batch BatchMean) (*stats
 		return nil, err
 	}
 
+	merge := obs.SpanFrom(ctx).Child("mc.merge")
 	var merged stats.Summary
 	for _, s := range sums {
 		merged = stats.MergeSummaries(merged, s)
 	}
+	merge.End()
 	return &merged, nil
 }

@@ -19,7 +19,6 @@ import (
 // no pattern lands on the routeUnmatched series.
 var routePatterns = []string{
 	"GET /healthz",
-	"GET /metrics",
 	"GET /metrics/prom",
 	"GET /v1/litmus",
 	"POST /v1/estimate",
@@ -40,13 +39,16 @@ type routeMetrics struct {
 }
 
 // serveObs is the server's observability state: a per-server metrics
-// registry (so independent servers — and tests — never collide, exactly
-// like the expvar set), the pre-resolved per-route handles, and the
-// request-ID generator.
+// registry (so independent servers — and tests — never collide), the
+// pre-resolved handles every serve event is counted on, each at exactly
+// one site, and the request-ID generator.
 type serveObs struct {
-	reg        *obs.Registry
-	routes     map[string]*routeMetrics
-	queueDepth *obs.Gauge
+	reg          *obs.Registry
+	routes       map[string]*routeMetrics
+	computations *obs.Counter // leader computations, served or not
+	inflight     *obs.Gauge   // leader computations running now
+	jobsAccepted *obs.Counter // sweep jobs newly enqueued
+	queueDepth   *obs.Gauge
 
 	idPrefix  string
 	idCounter atomic.Uint64
@@ -83,6 +85,12 @@ func newServeObs() *serveObs {
 		}
 		o.routes[pattern] = rm
 	}
+	o.computations = o.reg.Counter("serve_computations_total",
+		"Leader computations of the cached endpoints, counted whether or not the response reaches the client.")
+	o.inflight = o.reg.Gauge("serve_computations_inflight",
+		"Leader computations running now, including those waiting for an estimate worker slot.")
+	o.jobsAccepted = o.reg.Counter("serve_jobs_accepted_total",
+		"Sweep jobs newly enqueued (a resubmitted identical spec is not counted).")
 	o.queueDepth = o.reg.Gauge("serve_job_queue_depth",
 		"Sweep jobs queued and not yet picked up by a worker.")
 	return o

@@ -13,10 +13,10 @@ import (
 	"memreliability/internal/obs"
 )
 
-// TestMetricsPromExposition exercises the Prometheus endpoint: format
-// headers, HELP/TYPE lines for the server families, per-route request
-// counting, and the engine's per-kind estimator counter climbing after
-// an estimate.
+// TestMetricsPromExposition exercises the Prometheus endpoint, the
+// server's only metrics surface: format headers, HELP/TYPE lines for the
+// server families, per-route request counting, and the engine's per-kind
+// estimator counter climbing after an estimate.
 func TestMetricsPromExposition(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -39,6 +39,11 @@ func TestMetricsPromExposition(t *testing.T) {
 		"# TYPE serve_requests_total counter",
 		"# TYPE serve_request_seconds histogram",
 		"# TYPE serve_job_queue_depth gauge",
+		"# TYPE serve_computations_total counter",
+		"# TYPE serve_computations_inflight gauge",
+		"# TYPE serve_jobs_accepted_total counter",
+		"serve_computations_total 1",
+		"serve_computations_inflight 0",
 		`serve_requests_total{route="GET /healthz"} 1`,
 		`serve_requests_total{route="POST /v1/estimate"} 1`,
 		`serve_cache_events_total{route="POST /v1/estimate",state="miss"} 1`,
@@ -64,6 +69,10 @@ func TestMetricsPromExposition(t *testing.T) {
 		t.Error(`exposition missing estimator_queries_total{kind="exact"}`)
 	}
 	assertMonotoneBuckets(t, text)
+
+	if resp, _ := get(t, ts.URL+"/metrics"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /metrics status %d, want 404", resp.StatusCode)
+	}
 }
 
 // assertMonotoneBuckets checks every histogram series in the exposition
@@ -247,14 +256,17 @@ func TestFailedWriteCountsNothing(t *testing.T) {
 	}
 	req := httptest.NewRequest("GET", "/v1/litmus", nil)
 
+	// The request never went through the mux, so it counts on the
+	// unmatched route's series.
+	cache := srv.obs.route(req.Pattern).cache
 	srv.cached(&brokenWriter{}, req, "k", compute)
-	if got := srv.metrics.misses.Value(); got != 0 {
+	if got := cache["miss"].Value(); got != 0 {
 		t.Errorf("misses = %d after failed write, want 0", got)
 	}
-	if got := srv.metrics.hits.Value(); got != 0 {
+	if got := cache["hit"].Value(); got != 0 {
 		t.Errorf("hits = %d after failed write, want 0", got)
 	}
-	if got := srv.metrics.computations.Value(); got != 1 {
+	if got := srv.obs.computations.Value(); got != 1 {
 		t.Errorf("computations = %d, want 1 (work happened)", got)
 	}
 
@@ -263,10 +275,10 @@ func TestFailedWriteCountsNothing(t *testing.T) {
 	if got := rec.Header().Get("X-Cache"); got != "hit" {
 		t.Errorf("second serve X-Cache = %q, want hit (bytes were cached)", got)
 	}
-	if got := srv.metrics.hits.Value(); got != 1 {
+	if got := cache["hit"].Value(); got != 1 {
 		t.Errorf("hits = %d after successful write, want 1", got)
 	}
-	if got := srv.metrics.computations.Value(); got != 1 {
+	if got := srv.obs.computations.Value(); got != 1 {
 		t.Errorf("computations = %d, want still 1", got)
 	}
 }

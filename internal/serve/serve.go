@@ -22,7 +22,7 @@
 //	GET  /v1/sweeps/{id}           poll one job
 //	GET  /v1/sweeps/{id}/artifact  fetch the finished versioned artifact
 //	GET  /healthz                  liveness
-//	GET  /metrics                  expvar counters (hits, misses, …)
+//	GET  /metrics/prom             Prometheus text exposition
 //
 // JSON request bodies are read up to MaxRequestBodyBytes (1 MiB); a
 // longer body is answered with 413.
@@ -39,19 +39,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
-	"strings"
 	"time"
 
 	"memreliability/internal/estimator"
 	"memreliability/internal/litmus"
 	"memreliability/internal/mc"
-	"memreliability/internal/memmodel"
 	"memreliability/internal/obs"
 	"memreliability/internal/store"
 	"memreliability/internal/sweep"
@@ -144,61 +141,17 @@ func (c Config) validate() error {
 	return nil
 }
 
-// serverMetrics are the service's expvar counters. They live on the
-// server (not the process-global expvar registry) so independent servers
-// — and tests — never collide.
-type serverMetrics struct {
-	vars *expvar.Map
-
-	requests     *expvar.Int   // HTTP requests served
-	hits         *expvar.Int   // cache hits
-	misses       *expvar.Int   // cache misses (one per leader computation)
-	dedup        *expvar.Int   // requests that shared an in-flight computation
-	diskHits     *expvar.Int   // persistent-store hits (second tier, behind the LRU)
-	computations *expvar.Int   // estimator executions (== misses; counted inside the leader)
-	inflight     *expvar.Int   // computations currently running
-	jobsAccepted *expvar.Int   // sweep jobs enqueued
-	latencyMS    *expvar.Float // cumulative request latency, milliseconds
-}
-
-// newServerMetrics builds the counter set.
-func newServerMetrics() *serverMetrics {
-	m := &serverMetrics{
-		vars:         new(expvar.Map).Init(),
-		requests:     new(expvar.Int),
-		hits:         new(expvar.Int),
-		misses:       new(expvar.Int),
-		dedup:        new(expvar.Int),
-		diskHits:     new(expvar.Int),
-		computations: new(expvar.Int),
-		inflight:     new(expvar.Int),
-		jobsAccepted: new(expvar.Int),
-		latencyMS:    new(expvar.Float),
-	}
-	m.vars.Set("requests", m.requests)
-	m.vars.Set("cache_hits", m.hits)
-	m.vars.Set("cache_misses", m.misses)
-	m.vars.Set("dedup_shared", m.dedup)
-	m.vars.Set("cache_disk_hits", m.diskHits)
-	m.vars.Set("computations", m.computations)
-	m.vars.Set("inflight", m.inflight)
-	m.vars.Set("jobs_accepted", m.jobsAccepted)
-	m.vars.Set("latency_ms_total", m.latencyMS)
-	return m
-}
-
 // Server is the estimation service. It implements http.Handler; pair it
 // with an http.Server (see cmd/memserved) or httptest for tests. Close
 // releases its background workers.
 type Server struct {
-	cfg     Config
-	mux     *http.ServeMux
-	cache   *lruCache
-	flight  *flightGroup
-	jobs    *jobStore
-	metrics *serverMetrics
-	obs     *serveObs
-	pool    *mc.Pool // estimate-worker slots, held by leaders and lent to their Monte Carlo
+	cfg    Config
+	mux    *http.ServeMux
+	cache  *lruCache
+	flight *flightGroup
+	jobs   *jobStore
+	obs    *serveObs
+	pool   *mc.Pool // estimate-worker slots, held by leaders and lent to their Monte Carlo
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -218,14 +171,12 @@ func New(cfg Config) (*Server, error) {
 		cache:   newLRUCache(cfg.CacheSize),
 		flight:  newFlightGroup(),
 		jobs:    newJobStore(ctx, cfg.SweepWorkers, cfg.SweepCellWorkers, cfg.QueueDepth, cfg.MaxJobs, so.queueDepth, cfg.RunSweep),
-		metrics: newServerMetrics(),
 		obs:     so,
 		pool:    mc.NewPool(cfg.EstimateWorkers),
 		baseCtx: ctx,
 		cancel:  cancel,
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /metrics/prom", s.handleMetricsProm)
 	s.mux.HandleFunc("GET /v1/litmus", s.handleLitmus)
 	s.mux.HandleFunc("POST /v1/estimate", s.handleEstimate)
@@ -251,11 +202,11 @@ func (s *Server) Close() {
 // client when well-formed, generated otherwise), a per-route latency
 // observation, an optional structured log record, and — when the client
 // sends "X-Trace: 1" — a response envelope carrying the request's span
-// tree around the byte-for-byte original body. The legacy expvar
-// counters (requests, latency_ms_total) keep their exact semantics.
+// tree around the byte-for-byte original body. The request and its
+// latency are counted once, on the route's series, when the handler
+// returns.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	s.metrics.requests.Add(1)
 
 	reqID := s.obs.requestID(r.Header.Get("X-Request-ID"))
 	w.Header().Set("X-Request-ID", reqID)
@@ -276,7 +227,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(out, r)
 
 	elapsed := time.Since(start)
-	s.metrics.latencyMS.Add(float64(elapsed) / float64(time.Millisecond))
 	route := r.Pattern
 	if route == "" {
 		route = routeUnmatched
@@ -375,11 +325,11 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, base any) error {
 // identical requests share one computation; every path returns the same
 // bytes.
 //
-// Cache-outcome counters (hits, misses, dedup and the per-route obs
-// series) are incremented only after the body write succeeds: a client
-// that disconnects mid-stream received nothing, and counting it would
-// overcount served traffic. The execution counters (computations,
-// inflight) stay inside the leader — they measure estimator work, which
+// The route's cache-outcome series is incremented only after the body
+// write succeeds: a client that disconnects mid-stream received nothing,
+// and counting it would overcount served traffic. The computation
+// series (serve_computations_total, serve_computations_inflight) are
+// updated inside the leader — they measure estimator work, which
 // happens whether or not the bytes land.
 func (s *Server) cached(w http.ResponseWriter, r *http.Request, key string, compute func(ctx context.Context) (any, error)) {
 	span := obs.SpanFrom(r.Context())
@@ -411,8 +361,8 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, key string, comp
 			leaderState = "disk"
 			return body, nil
 		}
-		s.metrics.inflight.Add(1)
-		defer s.metrics.inflight.Add(-1)
+		s.obs.inflight.Add(1)
+		defer s.obs.inflight.Add(-1)
 		// Refuse before acquiring: Acquire takes a free slot without
 		// looking at the context, so this check is what makes
 		// post-Close refusal deterministic.
@@ -428,7 +378,7 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, key string, comp
 		// so one impatient client must not poison it. The leader's trace
 		// span rides along (scheduling metadata only — the computation
 		// itself is deterministic in the query).
-		s.metrics.computations.Add(1)
+		s.obs.computations.Inc()
 		cspan := span.Child("compute")
 		v, err := compute(obs.WithSpan(s.baseCtx, cspan))
 		cspan.End()
@@ -469,22 +419,12 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, key string, comp
 }
 
 // countServed writes a cacheable body with its X-Cache state and, only
-// if the write fully succeeds, counts the cache outcome on both the
-// expvar counters and the per-route obs series. A failed write (client
-// gone mid-stream) counts nothing — the satellite-6 overcounting fix.
+// if the write fully succeeds, counts the cache outcome on the route's
+// serve_cache_events_total series. A failed write (client gone
+// mid-stream) counts nothing.
 func (s *Server) countServed(w http.ResponseWriter, r *http.Request, state string, body []byte) {
 	if err := writeCached(w, state, body); err != nil {
 		return
-	}
-	switch state {
-	case "hit":
-		s.metrics.hits.Add(1)
-	case "miss":
-		s.metrics.misses.Add(1)
-	case "dedup":
-		s.metrics.dedup.Add(1)
-	case "disk":
-		s.metrics.diskHits.Add(1)
 	}
 	s.obs.route(r.Pattern).cacheEvent(state)
 }
@@ -531,17 +471,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}{"ok"})
 }
 
-// handleMetrics serves the server's expvar counters as JSON. The key
-// set — latency_ms_total included — is frozen for backward
-// compatibility; the per-endpoint histograms live at /metrics/prom.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintln(w, s.metrics.vars.String())
-}
-
 // handleMetricsProm serves the Prometheus text exposition: the server's
-// own registry (per-route request/latency/cache series, job-queue
-// depth) followed by the process-global registry (estimator, mc, core,
+// own registry (per-route request/latency/cache series, computations,
+// accepted jobs, job-queue depth) followed by the process-global registry (estimator, mc, core,
 // sweep engine metrics). The two registries use disjoint name prefixes,
 // so the concatenation is a valid exposition.
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
@@ -650,17 +582,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorStatus(err), err)
 		return
 	}
-	req.Estimator = sweep.Kind(strings.ToLower(string(req.Estimator)))
-	req.Model = canonicalModelName(req.Model)
-	// Canonicalize the precision echo like the model name: the cache is
-	// keyed by the normalized query (MaxTrials defaulted from trials),
-	// so requests spelling the default out and omitting it share one
-	// entry — the echoed body must therefore be the normalized form, or
-	// the bytes a given request receives would depend on which variant
-	// populated the cache first.
-	if req.Precision != nil && req.Precision.MaxTrials == 0 {
-		req.Precision.MaxTrials = req.Trials
-	}
+	// The cache is keyed by the normalized query, so requests differing
+	// only in casing or in spelling the MaxTrials default out share one
+	// entry. The echo must therefore be the normalized form too, or the
+	// bytes a request receives would depend on which variant populated
+	// the cache first.
+	query := req.query().Normalized()
+	req.Estimator, req.Model, req.Precision = query.Kind, query.Model, query.Precision
 	if req.Estimator == sweep.WindowDist {
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("%w: estimator windowdist has its own endpoint, POST /v1/windowdist", ErrBadRequest))
@@ -673,7 +601,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("%w: exact estimator requires threads=2, got %d", ErrBadRequest, req.Threads))
 		return
 	}
-	query := req.query()
 	if err := query.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -745,8 +672,8 @@ func (s *Server) handleWindowDist(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorStatus(err), err)
 		return
 	}
-	req.Model = canonicalModelName(req.Model)
-	query := req.query()
+	query := req.query().Normalized()
+	req.Model = query.Model
 	if err := query.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -798,7 +725,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	code := http.StatusOK
 	if created {
 		code = http.StatusAccepted
-		s.metrics.jobsAccepted.Add(1)
+		s.obs.jobsAccepted.Inc()
 	}
 	w.Header().Set("Location", "/v1/sweeps/"+status.ID)
 	writeJSON(w, code, status)
@@ -837,17 +764,6 @@ func (s *Server) handleSweepArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
-}
-
-// canonicalModelName rewrites a model name to its canonical casing
-// ("tso" → "TSO") so case-variant identical requests share one cache
-// entry and one in-flight computation. Unresolvable names pass through
-// for validation to reject.
-func canonicalModelName(name string) string {
-	if m, err := memmodel.ByName(name); err == nil {
-		return m.Name()
-	}
-	return name
 }
 
 // queryKey derives the cache key of a fully-defaulted request from its

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -62,22 +63,25 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 	return resp, data
 }
 
-// metric reads one counter from /metrics.
-func metric(t *testing.T, baseURL, name string) float64 {
+// metric reads one series, named with its labels exactly as the
+// exposition prints it, from /metrics/prom.
+func metric(t *testing.T, baseURL, series string) float64 {
 	t.Helper()
-	resp, body := get(t, baseURL+"/metrics")
+	resp, body := get(t, baseURL+"/metrics/prom")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status %d", resp.StatusCode)
+		t.Fatalf("/metrics/prom status %d", resp.StatusCode)
 	}
-	var m map[string]float64
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatalf("parse metrics %q: %v", body, err)
+	for _, line := range strings.Split(string(body), "\n") {
+		if value, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatalf("parse %q: %v", line, err)
+			}
+			return v
+		}
 	}
-	v, ok := m[name]
-	if !ok {
-		t.Fatalf("metrics missing %q in %q", name, body)
-	}
-	return v
+	t.Fatalf("/metrics/prom has no series %s", series)
+	return 0
 }
 
 func TestHealthz(t *testing.T) {
@@ -125,11 +129,11 @@ func TestEstimateCacheByteIdentical(t *testing.T) {
 	if out.Result.EffectiveM != sweep.ExactPrefixCap {
 		t.Errorf("effective_m = %d, want %d", out.Result.EffectiveM, sweep.ExactPrefixCap)
 	}
-	if hits := metric(t, ts.URL, "cache_hits"); hits < 1 {
-		t.Errorf("cache_hits = %v, want ≥ 1", hits)
+	if hits := metric(t, ts.URL, `serve_cache_events_total{route="POST /v1/estimate",state="hit"}`); hits < 1 {
+		t.Errorf("cache hits = %v, want ≥ 1", hits)
 	}
-	if comps := metric(t, ts.URL, "computations"); comps != 1 {
-		t.Errorf("computations = %v, want 1", comps)
+	if comps := metric(t, ts.URL, "serve_computations_total"); comps != 1 {
+		t.Errorf("serve_computations_total = %v, want 1", comps)
 	}
 }
 
@@ -174,8 +178,8 @@ func TestEstimateSingleflight(t *testing.T) {
 			t.Fatalf("body %d differs:\n%s\n%s", i, bodies[0], bodies[i])
 		}
 	}
-	if comps := metric(t, ts.URL, "computations"); comps != 1 {
-		t.Errorf("computations = %v, want 1 (singleflight + cache)", comps)
+	if comps := metric(t, ts.URL, "serve_computations_total"); comps != 1 {
+		t.Errorf("serve_computations_total = %v, want 1 (singleflight + cache)", comps)
 	}
 }
 
@@ -344,6 +348,9 @@ func TestSweepJobLifecycle(t *testing.T) {
 	}
 	if dup.ID != status.ID {
 		t.Fatalf("resubmit job %q, want %q", dup.ID, status.ID)
+	}
+	if got := metric(t, ts.URL, "serve_jobs_accepted_total"); got != 1 {
+		t.Errorf("serve_jobs_accepted_total = %v, want 1 (the resubmission is not a new job)", got)
 	}
 
 	deadline := time.After(30 * time.Second)

@@ -26,7 +26,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 // TestDiskTierSharedStore covers the persistent second cache tier: a
 // fresh server sharing a warm store directory serves byte-identical
 // bodies with X-Cache: disk, promotes them into its LRU, and counts the
-// outcome on both the expvar counter and the obs cache series.
+// outcome on the route's disk cache series.
 func TestDiskTierSharedStore(t *testing.T) {
 	dir := t.TempDir()
 	body := `{"model":"SC","estimator":"exact","threads":2,"prefix_len":12}`
@@ -56,22 +56,12 @@ func TestDiskTierSharedStore(t *testing.T) {
 	if !bytes.Equal(data1, data3) {
 		t.Fatal("post-promotion body differs")
 	}
-	if got := metric(t, ts2.URL, "cache_disk_hits"); got != 1 {
-		t.Fatalf("cache_disk_hits = %v, want 1", got)
+	const disk = `serve_cache_events_total{route="POST /v1/estimate",state="disk"}`
+	if got := metric(t, ts2.URL, disk); got != 1 {
+		t.Fatalf("server 2 disk hits = %v, want 1", got)
 	}
-	if got := metric(t, ts1.URL, "cache_disk_hits"); got != 0 {
-		t.Fatalf("server 1 cache_disk_hits = %v, want 0", got)
-	}
-
-	// The obs cache series carries the new state alongside the existing
-	// ones.
-	resp4, prom := get(t, ts2.URL+"/metrics/prom")
-	if resp4.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics/prom status %d", resp4.StatusCode)
-	}
-	want := `serve_cache_events_total{route="POST /v1/estimate",state="disk"} 1`
-	if !strings.Contains(string(prom), want) {
-		t.Fatalf("exposition missing %q", want)
+	if got := metric(t, ts1.URL, disk); got != 0 {
+		t.Fatalf("server 1 disk hits = %v, want 0", got)
 	}
 }
 

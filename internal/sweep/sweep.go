@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -152,13 +151,10 @@ func (s Spec) Normalized() Spec {
 		out.Estimators = []Kind{Hybrid}
 	}
 	if s.Precision != nil {
-		// Clone and fill the MaxTrials default, exactly as the estimator
-		// normalizes a query's precision block — so specs differing only
-		// in spelling the default out hash to the same content address.
-		p := *s.Precision
-		if p.MaxTrials == 0 {
-			p.MaxTrials = s.Trials
-		}
+		// The estimator's rule, on a clone: specs differing only in
+		// spelling the MaxTrials default out hash to the same content
+		// address.
+		p := s.Precision.Normalized(s.Trials)
 		out.Precision = &p
 	}
 	return out
@@ -334,85 +330,33 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Artifact, error) {
 	// derivation).
 	seeds := estimator.DeriveSeeds(norm.Seed, len(cells))
 
-	budget := norm.Workers
-	if budget == 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	pool := mc.NewPool(budget)
-	workers := min(budget, len(cells))
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	results := make([]CellResult, len(cells))
-	errs := make([]error, workers)
-	jobs := make(chan int)
 	var sinkMu sync.Mutex
-
-	// Per-cell child spans are created here in the sequential feed loop —
-	// never inside the workers — so span order is cell-index order and
-	// the exported trace tree is deterministic at any worker count.
-	parent := obs.SpanFrom(ctx)
-	spans := make([]*obs.Span, len(cells))
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if pool.Acquire(runCtx) != nil {
-				return
+	err := estimator.FanOut(ctx, norm.Workers, len(cells),
+		func(parent *obs.Span, idx int) *obs.Span {
+			return parent.Child("sweep.cell",
+				obs.L("index", strconv.Itoa(idx)),
+				obs.L("model", cells[idx].Model),
+				obs.L("kind", string(cells[idx].Estimator)))
+		},
+		func(ctx context.Context, idx int, pool *mc.Pool) error {
+			res, err := runCell(ctx, norm, cells[idx], seeds[idx],
+				estimator.Exec{Workers: 1, Helpers: pool, Timing: opts.Timing})
+			if err != nil {
+				sweepCellsFailed.Inc()
+				return err
 			}
-			defer pool.Release()
-			ex := estimator.Exec{Workers: 1, Helpers: pool, Timing: opts.Timing}
-			for idx := range jobs {
-				res, err := runCell(obs.WithSpan(runCtx, spans[idx]), norm, cells[idx], seeds[idx], ex)
-				spans[idx].End()
-				if err != nil {
-					sweepCellsFailed.Inc()
-					errs[w] = err
-					cancel()
-					return
-				}
-				sweepCellsCompleted.Inc()
-				results[idx] = res
-				if opts.Sink != nil {
-					sinkMu.Lock()
-					opts.Sink(res)
-					sinkMu.Unlock()
-				}
+			sweepCellsCompleted.Inc()
+			results[idx] = res
+			if opts.Sink != nil {
+				sinkMu.Lock()
+				opts.Sink(res)
+				sinkMu.Unlock()
 			}
-		}(w)
-	}
-
-feed:
-	for idx := range cells {
-		spans[idx] = parent.Child("sweep.cell",
-			obs.L("index", strconv.Itoa(idx)),
-			obs.L("model", cells[idx].Model),
-			obs.L("kind", string(cells[idx].Estimator)))
-		select {
-		case jobs <- idx:
-		case <-runCtx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	// Prefer a root-cause cell failure over the cancellations it induced
-	// in sibling workers.
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil || errors.Is(firstErr, context.Canceled) {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)

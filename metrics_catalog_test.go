@@ -4,16 +4,19 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 )
 
 // TestMetricCatalogCoversEngineMetrics holds README.md's metric catalog
-// to the engine registry: every family EngineMetrics exposes must appear
-// in README.md as a whole backticked name, `name` or `name{…}`. A
-// substring match is not enough: it would accept `mc_trials_per_sec`
-// inside a misspelled `mc_trials_per_second`.
+// to the whole exposition a server writes at /metrics/prom — its own
+// serve_* registry followed by the engine registry (EngineMetrics):
+// every family there must appear in README.md as a whole backticked
+// name, `name` or `name{…}`. A substring match is not enough: it would
+// accept `mc_trials_per_sec` inside a misspelled `mc_trials_per_second`.
 func TestMetricCatalogCoversEngineMetrics(t *testing.T) {
 	// One query per estimator kind registers the families that appear
 	// only on first use (the per-kind estimator series).
@@ -24,16 +27,22 @@ func TestMetricCatalogCoversEngineMetrics(t *testing.T) {
 			t.Fatalf("%s query: %v", kind, err)
 		}
 	}
-	var exposition bytes.Buffer
-	if err := EngineMetrics().WritePrometheus(&exposition); err != nil {
+	srv, err := NewServer(ServeConfig{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer srv.Close()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics/prom", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics/prom status %d", rec.Code)
 	}
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	families := 0
-	scanner := bufio.NewScanner(&exposition)
+	scanner := bufio.NewScanner(rec.Body)
 	for scanner.Scan() {
 		fields := strings.Fields(scanner.Text())
 		if len(fields) != 4 || fields[0] != "#" || fields[1] != "TYPE" {
@@ -46,6 +55,6 @@ func TestMetricCatalogCoversEngineMetrics(t *testing.T) {
 		}
 	}
 	if families == 0 {
-		t.Fatal("the engine registry exposed no metric families")
+		t.Fatal("/metrics/prom exposed no metric families")
 	}
 }

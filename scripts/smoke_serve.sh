@@ -1,6 +1,7 @@
 #!/bin/sh
 # Smoke-test the memserved daemon over real HTTP: liveness, one estimate,
-# byte-identical repeat with a cache hit, an 8-chunk estimate that is
+# byte-identical repeat with a cache hit counted on /metrics/prom (the
+# only metrics surface; GET /metrics is 404), an 8-chunk estimate that is
 # byte-identical on a 2-slot and a 1-slot server (the 2-slot one lending
 # its idle slot to the estimate's chunks), and a clean shutdown. Run by
 # both `make smoke-serve` and the CI smoke-serve job.
@@ -61,19 +62,28 @@ if ! grep -qi '^x-cache: hit' "$WORKDIR/h2"; then
     cat "$WORKDIR/h2" >&2
     exit 1
 fi
-if ! curl -sf "$BASE/metrics" | grep -q '"cache_hits": *[1-9]'; then
-    echo "smoke-serve: metrics report no cache hits" >&2
-    curl -sf "$BASE/metrics" >&2 || true
+curl -sf "$BASE/metrics/prom" >"$WORKDIR/prom"
+if ! grep -qE '^serve_cache_events_total\{route="POST /v1/estimate",state="hit"\} [1-9]' "$WORKDIR/prom"; then
+    echo "smoke-serve: /metrics/prom reports no estimate cache hit" >&2
+    grep '^serve_cache_events_total' "$WORKDIR/prom" >&2 || true
     exit 1
 fi
 echo "smoke-serve: second request hit the cache"
 
+# /metrics/prom is the only metrics surface.
+STATUS=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/metrics")
+if [ "$STATUS" != 404 ]; then
+    echo "smoke-serve: GET /metrics answered $STATUS, want 404" >&2
+    exit 1
+fi
+
 # The Prometheus exposition must be well-formed: HELP/TYPE headers, the
 # per-kind estimator counter raised by the estimates above, and
 # monotone (cumulative) histogram buckets.
-curl -sf "$BASE/metrics/prom" >"$WORKDIR/prom"
 for want in '# HELP serve_requests_total' '# TYPE serve_requests_total counter' \
-            '# TYPE serve_request_seconds histogram' '# TYPE estimator_queries_total counter'; do
+            '# TYPE serve_request_seconds histogram' '# TYPE estimator_queries_total counter' \
+            '# TYPE serve_computations_total counter' '# TYPE serve_computations_inflight gauge' \
+            '# TYPE serve_jobs_accepted_total counter'; do
     if ! grep -qF "$want" "$WORKDIR/prom"; then
         echo "smoke-serve: /metrics/prom missing \"$want\"" >&2
         cat "$WORKDIR/prom" >&2
