@@ -76,10 +76,11 @@ func (c Config) Validate() error {
 	if c.PrefixLen < 0 {
 		return fmt.Errorf("%w: prefix length %d", ErrBadConfig, c.PrefixLen)
 	}
-	if c.StoreProb < 0 || c.StoreProb > 1 {
+	// Positive range checks, so that NaN fails them.
+	if !(0 <= c.StoreProb && c.StoreProb <= 1) {
 		return fmt.Errorf("%w: store probability %v", ErrBadConfig, c.StoreProb)
 	}
-	if c.SwapProb < 0 || c.SwapProb > 1 {
+	if !(0 <= c.SwapProb && c.SwapProb <= 1) {
 		return fmt.Errorf("%w: swap probability %v", ErrBadConfig, c.SwapProb)
 	}
 	return nil
@@ -135,7 +136,8 @@ func (c Config) ManifestTrial(src *rng.Source) (bool, error) {
 // ExactTwoThreadPrA returns the exact (up to finite-m truncation, bracketed
 // in the interval) value of Pr[A] for n = 2 under the configured model:
 // Pr[A] = (2/3)·E[2^-Γ], with E[2^-Γ] computed from the settling DP's
-// exact window distribution.
+// exact window distribution, read through settle.DefaultWindowCache so
+// the DP runs once per (model rows, m, p, s).
 //
 // The config's Threads field must be 2 and PrefixLen must be within the
 // DP's exact range.
@@ -147,7 +149,7 @@ func ExactTwoThreadPrA(cfg Config) (analytic.Interval, error) {
 		return analytic.Interval{}, fmt.Errorf("%w: ExactTwoThreadPrA needs n=2, got %d",
 			ErrBadConfig, cfg.Threads)
 	}
-	pmf, err := settle.ExactWindowDist(cfg.Model, cfg.PrefixLen, cfg.StoreProb, cfg.SwapProb, cfg.PrefixLen)
+	pmf, err := settle.DefaultWindowCache().WindowDist(cfg.Model, cfg.PrefixLen, cfg.StoreProb, cfg.SwapProb, cfg.PrefixLen)
 	if err != nil {
 		return analytic.Interval{}, fmt.Errorf("core: %w", err)
 	}

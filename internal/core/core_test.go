@@ -23,6 +23,8 @@ func TestConfigValidate(t *testing.T) {
 		{Model: memmodel.SC(), Threads: 2, PrefixLen: -1, StoreProb: 0.5, SwapProb: 0.5},
 		{Model: memmodel.SC(), Threads: 2, PrefixLen: 4, StoreProb: 1.5, SwapProb: 0.5},
 		{Model: memmodel.SC(), Threads: 2, PrefixLen: 4, StoreProb: 0.5, SwapProb: -1},
+		{Model: memmodel.SC(), Threads: 2, PrefixLen: 4, StoreProb: math.NaN(), SwapProb: 0.5},
+		{Model: memmodel.SC(), Threads: 2, PrefixLen: 4, StoreProb: 0.5, SwapProb: math.NaN()},
 	}
 	for i, cfg := range cases {
 		if err := cfg.Validate(); !errors.Is(err, ErrBadConfig) {

@@ -1,15 +1,15 @@
 package core
 
 import (
-	"container/list"
 	"math"
-	"sync"
+
+	"memreliability/internal/lru"
 )
 
 // The plan cache memoizes compiled Programs by canonical query key, so
 // repeated queries (sweep cells, serve traffic, cluster dispatches that
-// vary only seed/trials) pay the compile exactly once. Entries compile
-// under a per-entry once outside the cache lock — concurrent first
+// vary only seed/trials) pay the compile exactly once. It is an
+// lru.Cache: entries compile outside the cache lock — concurrent first
 // lookups of one key block on a single compile, never duplicate it — and
 // eviction only forgets the cache's reference: a Program is immutable
 // and owns its scratch pool, so in-flight batch calls on an evicted
@@ -54,93 +54,36 @@ func planKeyOf(c Config) planKey {
 	}
 }
 
-// planEntry is one cache slot. The once runs BuildIR+Compile exactly
-// once per entry lifetime; both the program and the error are cached.
-type planEntry struct {
-	key  planKey
-	once sync.Once
-	prog *Program
-	err  error
-}
-
-// PlanCache is a concurrency-safe LRU cache of compiled Programs.
+// PlanCache is a concurrency-safe LRU cache of compiled Programs. Both
+// the program and the compile error are cached per key.
 type PlanCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[planKey]*list.Element
-	order   *list.List // front = most recently used; values are *planEntry
+	plans *lru.Cache[planKey, *Program]
 }
 
 // NewPlanCache returns a cache holding at most capacity compiled plans
 // (minimum 1).
 func NewPlanCache(capacity int) *PlanCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &PlanCache{
-		cap:     capacity,
-		entries: make(map[planKey]*list.Element),
-		order:   list.New(),
-	}
+	return &PlanCache{plans: lru.New[planKey, *Program](capacity, corePlanCacheHits, corePlanCacheEvictions)}
 }
 
 // Lookup returns the compiled program for the config, compiling it on
 // first use. Concurrent lookups of the same key share one compile.
 func (pc *PlanCache) Lookup(cfg Config) (*Program, error) {
-	key := planKeyOf(cfg)
-	pc.mu.Lock()
-	el, ok := pc.entries[key]
-	if ok {
-		pc.order.MoveToFront(el)
-	} else {
-		el = pc.order.PushFront(&planEntry{key: key})
-		pc.entries[key] = el
-		for pc.order.Len() > pc.cap {
-			oldest := pc.order.Back()
-			pc.order.Remove(oldest)
-			delete(pc.entries, oldest.Value.(*planEntry).key)
-			corePlanCacheEvictions.Inc()
-		}
-	}
-	e := el.Value.(*planEntry)
-	pc.mu.Unlock()
-	if ok {
-		corePlanCacheHits.Inc()
-	}
-	e.once.Do(func() {
+	return pc.plans.Get(planKeyOf(cfg), func() (*Program, error) {
 		ir, err := cfg.BuildIR()
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.prog, e.err = ir.Compile()
+		return ir.Compile()
 	})
-	return e.prog, e.err
 }
 
 // Len reports the number of cached plans (compiled or compiling).
-func (pc *PlanCache) Len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.order.Len()
-}
+func (pc *PlanCache) Len() int { return pc.plans.Len() }
 
 // SetCap adjusts the capacity (minimum 1), evicting least-recently-used
 // plans as needed. Evicted programs stay valid for holders.
-func (pc *PlanCache) SetCap(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.cap = capacity
-	for pc.order.Len() > pc.cap {
-		oldest := pc.order.Back()
-		pc.order.Remove(oldest)
-		delete(pc.entries, oldest.Value.(*planEntry).key)
-		corePlanCacheEvictions.Inc()
-	}
-}
+func (pc *PlanCache) SetCap(capacity int) { pc.plans.SetCap(capacity) }
 
 // defaultPlanCache serves every compiled-path entry point in the package.
 var defaultPlanCache = NewPlanCache(DefaultPlanCacheCap)

@@ -194,7 +194,10 @@ func (hybridEstimator) Estimate(ctx context.Context, q Query, seed uint64, ex Ex
 	return res, nil
 }
 
-// windowDistEstimator tabulates the exact Pr[B_γ] distribution.
+// windowDistEstimator tabulates the exact Pr[B_γ] distribution. It reads
+// the DP through settle.DefaultWindowCache, which the exact kind's
+// core.ExactTwoThreadPrA shares: one DP per (model rows, m, p, s) serves
+// every maxGamma and both kinds.
 type windowDistEstimator struct{}
 
 func (windowDistEstimator) Kind() Kind          { return WindowDist }
@@ -217,7 +220,7 @@ func (windowDistEstimator) Estimate(ctx context.Context, q Query, seed uint64, e
 	if maxGamma > m {
 		maxGamma = m
 	}
-	pmf, err := settle.ExactWindowDist(model, m, q.StoreProb, q.SwapProb, maxGamma)
+	pmf, err := settle.DefaultWindowCache().WindowDist(model, m, q.StoreProb, q.SwapProb, maxGamma)
 	if err != nil {
 		return res, fmt.Errorf("estimator: %w", err)
 	}

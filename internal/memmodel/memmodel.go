@@ -249,7 +249,7 @@ type SwapProbabilities struct {
 // Uniform returns the paper's normal form: every relaxed pair swaps with
 // the same probability s.
 func Uniform(s float64) (SwapProbabilities, error) {
-	if s < 0 || s > 1 {
+	if !(0 <= s && s <= 1) { // NaN fails too
 		return SwapProbabilities{}, fmt.Errorf("%w: swap probability %v not in [0,1]", ErrBadModel, s)
 	}
 	return SwapProbabilities{def: s}, nil
@@ -258,12 +258,12 @@ func Uniform(s float64) (SwapProbabilities, error) {
 // NewSwapProbabilities returns per-pair probabilities; pairs not listed use
 // the default def.
 func NewSwapProbabilities(def float64, perPair map[Pair]float64) (SwapProbabilities, error) {
-	if def < 0 || def > 1 {
+	if !(0 <= def && def <= 1) { // NaN fails too
 		return SwapProbabilities{}, fmt.Errorf("%w: default swap probability %v", ErrBadModel, def)
 	}
 	sp := SwapProbabilities{def: def, probs: make(map[Pair]float64, len(perPair))}
 	for p, v := range perPair {
-		if v < 0 || v > 1 {
+		if !(0 <= v && v <= 1) {
 			return SwapProbabilities{}, fmt.Errorf("%w: swap probability %v for %v/%v",
 				ErrBadModel, v, p.Prev, p.Moving)
 		}

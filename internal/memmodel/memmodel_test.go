@@ -2,6 +2,7 @@ package memmodel
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -164,6 +165,9 @@ func TestUniformSwapProbabilities(t *testing.T) {
 	if _, err := Uniform(1.1); !errors.Is(err, ErrBadModel) {
 		t.Error("s > 1 accepted")
 	}
+	if _, err := Uniform(math.NaN()); !errors.Is(err, ErrBadModel) {
+		t.Error("NaN s accepted")
+	}
 	sp, err := Uniform(0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -198,6 +202,12 @@ func TestPerPairSwapProbabilities(t *testing.T) {
 	}
 	if _, err := NewSwapProbabilities(-1, nil); !errors.Is(err, ErrBadModel) {
 		t.Error("bad default accepted")
+	}
+	if _, err := NewSwapProbabilities(math.NaN(), nil); !errors.Is(err, ErrBadModel) {
+		t.Error("NaN default accepted")
+	}
+	if _, err := NewSwapProbabilities(0.5, map[Pair]float64{{Store, Load}: math.NaN()}); !errors.Is(err, ErrBadModel) {
+		t.Error("NaN per-pair probability accepted")
 	}
 }
 

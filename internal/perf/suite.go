@@ -4,12 +4,14 @@ import (
 	"context"
 	"testing"
 
+	"memreliability/internal/analytic"
 	"memreliability/internal/core"
 	"memreliability/internal/estimator"
 	"memreliability/internal/mc"
 	"memreliability/internal/memmodel"
 	"memreliability/internal/obs"
 	"memreliability/internal/rng"
+	"memreliability/internal/settle"
 	"memreliability/internal/stats"
 )
 
@@ -91,22 +93,37 @@ func Suite() []Scenario {
 	return []Scenario{
 		{
 			ID:          "exact-dp/tso-n2-m14",
-			Description: "exact n=2 dynamic program (Theorem 6.2), TSO, m=14",
+			Description: "one uncached exact n=2 evaluation (Theorem 6.2): the window DP, SegmentMGF and TwoThreadPrA, TSO, m=14",
 			Bench: func(b *testing.B) {
 				b.ReportAllocs()
-				cfg := core.Config{Model: memmodel.TSO(), Threads: 2, PrefixLen: 14,
-					StoreProb: 0.5, SwapProb: 0.5}
 				for i := 0; i < b.N; i++ {
-					if _, err := core.ExactTwoThreadPrA(cfg); err != nil {
+					pmf, err := settle.ExactWindowDist(memmodel.TSO(), 14, 0.5, 0.5, 14)
+					if err != nil {
 						b.Fatal(err)
+					}
+					mgf, err := analytic.SegmentMGF(pmf)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if iv := analytic.TwoThreadPrA(mgf); iv.Lo > iv.Hi {
+						b.Fatal("empty Pr[A] interval")
 					}
 				}
 			},
 		},
 		{
 			ID:          "windowdist/tso-m14",
-			Description: "exact window distribution Pr[B_γ] through the estimator registry, TSO, m=14",
-			Bench:       benchEstimate(query(estimator.WindowDist, "TSO", 2, 14, 0, 1)),
+			Description: "one uncached exact window distribution Pr[B_γ] (settle.ExactWindowDist), TSO, m=14, γ ≤ 8",
+			Bench: func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					pmf, err := settle.ExactWindowDist(memmodel.TSO(), 14, 0.5, 0.5, 8)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sink += pmf.Len()
+				}
+			},
 		},
 		{
 			ID:          "fixed-mc/tso-n2-m24-16k",

@@ -71,7 +71,7 @@ func (p Params) Validate() error {
 	if p.PrefixLen < 0 {
 		return fmt.Errorf("%w: prefix length %d", ErrBadProgram, p.PrefixLen)
 	}
-	if p.StoreProb < 0 || p.StoreProb > 1 {
+	if !(0 <= p.StoreProb && p.StoreProb <= 1) { // NaN fails too
 		return fmt.Errorf("%w: store probability %v", ErrBadProgram, p.StoreProb)
 	}
 	return nil

@@ -82,6 +82,9 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(Params{PrefixLen: 1, StoreProb: 1.5}, src); !errors.Is(err, ErrBadProgram) {
 		t.Error("bad probability accepted")
 	}
+	if _, err := Generate(Params{PrefixLen: 1, StoreProb: math.NaN()}, src); !errors.Is(err, ErrBadProgram) {
+		t.Error("NaN probability accepted")
+	}
 	if _, err := Generate(DefaultParams(1), nil); !errors.Is(err, ErrBadProgram) {
 		t.Error("nil source accepted")
 	}

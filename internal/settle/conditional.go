@@ -24,7 +24,7 @@ func ConditionalWindowDist(model memmodel.Model, prefix []memmodel.OpType, s flo
 	if model.Name() == "" {
 		return nil, fmt.Errorf("%w: zero-value model", ErrBadInput)
 	}
-	if s < 0 || s > 1 {
+	if !(0 <= s && s <= 1) { // NaN fails too
 		return nil, fmt.Errorf("%w: swap probability %v", ErrBadInput, s)
 	}
 	m := len(prefix)

@@ -17,6 +17,9 @@ func TestConditionalWindowDistValidation(t *testing.T) {
 	if _, err := ConditionalWindowDist(memmodel.SC(), nil, 1.5); !errors.Is(err, ErrBadInput) {
 		t.Error("bad s accepted")
 	}
+	if _, err := ConditionalWindowDist(memmodel.SC(), nil, math.NaN()); !errors.Is(err, ErrBadInput) {
+		t.Error("NaN s accepted")
+	}
 	fence := []memmodel.OpType{memmodel.FenceAcquire}
 	if _, err := ConditionalWindowDist(memmodel.WO(), fence, 0.5); !errors.Is(err, ErrBadInput) {
 		t.Error("fence prefix accepted")

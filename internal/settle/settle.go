@@ -196,14 +196,22 @@ const maxExactPrefix = 18
 //
 // This is a finite-m ground truth for Theorem 4.1 (whose closed forms take
 // m → ∞); the finite-size discrepancy decays geometrically in m.
+//
+// Every call runs the DP; WindowCache.WindowDist returns the same PMF bit
+// for bit and runs it once per distinct input.
 func ExactWindowDist(model memmodel.Model, m int, pStore, s float64, maxGamma int) (*dist.PMF, error) {
-	if err := validateExactArgs(model, m, pStore, s); err != nil {
+	if err := validateWindowArgs(model, m, pStore, s, maxGamma); err != nil {
 		return nil, err
 	}
-	if maxGamma < 0 {
-		return nil, fmt.Errorf("%w: maxGamma=%d", ErrBadInput, maxGamma)
-	}
-	d := newDP(model, s)
+	return dist.NewPMF(newDP(model, s).windowMass(m, pStore, maxGamma))
+}
+
+// windowMass runs the window DP and tabulates Pr[B_γ] for γ ∈ [0,
+// maxGamma]. Each mass[γ] receives the same additions in the same order
+// whatever maxGamma is, so a shorter table is a bit-identical prefix of
+// a longer one.
+func (d dp) windowMass(m int, pStore float64, maxGamma int) []float64 {
+	settleWindowDPEvaluations.Inc()
 	strings := d.prefixStringDist(m, pStore)
 	mass := make([]float64, maxGamma+1)
 	for mask, w := range strings {
@@ -212,7 +220,7 @@ func ExactWindowDist(model memmodel.Model, m int, pStore, s float64, maxGamma in
 		}
 		d.accumWindow(uint64(mask), m, w, mass)
 	}
-	return dist.NewPMF(mass)
+	return mass
 }
 
 // The exact DP works on type strings encoded as masks: bit j is the type
@@ -425,6 +433,8 @@ func BottomStoreDensity(model memmodel.Model, m int, pStore, s float64) ([]float
 	return out, nil
 }
 
+// validateExactArgs checks the exact DPs' shared inputs. The probability
+// checks are written positively so that NaN fails them.
 func validateExactArgs(model memmodel.Model, m int, pStore, s float64) error {
 	if model.Name() == "" {
 		return fmt.Errorf("%w: zero-value model", ErrBadInput)
@@ -432,11 +442,22 @@ func validateExactArgs(model memmodel.Model, m int, pStore, s float64) error {
 	if m < 0 || m > maxExactPrefix {
 		return fmt.Errorf("%w: prefix length %d (need 0 ≤ m ≤ %d)", ErrBadInput, m, maxExactPrefix)
 	}
-	if pStore < 0 || pStore > 1 {
+	if !(0 <= pStore && pStore <= 1) {
 		return fmt.Errorf("%w: store probability %v", ErrBadInput, pStore)
 	}
-	if s < 0 || s > 1 {
+	if !(0 <= s && s <= 1) {
 		return fmt.Errorf("%w: swap probability %v", ErrBadInput, s)
+	}
+	return nil
+}
+
+// validateWindowArgs checks a window-distribution query.
+func validateWindowArgs(model memmodel.Model, m int, pStore, s float64, maxGamma int) error {
+	if err := validateExactArgs(model, m, pStore, s); err != nil {
+		return err
+	}
+	if maxGamma < 0 {
+		return fmt.Errorf("%w: maxGamma=%d", ErrBadInput, maxGamma)
 	}
 	return nil
 }

@@ -314,6 +314,12 @@ func TestExactWindowDistValidation(t *testing.T) {
 	if _, err := ExactWindowDist(memmodel.SC(), 5, 0.5, -1, 5); !errors.Is(err, ErrBadInput) {
 		t.Error("bad s accepted")
 	}
+	if _, err := ExactWindowDist(memmodel.TSO(), 4, math.NaN(), 0.5, 4); !errors.Is(err, ErrBadInput) {
+		t.Error("NaN pStore accepted")
+	}
+	if _, err := ExactWindowDist(memmodel.TSO(), 4, 0.5, math.NaN(), 4); !errors.Is(err, ErrBadInput) {
+		t.Error("NaN s accepted")
+	}
 	if _, err := ExactWindowDist(memmodel.SC(), 5, 0.5, 0.5, -1); !errors.Is(err, ErrBadInput) {
 		t.Error("negative maxGamma accepted")
 	}

@@ -202,7 +202,7 @@ func Theorem61(n int, productExpectation float64) (float64, error) {
 	if n < 2 {
 		return 0, fmt.Errorf("%w: n=%d", ErrBadInput, n)
 	}
-	if productExpectation < 0 || productExpectation > 1 {
+	if !(0 <= productExpectation && productExpectation <= 1) { // NaN fails too
 		return 0, fmt.Errorf("%w: expectation %v not in [0,1]", ErrBadInput, productExpectation)
 	}
 	c, err := CorollaryC(n)

@@ -37,6 +37,9 @@ func TestValidation(t *testing.T) {
 	if _, err := Theorem61(1, 0.5); !errors.Is(err, ErrBadInput) {
 		t.Error("Theorem61 n=1 accepted")
 	}
+	if _, err := Theorem61(2, math.NaN()); !errors.Is(err, ErrBadInput) {
+		t.Error("Theorem61 NaN expectation accepted")
+	}
 	if _, err := Theorem61(3, 1.5); !errors.Is(err, ErrBadInput) {
 		t.Error("Theorem61 expectation 1.5 accepted")
 	}

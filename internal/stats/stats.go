@@ -385,7 +385,7 @@ func Quantile(data []float64, q float64) (float64, error) {
 	if len(data) == 0 {
 		return 0, fmt.Errorf("%w: empty data", ErrBadInput)
 	}
-	if q < 0 || q > 1 {
+	if !(0 <= q && q <= 1) { // NaN fails too
 		return 0, fmt.Errorf("%w: quantile %v", ErrBadInput, q)
 	}
 	sorted := make([]float64, len(data))

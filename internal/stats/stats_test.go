@@ -335,6 +335,9 @@ func TestQuantile(t *testing.T) {
 	if _, err := Quantile(data, 1.5); !errors.Is(err, ErrBadInput) {
 		t.Error("q=1.5 accepted")
 	}
+	if _, err := Quantile(data, math.NaN()); !errors.Is(err, ErrBadInput) {
+		t.Error("q=NaN accepted")
+	}
 	q, err = Quantile([]float64{0, 10}, 0.25)
 	if err != nil || math.Abs(q-2.5) > 1e-12 {
 		t.Errorf("interpolated quantile = %v, %v", q, err)

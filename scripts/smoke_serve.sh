@@ -3,8 +3,9 @@
 # byte-identical repeat with a cache hit counted on /metrics/prom (the
 # only metrics surface; GET /metrics is 404), an 8-chunk estimate that is
 # byte-identical on a 2-slot and a 1-slot server (the 2-slot one lending
-# its idle slot to the estimate's chunks), and a clean shutdown. Run by
-# both `make smoke-serve` and the CI smoke-serve job.
+# its idle slot to the estimate's chunks), two window distributions that
+# share one cached DP, and a clean shutdown. Run by both
+# `make smoke-serve` and the CI smoke-serve job.
 set -eu
 
 ADDR="127.0.0.1:18377"
@@ -142,6 +143,26 @@ if ! grep -qE '^mc_helper_chunks_total [1-9]' "$WORKDIR/prom2"; then
     exit 1
 fi
 echo "smoke-serve: the 2-slot server lent its idle slot ($(grep '^mc_helper_chunks_total' "$WORKDIR/prom2"))"
+
+# exact and windowdist read one cached settling DP per (model rows, m, p,
+# s). prefix_len 48 clamps to 16, so the second request is a new
+# response-cache key but no new DP: between the two reads the DP runs
+# exactly once and the window cache serves at least one hit.
+counter() { awk -v name="$1" '$1 == name { print $2 }' "$2"; }
+curl -sf "$BASE/metrics/prom" >"$WORKDIR/prom3"
+for len in 16 48; do
+    curl -sf -o "$WORKDIR/wd$len" -H 'Content-Type: application/json' \
+        -d "{\"model\":\"WO\",\"prefix_len\":$len}" "$BASE/v1/windowdist"
+done
+curl -sf "$BASE/metrics/prom" >"$WORKDIR/prom4"
+EVALS=$(( $(counter settle_window_dp_evaluations_total "$WORKDIR/prom4") - $(counter settle_window_dp_evaluations_total "$WORKDIR/prom3") ))
+HITS=$(( $(counter settle_window_cache_hits_total "$WORKDIR/prom4") - $(counter settle_window_cache_hits_total "$WORKDIR/prom3") ))
+if [ "$EVALS" -ne 1 ] || [ "$HITS" -lt 1 ]; then
+    echo "smoke-serve: windowdist at prefix_len 16 and 48 ran $EVALS DPs with $HITS window-cache hits, want 1 and at least 1" >&2
+    grep '^settle_window' "$WORKDIR/prom3" "$WORKDIR/prom4" >&2 || true
+    exit 1
+fi
+echo "smoke-serve: windowdist at prefix_len 16 and 48 shared one DP ($EVALS evaluation, $HITS hit)"
 
 # SIGTERM must shut both daemons down cleanly.
 for p in $PID $PID1; do
