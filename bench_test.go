@@ -423,7 +423,7 @@ func BenchmarkTheorem63ThreadScaling(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.HybridPrA(context.Background(), cfg,
-			mc.Config{Trials: 2000, Seed: uint64(i)}); err != nil {
+			mc.AdaptiveConfig{MaxTrials: 2000, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -452,4 +452,11 @@ func TestWorkerRejectsOversizedBatch(t *testing.T) {
 	if code, data := send(batch); code != http.StatusOK {
 		t.Fatalf("normal batch after an oversized one: status %d: %s", code, data)
 	}
+	// A cell whose trial budget is over mc.TrialLimit is a permanent
+	// 400 too, refused before any chunk plan is allocated.
+	huge := `{"cells":[{"index":0,"query":{"kind":"mc","model":"TSO","threads":2,"prefix_len":8,` +
+		`"store_prob":0.5,"swap_prob":0.5,"trials":9223372036854775807},"seed":1}]}`
+	if code, data := send(huge); code != http.StatusBadRequest {
+		t.Errorf("cell with trials 2^63-1: status %d, want 400 (%s)", code, data)
+	}
 }

@@ -265,14 +265,12 @@ func (c *Coordinator) RunSweep(ctx context.Context, spec sweep.Spec, opts sweep.
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 
-	// Merge in canonical cell-index order; the echo omits the worker
-	// budget exactly as the single-node engine does, so the artifact
-	// bytes match memsweep -o.
-	echo := norm
-	echo.Workers = 0
+	// Merge in canonical cell-index order; the echo is the spec's
+	// identity, as in the single-node engine, so the artifact bytes
+	// match memsweep -o.
 	return &sweep.Artifact{
 		SchemaVersion: sweep.ArtifactVersion,
-		Spec:          echo,
+		Spec:          spec.Identity(),
 		Cells:         results,
 	}, nil
 }

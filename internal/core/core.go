@@ -16,6 +16,8 @@
 //     E[Π_{i=1}^{n-1} 2^-i·Γᵢ] estimated by Monte Carlo on the compiled
 //     engine's products fill (ProductBatch) — this reaches the
 //     e^{-Θ(n²)} regime of Theorem 6.3 that direct simulation cannot.
+//     It is one mc run, to a fixed trial budget or, when the
+//     mc.AdaptiveConfig carries a target, to a precision on Pr[A].
 package core
 
 import (
@@ -31,7 +33,6 @@ import (
 	"memreliability/internal/rng"
 	"memreliability/internal/settle"
 	"memreliability/internal/shift"
-	"memreliability/internal/stats"
 )
 
 // ErrBadConfig reports an invalid experiment configuration.
@@ -170,18 +171,9 @@ func (c Config) ProductTrial(src *rng.Source) (float64, error) {
 	return productOf(segments), nil
 }
 
-// EstimateProductExpectation estimates E[Π_{i=1}^{n-1} 2^-i·Γᵢ] by Monte
-// Carlo, on the harness's batched hot path (bit-identical to the
-// per-trial route).
-func EstimateProductExpectation(ctx context.Context, cfg Config, mcCfg mc.Config) (*stats.Summary, error) {
-	batch, err := cfg.ProductBatch()
-	if err != nil {
-		return nil, err
-	}
-	return mc.EstimateMeanBatch(ctx, mcCfg, batch)
-}
-
-// HybridResult is the outcome of a Theorem 6.1 hybrid estimation.
+// HybridResult is the outcome of a Theorem 6.1 hybrid estimation: the
+// estimate, its product expectation, and the sampling cost and stopping
+// diagnosis of the Monte Carlo run behind it.
 type HybridResult struct {
 	// PrA is the estimated non-manifestation probability.
 	PrA float64
@@ -192,12 +184,19 @@ type HybridResult struct {
 	ProductExpectation float64
 	// StdErr is the standard error of ProductExpectation.
 	StdErr float64
+	// TrialsUsed is the number of product-expectation trials consumed.
+	TrialsUsed int
+	// Rounds is the number of chunk-aligned sampling rounds of a run
+	// with a precision target (0 for a fixed run).
+	Rounds int
+	// StopReason is mc.StopConverged or mc.StopBudget for a run with a
+	// target, empty for a fixed run.
+	StopReason mc.StopReason
 }
 
 // hybridResultFrom assembles a HybridResult from an estimated product
-// expectation — the single Theorem 6.1 plug-in point shared by the
-// fixed-trials and adaptive routes, so the positivity guard and the
-// log-space recomputation cannot drift apart.
+// expectation — the single Theorem 6.1 plug-in point, holding the
+// positivity guard and the log-space recomputation.
 func hybridResultFrom(cfg Config, expectation, stdErr float64) (*HybridResult, error) {
 	if expectation <= 0 {
 		return nil, fmt.Errorf("%w: product expectation estimate %v not positive "+
@@ -229,12 +228,38 @@ func hybridResultFrom(cfg Config, expectation, stdErr float64) (*HybridResult, e
 // the product expectation into the exact Theorem 6.1 formula. Unlike full
 // simulation it remains accurate deep in the e^{-Θ(n²)} regime, because the
 // n-dependent combinatorial factors are computed analytically.
-func HybridPrA(ctx context.Context, cfg Config, mcCfg mc.Config) (*HybridResult, error) {
-	sum, err := EstimateProductExpectation(ctx, cfg, mcCfg)
+//
+// The expectation is one mc.EstimateMeanAdaptiveBatch run over
+// ProductBatch: a fixed run of run.MaxTrials trials when run has no
+// target, else a run to that precision on Pr[A] itself. The
+// estimate is the analytic constant K(n) = Theorem61(n, 1) times the
+// expectation, so a relative-error target transfers to the expectation
+// unchanged, and an absolute half-width target rescales by 1/K(n)
+// (division by an underflowed K yields +Inf — an absolute target
+// astronomically looser than the quantity is trivially met, which is the
+// mathematically correct reading).
+func HybridPrA(ctx context.Context, cfg Config, run mc.AdaptiveConfig) (*HybridResult, error) {
+	batch, err := cfg.ProductBatch()
 	if err != nil {
 		return nil, err
 	}
-	return hybridResultFrom(cfg, sum.Mean(), sum.StdErr())
+	if run.TargetHalfWidth > 0 {
+		k, err := shift.Theorem61(cfg.Threads, 1)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		run.TargetHalfWidth /= k
+	}
+	sum, err := mc.EstimateMeanAdaptiveBatch(ctx, run, batch)
+	if err != nil {
+		return nil, err
+	}
+	res, err := hybridResultFrom(cfg, sum.Summary.Mean(), sum.Summary.StdErr())
+	if err != nil {
+		return nil, err
+	}
+	res.TrialsUsed, res.Rounds, res.StopReason = sum.TrialsUsed(), sum.Rounds, sum.StopReason
+	return res, nil
 }
 
 // logFactorial is a small local helper (ln n!).

@@ -189,9 +189,25 @@ func TestHybridPrAMatchesAnalyticSC(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{2, 3, 4, 6} {
 		cfg := DefaultConfig(memmodel.SC(), n)
-		res, err := HybridPrA(ctx, cfg, mc.Config{Trials: 200, Seed: 5})
+		res, err := HybridPrA(ctx, cfg, mc.AdaptiveConfig{MaxTrials: 200, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if res.TrialsUsed != 200 || res.Rounds != 0 || res.StopReason != "" {
+			t.Errorf("n=%d fixed run: %d trials in %d rounds (%q), want 200 in 0 rounds with no stop reason",
+				n, res.TrialsUsed, res.Rounds, res.StopReason)
+		}
+		// The SC product is constant, so a precision target holds after
+		// the first round.
+		adaptive, err := HybridPrA(ctx, cfg, mc.AdaptiveConfig{MaxTrials: 20000, Seed: 5,
+			TargetRelErr: 1e-3, Confidence: 0.99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if adaptive.PrA != res.PrA || adaptive.Rounds != 1 || adaptive.StopReason != mc.StopConverged ||
+			adaptive.TrialsUsed != 8192 {
+			t.Errorf("n=%d run to a target: %v after %d trials in %d rounds (%q), want %v after 8192 in 1 round (converged)",
+				n, adaptive.PrA, adaptive.TrialsUsed, adaptive.Rounds, adaptive.StopReason, res.PrA)
 		}
 		want, err := analytic.SCPrA(n)
 		if err != nil {
@@ -215,7 +231,7 @@ func TestHybridPrAMatchesExactTwoThread(t *testing.T) {
 	ctx := context.Background()
 	for _, model := range memmodel.All() {
 		cfg := Config{Model: model, Threads: 2, PrefixLen: 32, StoreProb: 0.5, SwapProb: 0.5}
-		res, err := HybridPrA(ctx, cfg, mc.Config{Trials: 300000, Seed: 11})
+		res, err := HybridPrA(ctx, cfg, mc.AdaptiveConfig{MaxTrials: 300000, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,13 +108,13 @@ func TestExactProductExpectationMatchesMC(t *testing.T) {
 	}
 	mcCfg := cfg
 	mcCfg.PrefixLen = 32
-	sum, err := EstimateProductExpectation(ctx, mcCfg, mc.Config{Trials: 300000, Seed: 44})
+	res, err := HybridPrA(ctx, mcCfg, mc.AdaptiveConfig{MaxTrials: 300000, Seed: 44})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := math.Abs(sum.Mean() - exact); diff > 5*sum.StdErr()+1e-4 {
+	if diff := math.Abs(res.ProductExpectation - exact); diff > 5*res.StdErr+1e-4 {
 		t.Errorf("product expectation: MC %v vs exact %v (diff %v, stderr %v)",
-			sum.Mean(), exact, diff, sum.StdErr())
+			res.ProductExpectation, exact, diff, res.StdErr)
 	}
 }
 

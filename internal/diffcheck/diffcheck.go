@@ -144,11 +144,10 @@ func Check(ctx context.Context, q estimator.Query) error {
 // CheckEngines requires the table-driven mc kernel, the query-compiled
 // kernel, and the reference oracle to produce bit-identical results on
 // the query, fixed-trials or adaptive. The oracle runs on the substream
-// the estimator derives and, for adaptive queries, under the stopping
-// rule the estimator builds (normalized MaxTrials, both targets, the
-// query's confidence), so it must match the engines' estimate, trials
-// used and rounds exactly. Estimator seed derivation is
-// kind-independent, so there is no tolerance: any difference is a bug.
+// the estimator derives, under the run the estimator builds
+// (stoppingRule), so it must match the engines' estimate, trials used
+// and rounds exactly. Estimator seed derivation is kind-independent, so
+// there is no tolerance: any difference is a bug.
 func CheckEngines(ctx context.Context, q estimator.Query) error {
 	q = q.Normalized()
 	q.Kind = estimator.FullMC
@@ -176,37 +175,30 @@ func CheckEngines(ctx context.Context, q estimator.Query) error {
 	if err != nil {
 		return err
 	}
-	sub := estimator.DeriveSeeds(q.Seed, 1)[0]
-	var out *mc.Result
-	trials, rounds := q.Trials, 0
-	if q.Precision != nil {
-		adaptive, err := mc.EstimateAdaptiveBits(ctx, stoppingRule(q, sub), batch)
-		if err != nil {
-			return fmt.Errorf("reference oracle: %w", err)
-		}
-		out, trials, rounds = &adaptive.Result, adaptive.TrialsUsed(), adaptive.Rounds
-	} else {
-		out, err = mc.EstimateProbabilityBits(ctx, mc.Config{Trials: q.Trials, Seed: sub}, batch)
-		if err != nil {
-			return fmt.Errorf("reference oracle: %w", err)
-		}
+	out, err := mc.EstimateAdaptiveBits(ctx, stoppingRule(q, estimator.DeriveSeeds(q.Seed, 1)[0]), batch)
+	if err != nil {
+		return fmt.Errorf("reference oracle: %w", err)
 	}
-	if out.Estimate() != ref.Estimate || trials != ref.TrialsUsed || rounds != ref.Rounds {
+	if out.Estimate() != ref.Estimate || out.TrialsUsed() != ref.TrialsUsed || out.Rounds != ref.Rounds {
 		return fmt.Errorf("reference oracle diverged: oracle %v (trials %d, rounds %d), engines %v (trials %d, rounds %d)",
-			out.Estimate(), trials, rounds, ref.Estimate, ref.TrialsUsed, ref.Rounds)
+			out.Estimate(), out.TrialsUsed(), out.Rounds, ref.Estimate, ref.TrialsUsed, ref.Rounds)
 	}
 	return nil
 }
 
-// stoppingRule is the adaptive harness configuration the estimator
-// builds for a normalized adaptive query on substream seed sub:
-// normalized MaxTrials, both targets, the query's confidence.
+// stoppingRule is the harness run the estimator builds for a normalized
+// query on substream seed sub: a fixed run of Trials trials, or for an
+// adaptive query the normalized MaxTrials, both targets and the query's
+// confidence.
 func stoppingRule(q estimator.Query, sub uint64) mc.AdaptiveConfig {
+	p := q.Precision
+	if p == nil {
+		return mc.AdaptiveConfig{MaxTrials: q.Trials, Seed: sub}
+	}
 	confidence := q.Confidence
 	if confidence == 0 {
 		confidence = estimator.DefaultConfidence
 	}
-	p := q.Precision
 	return mc.AdaptiveConfig{MaxTrials: p.MaxTrials, Seed: sub,
 		TargetHalfWidth: p.TargetHalfWidth, TargetRelErr: p.TargetRelErr, Confidence: confidence}
 }
@@ -214,12 +206,12 @@ func stoppingRule(q estimator.Query, sub uint64) mc.AdaptiveConfig {
 // CheckProducts requires the hybrid estimator's product expectation to
 // match a reference that loops the ProductTrial closure — built on the
 // independent prog and settle packages — on the substream the estimator
-// derives, through the same harness entry point: mc.EstimateMeanBatch
-// for fixed-trials queries, and for adaptive ones
-// mc.EstimateMeanAdaptiveBatch under the estimator's stopping rule, its
-// half-width target rescaled by K(n) as core.HybridPrAAdaptive does. The
-// expectation, its standard error, the trials used and the rounds must
-// all be bit-identical: any difference is a bug in the products engine.
+// derives, through the same harness entry point,
+// mc.EstimateMeanAdaptiveBatch, under the estimator's stopping rule
+// (stoppingRule), its half-width target rescaled by K(n) as
+// core.HybridPrA does. The expectation, its standard error, the trials
+// used and the rounds must all be bit-identical: any difference is a bug
+// in the products engine.
 func CheckProducts(ctx context.Context, q estimator.Query) error {
 	q = q.Normalized()
 	q.Kind = estimator.Hybrid
@@ -243,31 +235,19 @@ func CheckProducts(ctx context.Context, q estimator.Query) error {
 		}
 		return nil
 	})
-	sub := estimator.DeriveSeeds(q.Seed, 1)[0]
-	var mean, stdErr float64
-	trials, rounds := q.Trials, 0
-	if q.Precision != nil {
-		rule := stoppingRule(q, sub)
-		if rule.TargetHalfWidth > 0 {
-			k, err := shift.Theorem61(q.Threads, 1)
-			if err != nil {
-				return err
-			}
-			rule.TargetHalfWidth /= k
-		}
-		adaptive, err := mc.EstimateMeanAdaptiveBatch(ctx, rule, batch)
+	rule := stoppingRule(q, estimator.DeriveSeeds(q.Seed, 1)[0])
+	if rule.TargetHalfWidth > 0 {
+		k, err := shift.Theorem61(q.Threads, 1)
 		if err != nil {
-			return fmt.Errorf("products reference: %w", err)
+			return err
 		}
-		mean, stdErr = adaptive.Summary.Mean(), adaptive.Summary.StdErr()
-		trials, rounds = adaptive.TrialsUsed(), adaptive.Rounds
-	} else {
-		sum, err := mc.EstimateMeanBatch(ctx, mc.Config{Trials: q.Trials, Seed: sub}, batch)
-		if err != nil {
-			return fmt.Errorf("products reference: %w", err)
-		}
-		mean, stdErr = sum.Mean(), sum.StdErr()
+		rule.TargetHalfWidth /= k
 	}
+	out, err := mc.EstimateMeanAdaptiveBatch(ctx, rule, batch)
+	if err != nil {
+		return fmt.Errorf("products reference: %w", err)
+	}
+	mean, stdErr, trials, rounds := out.Summary.Mean(), out.Summary.StdErr(), out.TrialsUsed(), out.Rounds
 	if mean != res.ProductExpectation || stdErr != res.StdErr || trials != res.TrialsUsed || rounds != res.Rounds {
 		return fmt.Errorf("hybrid products diverged from the closure reference: reference %v ± %v (trials %d, rounds %d), "+
 			"hybrid %v ± %v (trials %d, rounds %d)", mean, stdErr, trials, rounds,

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"memreliability/internal/mc"
 )
 
 // adaptiveQuery is an mc-kind query with a precision block over a cheap
@@ -35,6 +37,8 @@ func TestPrecisionValidation(t *testing.T) {
 		{"NaN rel err", func(q *Query) { q.Precision = &Precision{TargetRelErr: math.NaN()} }},
 		{"Inf rel err", func(q *Query) { q.Precision = &Precision{TargetRelErr: math.Inf(1)} }},
 		{"negative max trials", func(q *Query) { q.Precision = &Precision{TargetRelErr: 0.1, MaxTrials: -1} }},
+		{"max trials over the limit", func(q *Query) { q.Precision = &Precision{TargetRelErr: 0.1, MaxTrials: mc.TrialLimit + 1} }},
+		{"largest int max trials", func(q *Query) { q.Precision = &Precision{TargetRelErr: 0.1, MaxTrials: math.MaxInt} }},
 	}
 	for _, tc := range cases {
 		q := adaptiveQuery()

@@ -106,7 +106,8 @@ type Query struct {
 	// probabilities (DefaultQuery gives the paper's normal form 1/2).
 	StoreProb float64 `json:"store_prob"`
 	SwapProb  float64 `json:"swap_prob"`
-	// Trials is the Monte Carlo budget (mc and hybrid kinds only).
+	// Trials is the Monte Carlo budget (mc and hybrid kinds only), at
+	// most mc.TrialLimit.
 	Trials int `json:"trials"`
 	// Seed fully determines the result: the estimator derives its RNG
 	// substream from it exactly as a single-cell sweep would.
@@ -142,8 +143,9 @@ type Precision struct {
 	// satisfies it, so rare-event cells report budget exhaustion instead
 	// of a vacuous empty interval.
 	TargetRelErr float64 `json:"target_rel_err,omitempty"`
-	// MaxTrials caps the trial budget. Zero defaults to the query's
-	// Trials (normalization fills it in, so cache keys are canonical).
+	// MaxTrials caps the trial budget, at most mc.TrialLimit. Zero
+	// defaults to the query's Trials (normalization fills it in, so
+	// cache keys are canonical).
 	MaxTrials int `json:"max_trials,omitempty"`
 }
 
@@ -159,8 +161,8 @@ func (p Precision) Validate() error {
 	if p.TargetHalfWidth == 0 && p.TargetRelErr == 0 {
 		return fmt.Errorf("%w: precision block needs a positive target_half_width or target_rel_err", ErrBadQuery)
 	}
-	if p.MaxTrials < 0 {
-		return fmt.Errorf("%w: max trials %d", ErrBadQuery, p.MaxTrials)
+	if p.MaxTrials < 0 || p.MaxTrials > mc.TrialLimit {
+		return fmt.Errorf("%w: max trials %d (need 0 ≤ n ≤ %d)", ErrBadQuery, p.MaxTrials, mc.TrialLimit)
 	}
 	return nil
 }
@@ -240,8 +242,8 @@ func (q Query) validate() error {
 	if q.PrefixLen < 1 {
 		return fmt.Errorf("%w: prefix length %d", ErrBadQuery, q.PrefixLen)
 	}
-	if q.Kind.NeedsTrials() && q.Trials < 1 {
-		return fmt.Errorf("%w: trials=%d (mc/hybrid queries need ≥ 1)", ErrBadQuery, q.Trials)
+	if q.Kind.NeedsTrials() && (q.Trials < 1 || q.Trials > mc.TrialLimit) {
+		return fmt.Errorf("%w: trials=%d (mc/hybrid queries need 1 ≤ n ≤ %d)", ErrBadQuery, q.Trials, mc.TrialLimit)
 	}
 	// Positive-form range checks so NaN fails validation up front
 	// instead of surfacing as a downstream stats error (or an

@@ -55,6 +55,9 @@ func TestValidateRejectsBadQueries(t *testing.T) {
 		{"zero prefix", func(q *estimator.Query) { q.PrefixLen = 0 }},
 		{"zero trials for mc", func(q *estimator.Query) { q.Kind = estimator.FullMC; q.Trials = 0 }},
 		{"zero trials for hybrid", func(q *estimator.Query) { q.Kind = estimator.Hybrid; q.Trials = 0 }},
+		{"trials over the limit for mc", func(q *estimator.Query) { q.Kind = estimator.FullMC; q.Trials = mc.TrialLimit + 1 }},
+		{"largest int trials for hybrid", func(q *estimator.Query) { q.Kind = estimator.Hybrid; q.Trials = math.MaxInt }},
+		{"largest int trials for mc-compiled", func(q *estimator.Query) { q.Kind = estimator.CompiledMC; q.Trials = math.MaxInt }},
 		{"store prob out of range", func(q *estimator.Query) { q.StoreProb = 1.5 }},
 		{"store prob NaN", func(q *estimator.Query) { q.StoreProb = math.NaN() }},
 		{"swap prob negative", func(q *estimator.Query) { q.SwapProb = -0.1 }},
@@ -71,10 +74,20 @@ func TestValidateRejectsBadQueries(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrBadQuery", tc.name, err)
 		}
 	}
-	// Windowdist ignores threads and trials entirely.
+	// Windowdist ignores threads and trials entirely, and the exact kind
+	// ignores trials.
 	wd := estimator.Query{Kind: estimator.WindowDist, Model: "SC", PrefixLen: 8}
 	if err := wd.Validate(); err != nil {
 		t.Errorf("windowdist with zero threads/trials rejected: %v", err)
+	}
+	wd.Trials = math.MaxInt
+	if err := wd.Validate(); err != nil {
+		t.Errorf("windowdist with unused huge trials rejected: %v", err)
+	}
+	exact := base
+	exact.Kind, exact.Trials = estimator.Exact, math.MaxInt
+	if err := exact.Validate(); err != nil {
+		t.Errorf("exact with unused huge trials rejected: %v", err)
 	}
 }
 

@@ -37,27 +37,19 @@ func coreConfig(q Query) (core.Config, error) {
 	}, nil
 }
 
-// mcConfig translates the query and execution budget into the Monte
-// Carlo harness configuration on the derived substream seed.
-func mcConfig(q Query, seed uint64, ex Exec) mc.Config {
-	return mc.Config{Trials: q.Trials, Workers: ex.Workers, Helpers: ex.Helpers, Seed: seed}
-}
-
-// adaptiveConfig translates a precision-carrying query into the adaptive
-// harness configuration. Estimate, EstimateBatch and sweep dispatch
-// normalize the query first; normalizing the block again here covers
-// direct Run callers.
-func adaptiveConfig(q Query, seed uint64, ex Exec) mc.AdaptiveConfig {
-	p := q.Precision.Normalized(q.Trials)
-	return mc.AdaptiveConfig{
-		MaxTrials:       p.MaxTrials,
-		Workers:         ex.Workers,
-		Helpers:         ex.Helpers,
-		Seed:            seed,
-		TargetHalfWidth: p.TargetHalfWidth,
-		TargetRelErr:    p.TargetRelErr,
-		Confidence:      q.confidence(),
+// runConfig translates the query and execution budget into its Monte
+// Carlo run on the derived substream seed: Trials trials, or with a
+// precision block a run to its targets within its (normalized) MaxTrials.
+// Estimate, EstimateBatch and sweep dispatch normalize the query first;
+// normalizing the block again here covers direct Run callers.
+func runConfig(q Query, seed uint64, ex Exec) mc.AdaptiveConfig {
+	run := mc.AdaptiveConfig{MaxTrials: q.Trials, Workers: ex.Workers, Helpers: ex.Helpers, Seed: seed,
+		Confidence: q.confidence()}
+	if q.Precision != nil {
+		p := q.Precision.Normalized(q.Trials)
+		run.MaxTrials, run.TargetHalfWidth, run.TargetRelErr = p.MaxTrials, p.TargetHalfWidth, p.TargetRelErr
 	}
+	return run
 }
 
 // exactEstimator is the n=2 exact dynamic program (Theorem 6.2).
@@ -123,23 +115,11 @@ func (e mcEstimator) Estimate(ctx context.Context, q Query, seed uint64, ex Exec
 	if err != nil {
 		return res, fmt.Errorf("estimator: %w", err)
 	}
-	var out *mc.Result
-	if q.Precision != nil {
-		adaptive, err := mc.EstimateAdaptiveBits(ctx, adaptiveConfig(q, seed, ex), batch)
-		if err != nil {
-			return res, fmt.Errorf("estimator: %w", err)
-		}
-		out = &adaptive.Result
-		res.TrialsUsed = adaptive.TrialsUsed()
-		res.Rounds = adaptive.Rounds
-		res.StopReason = string(adaptive.StopReason)
-	} else {
-		out, err = mc.EstimateProbabilityBits(ctx, mcConfig(q, seed, ex), batch)
-		if err != nil {
-			return res, fmt.Errorf("estimator: %w", err)
-		}
-		res.TrialsUsed = q.Trials
+	out, err := mc.EstimateAdaptiveBits(ctx, runConfig(q, seed, ex), batch)
+	if err != nil {
+		return res, fmt.Errorf("estimator: %w", err)
 	}
+	res.TrialsUsed, res.Rounds, res.StopReason = out.TrialsUsed(), out.Rounds, string(out.StopReason)
 	level := q.confidence()
 	lo, hi, err := out.WilsonCI(level)
 	if err != nil {
@@ -170,23 +150,11 @@ func (hybridEstimator) Estimate(ctx context.Context, q Query, seed uint64, ex Ex
 	if err != nil {
 		return res, err
 	}
-	var out *core.HybridResult
-	if q.Precision != nil {
-		adaptive, err := core.HybridPrAAdaptive(ctx, cfg, adaptiveConfig(q, seed, ex))
-		if err != nil {
-			return res, fmt.Errorf("estimator: %w", err)
-		}
-		out = &adaptive.HybridResult
-		res.TrialsUsed = adaptive.TrialsUsed
-		res.Rounds = adaptive.Rounds
-		res.StopReason = string(adaptive.StopReason)
-	} else {
-		out, err = core.HybridPrA(ctx, cfg, mcConfig(q, seed, ex))
-		if err != nil {
-			return res, fmt.Errorf("estimator: %w", err)
-		}
-		res.TrialsUsed = q.Trials
+	out, err := core.HybridPrA(ctx, cfg, runConfig(q, seed, ex))
+	if err != nil {
+		return res, fmt.Errorf("estimator: %w", err)
 	}
+	res.TrialsUsed, res.Rounds, res.StopReason = out.TrialsUsed, out.Rounds, string(out.StopReason)
 	res.Estimate = out.PrA
 	res.LogEstimate = out.LogPrA
 	res.StdErr = out.StdErr

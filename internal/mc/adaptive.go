@@ -4,9 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
 
-	"memreliability/internal/obs"
+	"memreliability/internal/rng"
 	"memreliability/internal/stats"
 )
 
@@ -22,10 +21,12 @@ const (
 	StopBudget StopReason = "budget"
 )
 
-// AdaptiveConfig controls an adaptive-precision Monte Carlo run: sampling
-// proceeds in deterministic chunk-aligned rounds until the confidence
-// interval meets every requested target (absolute half-width and/or
-// relative error), or the trial budget cap is exhausted.
+// AdaptiveConfig describes a Monte Carlo run to a precision target:
+// sampling proceeds in deterministic chunk-aligned rounds until the
+// confidence interval meets every requested target (absolute half-width
+// and/or relative error), or the trial budget cap is exhausted. Without
+// a target it is a fixed run of MaxTrials trials, exactly as Config
+// describes one: one round, Rounds 0 and an empty StopReason.
 //
 // Reproducibility matches the fixed-trials harness exactly: the chunk
 // plan is the fixed plan for MaxTrials, rounds consume whole chunks in
@@ -35,7 +36,7 @@ const (
 // depends on Workers. An adaptive run that exhausts its budget is
 // bit-identical to a fixed run with Trials = MaxTrials on the same Seed.
 type AdaptiveConfig struct {
-	// MaxTrials is the hard trial budget cap. Must be positive.
+	// MaxTrials is the hard trial budget cap, in [1, TrialLimit].
 	MaxTrials int
 	// Workers is the number of the run's own parallel workers; 0 means
 	// GOMAXPROCS. Workers is pure scheduling and never affects results.
@@ -55,22 +56,19 @@ type AdaptiveConfig struct {
 	// deep-tail runs that sample no successes report StopBudget instead
 	// of silently "converging" on an empty interval.
 	TargetRelErr float64
-	// Confidence is the level of the stopping interval (and of the Wilson
-	// interval reported by the result). Must be in (0, 1).
+	// Confidence is the level of the stopping interval. With a target it
+	// must be in (0, 1); without one it is not read.
 	Confidence float64
 }
 
-// validate checks the adaptive configuration. NaN targets fail the
+// validate checks the run configuration. NaN targets fail the
 // positive-form range checks; +Inf is allowed (see AdaptiveConfig).
 func (c AdaptiveConfig) validate() error {
-	if c.MaxTrials <= 0 {
-		return fmt.Errorf("%w: max trials=%d", ErrBadConfig, c.MaxTrials)
+	if c.MaxTrials <= 0 || c.MaxTrials > TrialLimit {
+		return fmt.Errorf("%w: trial budget %d not in [1, %d]", ErrBadConfig, c.MaxTrials, TrialLimit)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("%w: workers=%d", ErrBadConfig, c.Workers)
-	}
-	if !(c.Confidence > 0 && c.Confidence < 1) {
-		return fmt.Errorf("%w: confidence %v not in (0,1)", ErrBadConfig, c.Confidence)
 	}
 	if !(c.TargetHalfWidth >= 0) {
 		return fmt.Errorf("%w: target half-width %v", ErrBadConfig, c.TargetHalfWidth)
@@ -78,10 +76,16 @@ func (c AdaptiveConfig) validate() error {
 	if !(c.TargetRelErr >= 0) || math.IsInf(c.TargetRelErr, 1) {
 		return fmt.Errorf("%w: target relative error %v", ErrBadConfig, c.TargetRelErr)
 	}
-	if c.TargetHalfWidth == 0 && c.TargetRelErr == 0 {
-		return fmt.Errorf("%w: adaptive run needs a half-width or relative-error target", ErrBadConfig)
+	if c.hasTarget() && !(c.Confidence > 0 && c.Confidence < 1) {
+		return fmt.Errorf("%w: confidence %v not in (0,1)", ErrBadConfig, c.Confidence)
 	}
 	return nil
+}
+
+// hasTarget reports whether the run samples to a precision target
+// rather than spending its whole budget in one round.
+func (c AdaptiveConfig) hasTarget() bool {
+	return c.TargetHalfWidth > 0 || c.TargetRelErr > 0
 }
 
 // converged reports whether every requested target holds for the given
@@ -128,11 +132,11 @@ func (r *AdaptiveResult) TrialsUsed() int { return r.Proportion.Trials() }
 
 // EstimateAdaptiveBits estimates an event probability to a requested
 // precision: it runs the bitset trial in deterministic chunk-aligned
-// rounds — EstimateProbabilityBits's chunk loop inside each round —
-// checking the Wilson interval at cfg.Confidence after each round, and
-// stops as soon as every configured target is met or cfg.MaxTrials is
-// exhausted. See AdaptiveConfig for the reproducibility contract. A
-// canceled run returns ctx.Err() alongside partial results.
+// rounds, checking the Wilson interval at cfg.Confidence after each
+// round, and stops as soon as every configured target is met or
+// cfg.MaxTrials is exhausted. Without a target it is
+// EstimateProbabilityBits. See AdaptiveConfig for the reproducibility
+// contract. A canceled run returns ctx.Err() alongside partial results.
 func EstimateAdaptiveBits(ctx context.Context, cfg AdaptiveConfig, batch BatchTrialBits) (*AdaptiveResult, error) {
 	if batch == nil {
 		return nil, fmt.Errorf("%w: nil trial", ErrBadConfig)
@@ -140,64 +144,30 @@ func EstimateAdaptiveBits(ctx context.Context, cfg AdaptiveConfig, batch BatchTr
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	sources, quotas := chunkPlan(Config{Trials: cfg.MaxTrials, Seed: cfg.Seed})
-	successes := make([]int, len(sources))
-	trialsRun := make([]int, len(sources))
-
-	mcRuns.Inc()
-	mcRunWorkers.Observe(float64(effectiveWorkers(cfg.Workers, len(sources))))
-	parent := obs.SpanFrom(ctx)
-
-	result := &AdaptiveResult{}
-	for start := 0; start < len(sources); {
-		end := nextRound(start, len(sources))
-		// One span per round: rounds are sequential barriers, so span
-		// creation order — and the exported tree — is deterministic.
-		round := parent.Child("mc.round",
-			obs.L("round", strconv.Itoa(result.Rounds)),
-			obs.L("chunks", strconv.Itoa(end-start)))
-		runErr := runChunksWith(ctx, cfg.Workers, cfg.Helpers, end-start, wordScratch,
-			func(ctx context.Context, j int, words []uint64) error {
-				chunk := start + j
-				n, err := runProbChunk(ctx, batch, sources[chunk], words, quotas[chunk])
-				if err != nil {
-					if err == ctx.Err() {
-						return err
-					}
-					return fmt.Errorf("mc: trial failed in chunk %d: %w", chunk, err)
-				}
-				successes[chunk] = n
-				trialsRun[chunk] = quotas[chunk]
-				mcChunks.Inc()
-				mcTrials.Add(int64(quotas[chunk]))
-				return nil
-			})
-		round.End()
-		for chunk := start; chunk < end; chunk++ {
-			if err := result.Proportion.AddCounts(successes[chunk], trialsRun[chunk]); err != nil {
-				return nil, err
+	res := &AdaptiveResult{}
+	var err error
+	res.Rounds, res.StopReason, err = run(ctx, cfg, chunkRun[[]uint64, stats.Proportion]{
+		what:       "trial",
+		newScratch: wordScratch,
+		chunk: func(ctx context.Context, src *rng.Source, n int, words []uint64) (stats.Proportion, error) {
+			var p stats.Proportion
+			successes, err := runProbChunk(ctx, batch, src, words, n)
+			if err == nil {
+				// Rejects a batch that broke the partial-word contract
+				// badly enough to count more successes than trials.
+				err = p.AddCounts(successes, n)
 			}
-		}
-		result.Rounds++
-		mcAdaptiveRounds.Inc()
-		if runErr != nil {
-			return result, runErr
-		}
-		start = end
-
-		lo, hi, err := result.Proportion.WilsonCI(cfg.Confidence)
-		if err != nil {
-			return result, err
-		}
-		if cfg.converged((hi-lo)/2, result.Proportion.Estimate()) {
-			result.StopReason = StopConverged
-			observeStop(StopConverged)
-			return result, nil
-		}
-	}
-	result.StopReason = StopBudget
-	observeStop(StopBudget)
-	return result, nil
+			return p, err
+		},
+		fold: func(p stats.Proportion) error {
+			return res.Proportion.AddCounts(p.Successes(), p.Trials())
+		},
+		interval: func(confidence float64) (float64, float64, float64, error) {
+			lo, hi, err := res.WilsonCI(confidence)
+			return lo, hi, res.Estimate(), err
+		},
+	})
+	return res, err
 }
 
 // AdaptiveMeanResult is the outcome of an adaptive mean estimation.
@@ -219,66 +189,35 @@ func (r *AdaptiveMeanResult) TrialsUsed() int { return r.Summary.N() }
 // sampler to a requested precision, using the normal-approximation
 // interval at cfg.Confidence (half-width z·StdErr) as the stopping rule.
 // Rounds, merging, and the reproducibility contract are exactly those
-// of EstimateAdaptiveBits, on EstimateMeanBatch's zero-allocation
-// steady-state chunk loop.
+// of EstimateAdaptiveBits; without a target it is EstimateMeanBatch.
 func EstimateMeanAdaptiveBatch(ctx context.Context, cfg AdaptiveConfig, batch BatchMean) (*AdaptiveMeanResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	if batch == nil {
 		return nil, fmt.Errorf("%w: nil sampler", ErrBadConfig)
 	}
-	sources, quotas := chunkPlan(Config{Trials: cfg.MaxTrials, Seed: cfg.Seed})
-	sums := make([]stats.Summary, len(sources))
-
-	mcRuns.Inc()
-	mcRunWorkers.Observe(float64(effectiveWorkers(cfg.Workers, len(sources))))
-	parent := obs.SpanFrom(ctx)
-
-	result := &AdaptiveMeanResult{}
-	for start := 0; start < len(sources); {
-		end := nextRound(start, len(sources))
-		round := parent.Child("mc.round",
-			obs.L("round", strconv.Itoa(result.Rounds)),
-			obs.L("chunks", strconv.Itoa(end-start)))
-		runErr := runChunksWith(ctx, cfg.Workers, cfg.Helpers, end-start, floatScratch,
-			func(ctx context.Context, j int, out []float64) error {
-				chunk := start + j
-				if err := runMeanChunk(ctx, batch, sources[chunk], out[:quotas[chunk]], &sums[chunk]); err != nil {
-					if err == ctx.Err() {
-						return err
-					}
-					return fmt.Errorf("mc: sampler failed in chunk %d: %w", chunk, err)
-				}
-				mcChunks.Inc()
-				mcTrials.Add(int64(quotas[chunk]))
-				return nil
-			})
-		round.End()
-		// Extending a left-to-right fold keeps the merge in chunk order,
-		// so partial (error-path) and complete results alike are
-		// bit-identical at any worker count.
-		for chunk := start; chunk < end; chunk++ {
-			result.Summary = stats.MergeSummaries(result.Summary, sums[chunk])
-		}
-		result.Rounds++
-		mcAdaptiveRounds.Inc()
-		if runErr != nil {
-			return result, runErr
-		}
-		start = end
-
-		lo, hi, err := result.Summary.MeanCI(cfg.Confidence)
-		if err != nil {
-			return result, err
-		}
-		if cfg.converged((hi-lo)/2, result.Summary.Mean()) {
-			result.StopReason = StopConverged
-			observeStop(StopConverged)
-			return result, nil
-		}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	result.StopReason = StopBudget
-	observeStop(StopBudget)
-	return result, nil
+	res := &AdaptiveMeanResult{}
+	var err error
+	res.Rounds, res.StopReason, err = run(ctx, cfg, chunkRun[[]float64, stats.Summary]{
+		what:       "sampler",
+		newScratch: floatScratch,
+		chunk: func(ctx context.Context, src *rng.Source, n int, out []float64) (stats.Summary, error) {
+			var sum stats.Summary
+			err := runMeanChunk(ctx, batch, src, out[:n], &sum)
+			return sum, err
+		},
+		// Extending a left-to-right fold keeps the merge in chunk order,
+		// so partial and complete results alike are bit-identical at any
+		// worker count.
+		fold: func(sum stats.Summary) error {
+			res.Summary = stats.MergeSummaries(res.Summary, sum)
+			return nil
+		},
+		interval: func(confidence float64) (float64, float64, float64, error) {
+			lo, hi, err := res.Summary.MeanCI(confidence)
+			return lo, hi, res.Summary.Mean(), err
+		},
+	})
+	return res, err
 }

@@ -3,9 +3,11 @@ package mc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"memreliability/internal/obs"
 	"memreliability/internal/rng"
 )
 
@@ -31,7 +33,8 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 		{"negative workers", func(c *AdaptiveConfig) { c.Workers = -1 }},
 		{"confidence 0", func(c *AdaptiveConfig) { c.Confidence = 0 }},
 		{"confidence 1", func(c *AdaptiveConfig) { c.Confidence = 1 }},
-		{"no targets", func(c *AdaptiveConfig) { c.TargetHalfWidth = 0 }},
+		{"trial budget over the limit", func(c *AdaptiveConfig) { c.MaxTrials = TrialLimit + 1 }},
+		{"largest int budget", func(c *AdaptiveConfig) { c.MaxTrials = math.MaxInt }},
 		{"NaN half-width", func(c *AdaptiveConfig) { c.TargetHalfWidth = math.NaN() }},
 		{"NaN rel err", func(c *AdaptiveConfig) { c.TargetRelErr = math.NaN() }},
 		{"Inf rel err", func(c *AdaptiveConfig) { c.TargetRelErr = math.Inf(1) }},
@@ -48,6 +51,96 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 	}
 	if _, err := EstimateAdaptiveBits(context.Background(), base, nil); err == nil {
 		t.Error("nil trial accepted")
+	}
+}
+
+// TestAdaptiveWithoutTargetIsFixed pins the one-run-body contract: an
+// AdaptiveConfig without a target, Confidence left unset because only a
+// target reads it, is the fixed run. It returns exactly what
+// EstimateProbabilityBits and EstimateMeanBatch return, at 1, 2 and 7
+// workers and under a shared pool, in one round reported as Rounds 0
+// with no stop reason; it traces mc.chunks then mc.merge, as the fixed
+// entry points do, and moves no mc_adaptive_* counter.
+func TestAdaptiveWithoutTargetIsFixed(t *testing.T) {
+	ctx := context.Background()
+	const trials = 5*chunkSize + 123
+	rounds, converged, budget := mcAdaptiveRounds.Value(), mcAdaptiveStopConverged.Value(), mcAdaptiveStopBudget.Value()
+	for _, workers := range []int{1, 2, 7} {
+		for _, pool := range []*Pool{nil, NewPool(3)} {
+			what := fmt.Sprintf("workers=%d pool=%v", workers, pool != nil)
+			cfg := Config{Trials: trials, Workers: workers, Helpers: pool, Seed: 21}
+			acfg := AdaptiveConfig{MaxTrials: trials, Workers: workers, Helpers: pool, Seed: 21}
+
+			fixed, err := EstimateProbabilityBits(ctx, cfg, wobblyBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bits, err := EstimateAdaptiveBits(ctx, acfg, wobblyBits)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if bits.Proportion != fixed.Proportion || bits.Rounds != 0 || bits.StopReason != "" {
+				t.Errorf("%s: bits %+v in %d rounds (%q), want %+v in 0 rounds with no stop reason",
+					what, bits.Proportion, bits.Rounds, bits.StopReason, fixed.Proportion)
+			}
+
+			fixedMean, err := EstimateMeanBatch(ctx, cfg, uniformMean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mean, err := EstimateMeanAdaptiveBatch(ctx, acfg, uniformMean)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if !sameSummary(mean.Summary, *fixedMean) || mean.Rounds != 0 || mean.StopReason != "" {
+				t.Errorf("%s: mean %v (n=%d) in %d rounds (%q), want %v (n=%d) in 0 rounds with no stop reason",
+					what, mean.Summary.Mean(), mean.Summary.N(), mean.Rounds, mean.StopReason,
+					fixedMean.Mean(), fixedMean.N())
+			}
+			if pool != nil {
+				requireSlotsBack(t, pool, 3, what)
+			}
+		}
+	}
+	if mcAdaptiveRounds.Value() != rounds || mcAdaptiveStopConverged.Value() != converged ||
+		mcAdaptiveStopBudget.Value() != budget {
+		t.Errorf("runs without a target moved mc_adaptive_* counters: rounds +%d, converged +%d, budget +%d",
+			mcAdaptiveRounds.Value()-rounds, mcAdaptiveStopConverged.Value()-converged,
+			mcAdaptiveStopBudget.Value()-budget)
+	}
+
+	traced := func(run func(ctx context.Context) error) string {
+		t.Helper()
+		root := obs.NewTrace("run")
+		if err := run(obs.WithSpan(ctx, root)); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		return root.Structure()
+	}
+	want := "run\n  mc.chunks[chunks=6 trials=41083]\n  mc.merge\n"
+	acfg := AdaptiveConfig{MaxTrials: trials, Seed: 21}
+	for name, run := range map[string]func(ctx context.Context) error{
+		"EstimateAdaptiveBits": func(ctx context.Context) error {
+			_, err := EstimateAdaptiveBits(ctx, acfg, wobblyBits)
+			return err
+		},
+		"EstimateMeanAdaptiveBatch": func(ctx context.Context) error {
+			_, err := EstimateMeanAdaptiveBatch(ctx, acfg, uniformMean)
+			return err
+		},
+		"EstimateProbabilityBits": func(ctx context.Context) error {
+			_, err := EstimateProbabilityBits(ctx, Config{Trials: trials, Seed: 21}, wobblyBits)
+			return err
+		},
+		"EstimateMeanBatch": func(ctx context.Context) error {
+			_, err := EstimateMeanBatch(ctx, Config{Trials: trials, Seed: 21}, uniformMean)
+			return err
+		},
+	} {
+		if got := traced(run); got != want {
+			t.Errorf("%s span tree:\n%s\nwant:\n%s", name, got, want)
+		}
 	}
 }
 

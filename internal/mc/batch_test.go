@@ -26,7 +26,7 @@ func wobblyTrial(src *rng.Source) (bool, error) {
 // is the sequential definition the batched mean engines must reproduce
 // bit for bit.
 func meanReference(cfg Config, sample func(*rng.Source) float64) stats.Summary {
-	sources, quotas := chunkPlan(cfg)
+	sources, quotas := chunkPlan(cfg.Trials, cfg.Seed)
 	var merged stats.Summary
 	for chunk, src := range sources {
 		var sum stats.Summary
@@ -54,8 +54,8 @@ func sameSummary(a, b stats.Summary) bool {
 func TestBatchClosureIdenticalBooleans(t *testing.T) {
 	batch := BitsFromTrial(wobblyTrial)
 	for _, trials := range []int{1, chunkSize - 1, chunkSize, chunkSize + 1, 3*chunkSize + 17} {
-		sources, quotas := chunkPlan(Config{Trials: trials, Seed: 42})
-		closureSources, _ := chunkPlan(Config{Trials: trials, Seed: 42})
+		sources, quotas := chunkPlan(trials, 42)
+		closureSources, _ := chunkPlan(trials, 42)
 		words := make([]uint64, BitWords(chunkSize))
 		for chunk := range sources {
 			if err := batch(sources[chunk], words, quotas[chunk]); err != nil {

@@ -25,6 +25,17 @@
 // closure calls would. Real-valued samplers implement BatchMean and run
 // through EstimateMeanBatch and EstimateMeanAdaptiveBatch on a
 // []float64 chunk buffer — there is no bitset analog for floats.
+//
+// # One run body
+//
+// Every entry point is a thin wrapper over one private run body (run),
+// which owns the chunk plan, the rounds, the spans, the counters and the
+// stopping rule; bits, mean and histogram runs supply only a per-chunk
+// function and a fold in chunk order. A fixed run is a run without a
+// target: Config is an AdaptiveConfig whose targets are zero, run in one
+// round under mc.chunks then mc.merge spans and reported with Rounds 0
+// and no StopReason. A run with a target samples in doubling rounds, one
+// mc.round span each, until the target holds or MaxTrials is spent.
 package mc
 
 import (
@@ -55,9 +66,17 @@ const chunkSize = 8192
 // BitsFromTrial adapts one to the harness's BatchTrialBits contract.
 type Trial func(src *rng.Source) (success bool, err error)
 
-// Config controls a Monte Carlo run.
+// TrialLimit bounds a run's trial budget (Config.Trials and
+// AdaptiveConfig.MaxTrials). A run allocates its whole chunk plan up
+// front, one RNG substream and quota per chunk, so the bound keeps the
+// plan at 2^17 chunks, under 10 MB; validation rejects a larger budget
+// with ErrBadConfig before anything is allocated. The bound and the
+// plan's chunk rounding also fit a 32-bit int.
+const TrialLimit = 1 << 30
+
+// Config controls a Monte Carlo run of a fixed number of trials.
 type Config struct {
-	// Trials is the total number of trials to run. Must be positive.
+	// Trials is the total number of trials to run, in [1, TrialLimit].
 	Trials int
 	// Workers is the number of the run's own parallel workers; 0 means
 	// GOMAXPROCS. Workers is pure scheduling and never affects results.
@@ -72,28 +91,25 @@ type Config struct {
 	Seed uint64
 }
 
-func (c Config) validate() error {
-	if c.Trials <= 0 {
-		return fmt.Errorf("%w: trials=%d", ErrBadConfig, c.Trials)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("%w: workers=%d", ErrBadConfig, c.Workers)
-	}
-	return nil
+// fixed returns the run cfg describes: an AdaptiveConfig without a
+// target.
+func (c Config) fixed() AdaptiveConfig {
+	return AdaptiveConfig{MaxTrials: c.Trials, Workers: c.Workers, Helpers: c.Helpers, Seed: c.Seed}
 }
 
 // chunkPlan derives the deterministic per-chunk RNG sources and trial
-// quotas for a run: ⌈trials/chunkSize⌉ chunks, the last one short.
-func chunkPlan(cfg Config) (sources []*rng.Source, quotas []int) {
-	n := (cfg.Trials + chunkSize - 1) / chunkSize
-	root := rng.New(cfg.Seed)
+// quotas of a run of the given budget: ⌈trials/chunkSize⌉ chunks, the
+// last one short.
+func chunkPlan(trials int, seed uint64) (sources []*rng.Source, quotas []int) {
+	n := (trials + chunkSize - 1) / chunkSize
+	root := rng.New(seed)
 	sources = make([]*rng.Source, n)
 	quotas = make([]int, n)
 	for i := range sources {
 		sources[i] = root.Split()
 		quotas[i] = chunkSize
 	}
-	quotas[n-1] = cfg.Trials - chunkSize*(n-1)
+	quotas[n-1] = trials - chunkSize*(n-1)
 	return sources, quotas
 }
 
@@ -194,13 +210,6 @@ func runChunksWith[S any](ctx context.Context, workers int, helpers *Pool, nChun
 	return firstErr
 }
 
-// runChunks is runChunksWith without per-worker scratch.
-func runChunks(ctx context.Context, workers int, helpers *Pool, nChunks int, fn func(ctx context.Context, chunk int) error) error {
-	return runChunksWith(ctx, workers, helpers, nChunks,
-		func() struct{} { return struct{}{} },
-		func(ctx context.Context, chunk int, _ struct{}) error { return fn(ctx, chunk) })
-}
-
 // wordScratch allocates one worker's reusable bitset chunk buffer.
 func wordScratch() []uint64 { return make([]uint64, BitWords(chunkSize)) }
 
@@ -240,6 +249,111 @@ func runMeanChunk(ctx context.Context, batch BatchMean, src *rng.Source, out []f
 	return nil
 }
 
+// chunkRun is what one kind of run hands the run body. chunk evaluates
+// one chunk of n trials on the chunk's substream into the goroutine's
+// reusable scratch and returns the chunk's partial result. fold merges
+// partial results into the run's result in chunk order after each round,
+// a chunk that did not complete as the zero P. interval, needed only by
+// runs with a target, returns the stopping rule's interval and point
+// estimate at a confidence level over everything folded so far. what
+// names the chunk function in errors ("trial", "sampler").
+type chunkRun[S, P any] struct {
+	what       string
+	newScratch func() S
+	chunk      func(ctx context.Context, src *rng.Source, n int, scratch S) (P, error)
+	fold       func(part P) error
+	interval   func(confidence float64) (lo, hi, estimate float64, err error)
+}
+
+// run is the one chunk loop behind every entry point, for a validated
+// cfg. It owns the chunk plan, the rounds, the spans, the counters and
+// the stopping rule. A run without a target is one round over every
+// chunk under an mc.chunks span, folded under an mc.merge span, and
+// records mc_trials_per_sec when every chunk completed. A run with a
+// target samples in rounds that double its chunk count (nextRound), one
+// mc.round span each, and after each round stops once cfg.converged
+// holds or the budget is spent. Spans mark these sequential barriers
+// only, never chunks, so the chunk loop stays allocation-free and the
+// span tree is the same at any worker count. Each round is folded before
+// its error is returned, so a failed or canceled run's result holds the
+// chunks that completed. Rounds and the stop reason are zero for a run
+// without a target.
+func run[S, P any](ctx context.Context, cfg AdaptiveConfig, r chunkRun[S, P]) (rounds int, _ StopReason, _ error) {
+	sources, quotas := chunkPlan(cfg.MaxTrials, cfg.Seed)
+	nChunks := len(sources)
+	parts := make([]P, nChunks)
+	adaptive := cfg.hasTarget()
+	mcRuns.Inc()
+	mcRunWorkers.Observe(float64(effectiveWorkers(cfg.Workers, nChunks)))
+	parent := obs.SpanFrom(ctx)
+
+	for start := 0; start < nChunks; {
+		end := nChunks
+		var span, merge *obs.Span
+		if adaptive {
+			end = nextRound(start, nChunks)
+			span = parent.Child("mc.round",
+				obs.L("round", strconv.Itoa(rounds)),
+				obs.L("chunks", strconv.Itoa(end-start)))
+		} else {
+			span = parent.Child("mc.chunks",
+				obs.L("chunks", strconv.Itoa(nChunks)),
+				obs.L("trials", strconv.Itoa(cfg.MaxTrials)))
+		}
+		began := time.Now()
+		runErr := runChunksWith(ctx, cfg.Workers, cfg.Helpers, end-start, r.newScratch,
+			func(ctx context.Context, j int, scratch S) error {
+				chunk := start + j
+				part, err := r.chunk(ctx, sources[chunk], quotas[chunk], scratch)
+				if err != nil {
+					if err == ctx.Err() {
+						return err
+					}
+					return fmt.Errorf("mc: %s failed in chunk %d: %w", r.what, chunk, err)
+				}
+				parts[chunk] = part
+				mcChunks.Inc()
+				mcTrials.Add(int64(quotas[chunk]))
+				return nil
+			})
+		span.End()
+		if !adaptive {
+			if elapsed := time.Since(began).Seconds(); runErr == nil && elapsed > 0 {
+				mcTrialsPerSec.Set(float64(cfg.MaxTrials) / elapsed)
+			}
+			merge = parent.Child("mc.merge")
+		}
+		var foldErr error
+		for chunk := start; chunk < end && foldErr == nil; chunk++ {
+			foldErr = r.fold(parts[chunk])
+		}
+		merge.End()
+		if foldErr != nil {
+			return rounds, "", foldErr
+		}
+		if !adaptive {
+			return 0, "", runErr
+		}
+		rounds++
+		mcAdaptiveRounds.Inc()
+		if runErr != nil {
+			return rounds, "", runErr
+		}
+		start = end
+
+		lo, hi, estimate, ivErr := r.interval(cfg.Confidence)
+		if ivErr != nil {
+			return rounds, "", ivErr
+		}
+		if cfg.converged((hi-lo)/2, estimate) {
+			observeStop(StopConverged)
+			return rounds, StopConverged, nil
+		}
+	}
+	observeStop(StopBudget)
+	return rounds, StopBudget, nil
+}
+
 // Result is the outcome of a Monte Carlo run.
 type Result struct {
 	Proportion stats.Proportion
@@ -253,74 +367,21 @@ func (r *Result) WilsonCI(level float64) (lo, hi float64, err error) {
 	return r.Proportion.WilsonCI(level)
 }
 
-// runFixed runs every chunk of a fixed-trial run under one mc.chunks
-// span and records the run on the harness metrics, mc_trials_per_sec
-// only when every chunk completed. Spans mark sequential barriers only
-// (this one and the caller's mc.merge), never chunks, so the chunk loop
-// stays allocation-free.
-func runFixed[S any](ctx context.Context, cfg Config, nChunks int, newScratch func() S, fn func(ctx context.Context, chunk int, scratch S) error) error {
-	mcRuns.Inc()
-	mcRunWorkers.Observe(float64(effectiveWorkers(cfg.Workers, nChunks)))
-	start := time.Now()
-	span := obs.SpanFrom(ctx).Child("mc.chunks",
-		obs.L("chunks", strconv.Itoa(nChunks)),
-		obs.L("trials", strconv.Itoa(cfg.Trials)))
-	err := runChunksWith(ctx, cfg.Workers, cfg.Helpers, nChunks, newScratch, fn)
-	span.End()
-	if elapsed := time.Since(start).Seconds(); err == nil && elapsed > 0 {
-		mcTrialsPerSec.Set(float64(cfg.Trials) / elapsed)
-	}
-	return err
-}
-
 // EstimateProbabilityBits runs cfg.Trials trials of the bitset trial in
-// parallel and returns the aggregated proportion. Chunks are evaluated
-// whole — one bitset call per chunk (sliced only at cancellation
-// checkpoints) on a per-worker reusable []uint64 buffer — and successes
-// are counted with bits.OnesCount64, so the steady-state loop is free of
-// per-trial call overhead and of allocations. The context cancels the
-// run early; a canceled run returns ctx.Err() alongside the results of
-// the chunks that completed.
+// parallel and returns the aggregated proportion: EstimateAdaptiveBits
+// without a target. Chunks are evaluated whole — one bitset call per
+// chunk (sliced only at cancellation checkpoints) on a per-worker
+// reusable []uint64 buffer — and successes are counted with
+// bits.OnesCount64, so the steady-state loop is free of per-trial call
+// overhead and of allocations. The context cancels the run early; a
+// canceled run returns ctx.Err() alongside the results of the chunks
+// that completed.
 func EstimateProbabilityBits(ctx context.Context, cfg Config, batch BatchTrialBits) (*Result, error) {
-	if batch == nil {
-		return nil, fmt.Errorf("%w: nil trial", ErrBadConfig)
-	}
-	if err := cfg.validate(); err != nil {
+	res, err := EstimateAdaptiveBits(ctx, cfg.fixed(), batch)
+	if res == nil {
 		return nil, err
 	}
-	sources, quotas := chunkPlan(cfg)
-	successes := make([]int, len(sources))
-	trialsRun := make([]int, len(sources))
-
-	runErr := runFixed(ctx, cfg, len(sources), wordScratch,
-		func(ctx context.Context, chunk int, words []uint64) error {
-			n, err := runProbChunk(ctx, batch, sources[chunk], words, quotas[chunk])
-			if err != nil {
-				if err == ctx.Err() {
-					return err
-				}
-				return fmt.Errorf("mc: trial failed in chunk %d: %w", chunk, err)
-			}
-			successes[chunk] = n
-			trialsRun[chunk] = quotas[chunk]
-			mcChunks.Inc()
-			mcTrials.Add(int64(quotas[chunk]))
-			return nil
-		})
-
-	merge := obs.SpanFrom(ctx).Child("mc.merge")
-	result := &Result{}
-	for chunk := range sources {
-		if err := result.Proportion.AddCounts(successes[chunk], trialsRun[chunk]); err != nil {
-			merge.End()
-			return nil, err
-		}
-	}
-	merge.End()
-	if runErr != nil {
-		return result, runErr
-	}
-	return result, nil
+	return &res.Result, err
 }
 
 // IntSampler is a randomized experiment producing a non-negative integer
@@ -328,63 +389,45 @@ func EstimateProbabilityBits(ctx context.Context, cfg Config, batch BatchTrialBi
 type IntSampler func(src *rng.Source) (value int, err error)
 
 // EstimateDistribution runs the sampler cfg.Trials times and histograms the
-// observations into the given number of buckets (plus overflow).
+// observations into the given number of buckets (plus overflow). Chunk
+// histograms merge in chunk order; a canceled run returns ctx.Err()
+// alongside the histogram of the chunks that completed.
 func EstimateDistribution(ctx context.Context, cfg Config, buckets int, sample IntSampler) (*stats.Histogram, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	if sample == nil {
 		return nil, fmt.Errorf("%w: nil sampler", ErrBadConfig)
 	}
-	sources, quotas := chunkPlan(cfg)
-	hists := make([]*stats.Histogram, len(sources))
-	for chunk := range hists {
-		h, err := stats.NewHistogram(buckets)
-		if err != nil {
-			return nil, fmt.Errorf("mc: %w", err)
-		}
-		hists[chunk] = h
-	}
-
-	err := runChunks(ctx, cfg.Workers, cfg.Helpers, len(sources), func(ctx context.Context, chunk int) error {
-		src := sources[chunk]
-		for i := 0; i < quotas[chunk]; i++ {
-			if i%1024 == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			v, err := sample(src)
-			if err != nil {
-				return fmt.Errorf("mc: sampler failed in chunk %d: %w", chunk, err)
-			}
-			if err := hists[chunk].Observe(v); err != nil {
-				return fmt.Errorf("mc: chunk %d: %w", chunk, err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	acfg := cfg.fixed()
+	if err := acfg.validate(); err != nil {
 		return nil, err
 	}
-
 	merged, err := stats.NewHistogram(buckets)
 	if err != nil {
 		return nil, fmt.Errorf("mc: %w", err)
 	}
-	for _, h := range hists {
-		for b := 0; b < buckets; b++ {
-			for i := 0; i < h.Count(b); i++ {
-				if err := merged.Observe(b); err != nil {
-					return nil, fmt.Errorf("mc: merge: %w", err)
+	_, _, err = run(ctx, acfg, chunkRun[struct{}, *stats.Histogram]{
+		what:       "sampler",
+		newScratch: func() struct{} { return struct{}{} },
+		chunk: func(ctx context.Context, src *rng.Source, n int, _ struct{}) (*stats.Histogram, error) {
+			h, err := stats.NewHistogram(buckets)
+			for i := 0; i < n && err == nil; i++ {
+				if i%cancelCheckInterval == 0 && ctx.Err() != nil {
+					return nil, ctx.Err()
+				}
+				var v int
+				if v, err = sample(src); err == nil {
+					err = h.Observe(v)
 				}
 			}
-		}
-		for i := 0; i < h.Overflow(); i++ {
-			if err := merged.Observe(buckets); err != nil {
-				return nil, fmt.Errorf("mc: merge: %w", err)
+			return h, err
+		},
+		fold: func(h *stats.Histogram) error {
+			if h == nil { // the chunk did not complete
+				return nil
 			}
-		}
-	}
-	return merged, nil
+			return merged.Merge(h)
+		},
+	})
+	return merged, err
 }
 
 // BatchMean evaluates len(out) consecutive real-valued samples on src,
@@ -396,42 +439,16 @@ func EstimateDistribution(ctx context.Context, cfg Config, buckets int, sample I
 type BatchMean func(src *rng.Source, out []float64) error
 
 // EstimateMeanBatch runs cfg.Trials samples of the batched sampler in
-// parallel and returns summary statistics of the observations, folding
-// each chunk's buffer into its summary in trial order and merging chunk
-// summaries in chunk order. Summary merging is not floating-point
-// associative, so the fixed merge order is what makes the result
-// bit-identical at any worker count.
+// parallel and returns summary statistics of the observations:
+// EstimateMeanAdaptiveBatch without a target. Each chunk's buffer folds
+// into its summary in trial order and chunk summaries merge in chunk
+// order. Summary merging is not floating-point associative, so the fixed
+// merge order is what makes the result bit-identical at any worker
+// count.
 func EstimateMeanBatch(ctx context.Context, cfg Config, batch BatchMean) (*stats.Summary, error) {
-	if err := cfg.validate(); err != nil {
+	res, err := EstimateMeanAdaptiveBatch(ctx, cfg.fixed(), batch)
+	if res == nil {
 		return nil, err
 	}
-	if batch == nil {
-		return nil, fmt.Errorf("%w: nil sampler", ErrBadConfig)
-	}
-	sources, quotas := chunkPlan(cfg)
-	sums := make([]stats.Summary, len(sources))
-
-	err := runFixed(ctx, cfg, len(sources), floatScratch,
-		func(ctx context.Context, chunk int, out []float64) error {
-			if err := runMeanChunk(ctx, batch, sources[chunk], out[:quotas[chunk]], &sums[chunk]); err != nil {
-				if err == ctx.Err() {
-					return err
-				}
-				return fmt.Errorf("mc: sampler failed in chunk %d: %w", chunk, err)
-			}
-			mcChunks.Inc()
-			mcTrials.Add(int64(quotas[chunk]))
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-
-	merge := obs.SpanFrom(ctx).Child("mc.merge")
-	var merged stats.Summary
-	for _, s := range sums {
-		merged = stats.MergeSummaries(merged, s)
-	}
-	merge.End()
-	return &merged, nil
+	return &res.Summary, err
 }

@@ -114,6 +114,20 @@ func TestEstimateProbabilityValidation(t *testing.T) {
 	if _, err := EstimateMeanBatch(ctx, Config{Trials: 10, Workers: -1}, uniformMean); !errors.Is(err, ErrBadConfig) {
 		t.Error("negative mean workers accepted")
 	}
+	// Budgets over TrialLimit fail validation before a chunk plan is
+	// allocated; one for math.MaxInt trials could not be.
+	for _, trials := range []int{TrialLimit + 1, math.MaxInt} {
+		cfg := Config{Trials: trials, Seed: 1}
+		if _, err := EstimateProbabilityBits(ctx, cfg, coinBatch); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("trials=%d accepted by EstimateProbabilityBits: %v", trials, err)
+		}
+		if _, err := EstimateMeanBatch(ctx, cfg, uniformMean); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("trials=%d accepted by EstimateMeanBatch: %v", trials, err)
+		}
+		if _, err := EstimateDistribution(ctx, cfg, 4, func(*rng.Source) (int, error) { return 0, nil }); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("trials=%d accepted by EstimateDistribution: %v", trials, err)
+		}
+	}
 }
 
 func TestEstimateProbabilityPropagatesTrialError(t *testing.T) {
@@ -132,7 +146,7 @@ func TestEstimateProbabilityPropagatesTrialError(t *testing.T) {
 func TestRunChunksPrefersRootCause(t *testing.T) {
 	sentinel := errors.New("root cause")
 	for i := 0; i < 10; i++ {
-		err := runChunks(context.Background(), 4, nil, 4, func(ctx context.Context, chunk int) error {
+		err := runChunksWith(context.Background(), 4, nil, 4, func() struct{} { return struct{}{} }, func(ctx context.Context, chunk int, _ struct{}) error {
 			if chunk == 3 {
 				return sentinel
 			}

@@ -15,17 +15,19 @@ import (
 // chunks left for helpers to borrow and a partial chunk to merge.
 const poolTrials = 8*chunkSize + 777
 
-// poolRunner runs one of the harness's four entry points with the
-// given own workers and helper pool, and returns everything its result
-// carries, so two runs compare with ==.
+// poolRunner runs one of the harness's entry points with the given own
+// workers and helper pool, and returns everything its result carries,
+// so two runs compare with ==.
 type poolRunner struct {
 	name string
 	run  func(ctx context.Context, workers int, pool *Pool, bits BatchTrialBits, mean BatchMean) (string, error)
 }
 
-// poolRunners are the four run functions behind runChunksWith. The
+// poolRunners are the five entry points over the run body. The
 // adaptive targets stop after a few rounds, so rounds and trials used
-// are part of what must match.
+// are part of what must match. The histogram run samples through the
+// mean batch, one observation per call, so it shares the tests'
+// counting and failure hooks.
 var poolRunners = []poolRunner{
 	{"EstimateProbabilityBits", func(ctx context.Context, workers int, pool *Pool, bits BatchTrialBits, _ BatchMean) (string, error) {
 		r, err := EstimateProbabilityBits(ctx, Config{Trials: poolTrials, Workers: workers, Helpers: pool, Seed: 3}, bits)
@@ -56,6 +58,22 @@ var poolRunners = []poolRunner{
 			return "", err
 		}
 		return fmt.Sprintf("%d %b %b %d %s", r.Summary.N(), r.Summary.Mean(), r.Summary.Variance(), r.Rounds, r.StopReason), nil
+	}},
+	{"EstimateDistribution", func(ctx context.Context, workers int, pool *Pool, _ BatchTrialBits, mean BatchMean) (string, error) {
+		sample := func(src *rng.Source) (int, error) {
+			var x [1]float64
+			err := mean(src, x[:])
+			return int(x[0] * 10), err
+		}
+		h, err := EstimateDistribution(ctx, Config{Trials: poolTrials, Workers: workers, Helpers: pool, Seed: 7}, 8, sample)
+		if err != nil {
+			return "", err
+		}
+		counts := make([]int, h.Buckets())
+		for b := range counts {
+			counts[b] = h.Count(b)
+		}
+		return fmt.Sprint(counts, h.Overflow(), h.Total()), nil
 	}},
 }
 

@@ -35,11 +35,10 @@ var ErrShuttingDown = errors.New("serve: shutting down")
 var ErrUnknownJob = errors.New("serve: unknown job")
 
 // JobStatus is the client-visible state of one async sweep job. IDs are
-// content-addressed (a hash of the normalized spec, minus the worker
-// budget), so resubmitting an identical spec lands on the same retained
-// job — the store deduplicates sweeps exactly as the cache deduplicates
-// estimates, for as long as the record survives the store's MaxJobs
-// eviction.
+// content-addressed (a hash of the spec's sweep.Spec.Identity), so
+// resubmitting an identical spec lands on the same retained job — the
+// store deduplicates sweeps exactly as the cache deduplicates estimates,
+// for as long as the record survives the store's MaxJobs eviction.
 type JobStatus struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
@@ -60,7 +59,7 @@ type JobStatus struct {
 // store's mutex.
 type jobRecord struct {
 	id         string
-	spec       sweep.Spec // normalized, Workers zeroed
+	spec       sweep.Spec // the submitted spec's Identity
 	state      string
 	errMsg     string
 	cellsTotal int
@@ -129,13 +128,11 @@ func newJobStore(ctx context.Context, workers, cellWorkers, queueDepth, maxJobs 
 	return st
 }
 
-// jobID derives the content address of a spec: the hash of its normalized
-// JSON encoding with the worker budget zeroed, mirroring the artifact's
-// spec echo — scheduling must not change a job's identity.
-func jobID(norm sweep.Spec) (string, error) {
-	canon := norm
-	canon.Workers = 0
-	data, err := json.Marshal(canon)
+// jobID derives the content address of a spec: the hash of the JSON
+// encoding of its identity (sweep.Spec.Identity), which the artifact's
+// spec echo also is — scheduling must not change a job's identity.
+func jobID(spec sweep.Spec) (string, error) {
+	data, err := json.Marshal(spec.Identity())
 	if err != nil {
 		return "", fmt.Errorf("serve: encode spec: %w", err)
 	}
@@ -146,12 +143,11 @@ func jobID(norm sweep.Spec) (string, error) {
 // Submit normalizes and validates the spec, then either enqueues a new
 // job or returns the existing one with the same content address.
 func (st *jobStore) Submit(ctx context.Context, spec sweep.Spec) (JobStatus, bool, error) {
-	norm := spec.Normalized()
-	if err := norm.Validate(); err != nil {
+	if err := spec.Normalized().Validate(); err != nil {
 		return JobStatus{}, false, err
 	}
-	norm.Workers = 0
-	id, err := jobID(norm)
+	ident := spec.Identity()
+	id, err := jobID(ident)
 	if err != nil {
 		return JobStatus{}, false, err
 	}
@@ -162,7 +158,7 @@ func (st *jobStore) Submit(ctx context.Context, spec sweep.Spec) (JobStatus, boo
 		// The ID is a truncated hash; dedup only on a genuine spec
 		// match, so a 64-bit collision surfaces as an error instead of
 		// silently serving another spec's artifact.
-		if !reflect.DeepEqual(j.spec, norm) {
+		if !reflect.DeepEqual(j.spec, ident) {
 			return JobStatus{}, false, fmt.Errorf("serve: job id collision on %q", id)
 		}
 		return st.statusLocked(j), false, nil
@@ -182,9 +178,9 @@ func (st *jobStore) Submit(ctx context.Context, spec sweep.Spec) (JobStatus, boo
 	}
 	j := &jobRecord{
 		id:         id,
-		spec:       norm,
+		spec:       ident,
 		state:      StateQueued,
-		cellsTotal: len(norm.Expand()),
+		cellsTotal: len(ident.Expand()),
 	}
 	select {
 	case st.queue <- j:

@@ -228,6 +228,10 @@ func TestEstimateBadRequests(t *testing.T) {
 		{"threads too small", `{"model":"SC","threads":1}`},
 		{"exact needs n=2", `{"model":"SC","threads":4,"estimator":"exact"}`},
 		{"zero trials for mc", `{"model":"SC","estimator":"mc","trials":0}`},
+		{"largest int trials for mc", `{"model":"SC","estimator":"mc","trials":9223372036854775807}`},
+		{"trials over the limit for hybrid", `{"model":"SC","trials":1073741825}`},
+		{"largest int max_trials", `{"model":"SC","estimator":"mc-compiled","trials":1000,` +
+			`"precision":{"target_rel_err":0.1,"max_trials":9223372036854775807}}`},
 		{"not json", `model=SC`},
 	} {
 		resp, body := post(t, ts.URL+"/v1/estimate", tc.body)
@@ -237,6 +241,9 @@ func TestEstimateBadRequests(t *testing.T) {
 		if !strings.Contains(string(body), `"error"`) {
 			t.Errorf("%s: no error envelope: %s", tc.name, body)
 		}
+	}
+	if resp, body := get(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after bad requests: status %d (%s)", resp.StatusCode, body)
 	}
 }
 
@@ -413,9 +420,23 @@ func TestSweepJobLifecycle(t *testing.T) {
 func TestSweepJobErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	resp, body := post(t, ts.URL+"/v1/sweeps", `{"models":["ARM"]}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad spec status %d: %s", resp.StatusCode, body)
+	for _, spec := range []string{
+		`{"models":["ARM"]}`,
+		// Budgets over mc.TrialLimit are refused before any compute:
+		// a sweep cell's chunk plan for math.MaxInt trials cannot be
+		// allocated, and the cells run on the server's own goroutines.
+		`{"models":["SC"],"estimators":["mc"],"trials":9223372036854775807}`,
+		`{"models":["SC"],"trials":1073741825}`,
+		`{"models":["SC"],"trials":100,"precision":{"target_rel_err":0.1,"max_trials":9223372036854775807}}`,
+	} {
+		resp, body := post(t, ts.URL+"/v1/sweeps", spec)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("bad spec %s: status %d: %s", spec, resp.StatusCode, body)
+		}
+	}
+	resp, body := get(t, ts.URL+"/healthz")
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after bad specs: status %d (%s)", resp.StatusCode, body)
 	}
 	resp, body = get(t, ts.URL+"/v1/sweeps/deadbeef")
 	if resp.StatusCode != http.StatusNotFound {

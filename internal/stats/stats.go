@@ -354,6 +354,20 @@ func (h *Histogram) Observe(v int) error {
 	return nil
 }
 
+// Merge adds every count of o, which must have the same number of
+// buckets, to h.
+func (h *Histogram) Merge(o *Histogram) error {
+	if len(o.counts) != len(h.counts) {
+		return fmt.Errorf("%w: merging %d buckets into %d", ErrBadInput, len(o.counts), len(h.counts))
+	}
+	for v, n := range o.counts {
+		h.counts[v] += n
+	}
+	h.overflow += o.overflow
+	h.total += o.total
+	return nil
+}
+
 // Count returns the count in bucket v (0 if out of range).
 func (h *Histogram) Count(v int) int {
 	if v < 0 || v >= len(h.counts) {

@@ -314,6 +314,27 @@ func TestHistogram(t *testing.T) {
 	if h.Buckets() != 4 {
 		t.Errorf("Buckets = %d", h.Buckets())
 	}
+
+	merged, err := NewHistogram(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := merged.Merge(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if merged.Count(1) != 4 || merged.Count(3) != 2 || merged.Overflow() != 4 || merged.Total() != 12 {
+		t.Errorf("merged twice: counts %d %d, overflow %d, total %d",
+			merged.Count(1), merged.Count(3), merged.Overflow(), merged.Total())
+	}
+	narrow, err := NewHistogram(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := narrow.Merge(h); !errors.Is(err, ErrBadInput) {
+		t.Errorf("merging 4 buckets into 3: err = %v, want ErrBadInput", err)
+	}
 }
 
 func TestQuantile(t *testing.T) {

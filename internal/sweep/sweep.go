@@ -85,7 +85,7 @@ type Spec struct {
 	// Empty means {hybrid}.
 	Estimators []Kind `json:"estimators,omitempty"`
 	// Trials is the Monte Carlo trial budget per cell (mc and hybrid
-	// cells only).
+	// cells only), at most mc.TrialLimit.
 	Trials int `json:"trials,omitempty"`
 	// Seed is the experiment seed; it fully determines the artifact.
 	Seed uint64 `json:"seed"`
@@ -160,6 +160,17 @@ func (s Spec) Normalized() Spec {
 	return out
 }
 
+// Identity returns what identifies the sweep the spec describes: the
+// normalized spec with the worker budget zeroed. Workers is pure
+// scheduling, so specs that differ only in it, or in spelling a default
+// out, share one identity. Every artifact's spec echo and every content
+// address of a sweep (serve's job IDs) is this value.
+func (s Spec) Identity() Spec {
+	out := s.Normalized()
+	out.Workers = 0
+	return out
+}
+
 // Validate checks a normalized spec. Call Normalized first; Run does both.
 func (s Spec) Validate() error {
 	if len(s.Models) == 0 {
@@ -187,8 +198,8 @@ func (s Spec) Validate() error {
 		}
 		needTrials = needTrials || k.NeedsTrials()
 	}
-	if needTrials && s.Trials < 1 {
-		return fmt.Errorf("%w: trials=%d (mc/hybrid cells need ≥ 1)", ErrBadSpec, s.Trials)
+	if needTrials && (s.Trials < 1 || s.Trials > mc.TrialLimit) {
+		return fmt.Errorf("%w: trials=%d (mc/hybrid cells need 1 ≤ n ≤ %d)", ErrBadSpec, s.Trials, mc.TrialLimit)
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("%w: workers=%d", ErrBadSpec, s.Workers)
@@ -362,14 +373,12 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Artifact, error) {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
 
-	// The echo omits the worker budget: it is pure scheduling, and
-	// including it would break byte-identical artifacts across -workers.
-	echo := norm
-	echo.Workers = 0
+	// The echo is the spec's identity, without the worker budget, so
+	// artifacts are byte-identical across -workers.
 	sweepArtifactBuildSeconds.Observe(time.Since(buildStart).Seconds())
 	return &Artifact{
 		SchemaVersion: ArtifactVersion,
-		Spec:          echo,
+		Spec:          spec.Identity(),
 		Cells:         results,
 	}, nil
 }

@@ -57,6 +57,36 @@ func TestNormalizedDefaults(t *testing.T) {
 	}
 }
 
+// TestSpecIdentity: a spec's identity is its normalized form without the
+// worker budget, shared by specs that differ only in Workers, in model
+// casing or in spelling a grid default out, and it is what Run echoes.
+func TestSpecIdentity(t *testing.T) {
+	spec := smallSpec()
+	spec.Workers = 3
+	variant := smallSpec()
+	variant.Models = []string{"sc", "tso"}
+	variant.Workers = 1
+	want := spec.Normalized()
+	want.Workers = 0
+	for name, s := range map[string]Spec{"spec": spec, "variant": variant, "identity": spec.Identity()} {
+		if got := s.Identity(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s identity = %+v, want %+v", name, got, want)
+		}
+	}
+	defaults := Spec{Models: []string{"SC"}, Trials: 10}
+	spelled := Spec{Models: []string{"SC"}, Threads: []int{2}, PrefixLens: []int{64}, Estimators: []Kind{Hybrid}, Trials: 10}
+	if !reflect.DeepEqual(defaults.Identity(), spelled.Identity()) {
+		t.Error("spelling grid defaults out changed the identity")
+	}
+	art, err := Run(context.Background(), spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(art.Spec, want) {
+		t.Errorf("artifact echo %+v, want the spec's identity %+v", art.Spec, want)
+	}
+}
+
 func TestZeroProbabilitiesHonored(t *testing.T) {
 	// s = 0 means swaps never succeed: every model degenerates to SC and
 	// the exact n=2 Pr[A] is the SC value 1/6. A spec layer that treated
@@ -88,6 +118,9 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{Models: []string{"SC"}, PrefixLens: []int{0}},
 		{Models: []string{"SC"}, Estimators: []Kind{"bogus"}},
 		{Models: []string{"SC"}, Estimators: []Kind{FullMC}, Trials: 0},
+		{Models: []string{"SC"}, Estimators: []Kind{FullMC}, Trials: mc.TrialLimit + 1},
+		{Models: []string{"SC"}, Trials: math.MaxInt},
+		{Models: []string{"SC"}, Trials: 10, Precision: &estimator.Precision{TargetRelErr: 0.1, MaxTrials: math.MaxInt}},
 		{Models: []string{"SC"}, Workers: -1},
 		{Models: []string{"SC"}, StoreProb: 1.5},
 		{Models: []string{"SC"}, SwapProb: -0.5},
@@ -100,6 +133,11 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Spec{}, Options{}); !errors.Is(err, ErrBadSpec) {
 		t.Error("Run accepted empty spec")
+	}
+	// Trials bound only the cells that consume them.
+	exactOnly := Spec{Models: []string{"SC"}, Estimators: []Kind{Exact, WindowDist}, Trials: math.MaxInt}
+	if err := exactOnly.Normalized().Validate(); err != nil {
+		t.Errorf("deterministic grid with unused huge trials rejected: %v", err)
 	}
 }
 

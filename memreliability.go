@@ -192,8 +192,10 @@ const (
 	SweepHybrid     = sweep.Hybrid
 	SweepWindowDist = sweep.WindowDist
 	// SweepCompiledMC is full Monte Carlo on the query-compiled kernel
-	// engine — bit-identical to SweepFullMC on the same query; faster
-	// per trial on SC and TSO, slower on the relaxed models.
+	// engine — bit-identical to SweepFullMC on the same query, and
+	// faster per trial on every registered model: core's
+	// BenchmarkEngines puts its bits at 0.36–0.77 of the table-driven
+	// kernel's time (see README "Kernel architecture").
 	SweepCompiledMC = sweep.CompiledMC
 )
 
@@ -335,6 +337,7 @@ func HybridNoBugProbability(ctx context.Context, model Model, threads, trials in
 		LogPrA:             res.LogEstimate,
 		ProductExpectation: res.ProductExpectation,
 		StdErr:             res.StdErr,
+		TrialsUsed:         res.TrialsUsed,
 	}, nil
 }
 

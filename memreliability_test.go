@@ -209,7 +209,8 @@ func TestFacadeShimsMatchDirectEstimate(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.PrA != direct.Estimate || res.LogPrA != direct.LogEstimate ||
-			res.StdErr != direct.StdErr || res.ProductExpectation != direct.ProductExpectation {
+			res.StdErr != direct.StdErr || res.ProductExpectation != direct.ProductExpectation ||
+			res.TrialsUsed != 4000 || res.TrialsUsed != direct.TrialsUsed {
 			t.Errorf("shim %+v != direct %+v", res, direct)
 		}
 	})

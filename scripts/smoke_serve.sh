@@ -4,8 +4,9 @@
 # only metrics surface; GET /metrics is 404), an 8-chunk estimate that is
 # byte-identical on a 2-slot and a 1-slot server (the 2-slot one lending
 # its idle slot to the estimate's chunks), two window distributions that
-# share one cached DP, and a clean shutdown. Run by both
-# `make smoke-serve` and the CI smoke-serve job.
+# share one cached DP, a 400 for an oversized trial budget on a sweep and
+# on an estimate from a daemon that keeps serving, and a clean shutdown.
+# Run by both `make smoke-serve` and the CI smoke-serve job.
 set -eu
 
 ADDR="127.0.0.1:18377"
@@ -163,6 +164,28 @@ if [ "$EVALS" -ne 1 ] || [ "$HITS" -lt 1 ]; then
     exit 1
 fi
 echo "smoke-serve: windowdist at prefix_len 16 and 48 shared one DP ($EVALS evaluation, $HITS hit)"
+
+# A trial budget over mc.TrialLimit (2^30) is refused with 400 before any
+# compute: a sweep cell's chunk plan for 2^63-1 trials cannot be
+# allocated, and a panic on a job's goroutine would end the daemon. The
+# same process must still answer /healthz.
+HUGE=9223372036854775807
+refused() {
+    STATUS=$(curl -s -o "$WORKDIR/huge" -w '%{http_code}' -H 'Content-Type: application/json' -d "$2" "$BASE/$1")
+    if [ "$STATUS" != 400 ]; then
+        echo "smoke-serve: POST /$1 with trials $HUGE answered $STATUS, want 400" >&2
+        cat "$WORKDIR/huge" >&2
+        exit 1
+    fi
+}
+refused v1/sweeps "{\"models\":[\"SC\"],\"estimators\":[\"mc\"],\"trials\":$HUGE}"
+refused v1/estimate "{\"model\":\"SC\",\"estimator\":\"mc\",\"trials\":$HUGE}"
+STATUS=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/healthz")
+if [ "$STATUS" != 200 ] || ! kill -0 "$PID" 2>/dev/null; then
+    echo "smoke-serve: memserved stopped serving after the oversized requests (healthz $STATUS)" >&2
+    exit 1
+fi
+echo "smoke-serve: oversized trial budgets answered 400 and the daemon kept serving"
 
 # SIGTERM must shut both daemons down cleanly.
 for p in $PID $PID1; do
