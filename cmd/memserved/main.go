@@ -1,8 +1,9 @@
 // memserved is the long-running estimation service: an HTTP JSON API over
-// the paper's estimators and the sweep engine, with a canonical-key LRU
-// result cache, singleflight deduplication of concurrent identical
-// requests, and async sweep jobs on a bounded worker pool. Responses for
-// identical (request, seed) are byte-identical, inheriting the engine's
+// the paper's estimators and the sweep engine, with a canonical-key
+// get-or-compute-once LRU response cache (concurrent identical requests
+// run the estimator once; failed computations are not kept) and async
+// sweep jobs on a bounded worker pool. Responses for identical
+// (request, seed) are byte-identical, inheriting the engine's
 // reproducibility guarantee.
 //
 // Usage:

@@ -134,16 +134,24 @@ func TestBatchDispatchCoalesces(t *testing.T) {
 	}
 }
 
-// stallingWorker holds its first request until release is closed.
+// stallingWorker holds its first request until release is closed, for
+// at most stallBound; expired records a hold that ran out.
 type stallingWorker struct {
 	h       http.Handler
 	served  atomic.Int64
 	release chan struct{}
+	expired atomic.Bool
 }
+
+const stallBound = 10 * time.Second
 
 func (sw *stallingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if sw.served.Add(1) == 1 {
-		<-sw.release
+		select {
+		case <-sw.release:
+		case <-time.After(stallBound):
+			sw.expired.Store(true)
+		}
 	}
 	sw.h.ServeHTTP(w, r)
 }
@@ -188,14 +196,19 @@ func TestIdleWorkerTakesQueuedCells(t *testing.T) {
 }
 
 // killableWorker serves its first request normally, then drops every
-// connection — indistinguishable from a killed worker process.
+// connection — indistinguishable from a killed worker process. killed
+// closes when its second request arrives.
 type killableWorker struct {
 	h      http.Handler
 	served atomic.Int64
+	killed chan struct{}
 }
 
 func (kw *killableWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if kw.served.Add(1) > 1 {
+	if n := kw.served.Add(1); n > 1 {
+		if n == 2 {
+			close(kw.killed)
+		}
 		hj, ok := w.(http.Hijacker)
 		if !ok {
 			panic("test server must support hijacking")
@@ -209,23 +222,30 @@ func (kw *killableWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	kw.h.ServeHTTP(w, r)
 }
 
-// TestWorkerKilledMidSweepRetries kills one worker after its first
+// TestWorkerKilledMidSweepRetries kills one worker at its second
 // request and requires the surviving worker to absorb the orphaned
 // cells with a byte-identical artifact — the failure-path determinism,
 // at unbatched and batched dispatch. With a batch the kill orphans a
 // whole in-flight batch at once, exercising the batch retry path.
+//
+// The survivor's first request is held until the dying worker has
+// received its second. Otherwise the survivor, its own shard done, may
+// take every cell still queued on the dying worker while that worker's
+// first batch runs, and the kill never fires.
 func TestWorkerKilledMidSweepRetries(t *testing.T) {
 	spec := testSpec()
 	want := standaloneBytes(t, spec)
 
 	for _, maxBatch := range []int{1, 2} {
-		kw := &killableWorker{h: NewWorker(WorkerConfig{Workers: 1})}
+		kw := &killableWorker{h: NewWorker(WorkerConfig{Workers: 1}), killed: make(chan struct{})}
 		dying := httptest.NewServer(kw)
 		t.Cleanup(dying.Close)
-		survivorURLs, survivors := startWorkers(t, 1)
+		sw := &stallingWorker{h: NewWorker(WorkerConfig{Workers: 1}), release: kw.killed}
+		survivor := httptest.NewServer(sw)
+		t.Cleanup(survivor.Close)
 
 		coord, err := New(Config{
-			Workers:     []string{dying.URL, survivorURLs[0]},
+			Workers:     []string{dying.URL, survivor.URL},
 			CellTimeout: 30 * time.Second,
 			MaxBatch:    maxBatch,
 		})
@@ -237,6 +257,10 @@ func TestWorkerKilledMidSweepRetries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batch=%d: %v", maxBatch, err)
 		}
+		if sw.expired.Load() {
+			t.Fatalf("batch=%d: the survivor's first request was held %v and the dying worker never received a second",
+				maxBatch, stallBound)
+		}
 		if got := artifactBytes(t, art); !bytes.Equal(got, want) {
 			t.Errorf("batch=%d: artifact after worker kill differs from standalone", maxBatch)
 		}
@@ -244,7 +268,7 @@ func TestWorkerKilledMidSweepRetries(t *testing.T) {
 			t.Fatalf("batch=%d: dying worker saw %d requests; the kill never fired mid-sweep",
 				maxBatch, kw.served.Load())
 		}
-		if survivors[0].n.Load() == 0 {
+		if sw.served.Load() == 0 {
 			t.Errorf("batch=%d: survivor computed nothing; orphaned cells were not retried", maxBatch)
 		}
 		if coord.wm[0].retries.Value() <= retriesBefore {

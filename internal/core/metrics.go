@@ -17,9 +17,9 @@ var (
 		obs.LogBuckets(1e-7, 4, 12))
 )
 
-// Compiler-engine metrics. Compiles happen once per distinct query (the
-// plan cache's once), hits on every repeat lookup, evictions only when
-// the LRU exceeds its cap — all lock-free atomic counters.
+// Compiler-engine metrics. Compiles happen once per plan-cache entry,
+// hits on every lookup that finds one, evictions only when the LRU
+// exceeds its cap — all lock-free atomic counters.
 var (
 	corePlansCompiled = obs.Default().Counter("core_plans_compiled_total",
 		"Trial kernels monomorphized by the compiler engine.")

@@ -13,7 +13,7 @@ import (
 // lookups of one key block on a single compile, never duplicate it — and
 // eviction only forgets the cache's reference: a Program is immutable
 // and owns its scratch pool, so in-flight batch calls on an evicted
-// program remain valid.
+// program remain valid. A compile error is not kept.
 
 // DefaultPlanCacheCap is the default compiled-plan capacity. Plans are
 // small (a few closures plus pooled scratch); the cap exists to bound a
@@ -54,8 +54,7 @@ func planKeyOf(c Config) planKey {
 	}
 }
 
-// PlanCache is a concurrency-safe LRU cache of compiled Programs. Both
-// the program and the compile error are cached per key.
+// PlanCache is a concurrency-safe LRU cache of compiled Programs.
 type PlanCache struct {
 	plans *lru.Cache[planKey, *Program]
 }
@@ -63,19 +62,23 @@ type PlanCache struct {
 // NewPlanCache returns a cache holding at most capacity compiled plans
 // (minimum 1).
 func NewPlanCache(capacity int) *PlanCache {
-	return &PlanCache{plans: lru.New[planKey, *Program](capacity, corePlanCacheHits, corePlanCacheEvictions)}
+	return &PlanCache{plans: lru.New[planKey, *Program](capacity, corePlanCacheEvictions)}
 }
 
 // Lookup returns the compiled program for the config, compiling it on
 // first use. Concurrent lookups of the same key share one compile.
 func (pc *PlanCache) Lookup(cfg Config) (*Program, error) {
-	return pc.plans.Get(planKeyOf(cfg), func() (*Program, error) {
+	prog, outcome, err := pc.plans.Get(planKeyOf(cfg), func() (*Program, error) {
 		ir, err := cfg.BuildIR()
 		if err != nil {
 			return nil, err
 		}
 		return ir.Compile()
 	})
+	if outcome != lru.Computed {
+		corePlanCacheHits.Inc()
+	}
+	return prog, err
 }
 
 // Len reports the number of cached plans (compiled or compiling).

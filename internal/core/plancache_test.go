@@ -166,16 +166,19 @@ func TestPlanCacheSetCap(t *testing.T) {
 }
 
 // TestPlanCacheBadConfig checks invalid configs error through the cache
-// without occupying a usable slot's program.
+// without occupying a slot: the error is not kept, and a repeat lookup
+// fails the same way.
 func TestPlanCacheBadConfig(t *testing.T) {
 	pc := NewPlanCache(4)
 	bad := Config{Model: memmodel.TSO(), Threads: 1, PrefixLen: 8}
 	if _, err := pc.Lookup(bad); err == nil {
 		t.Fatal("Lookup accepted threads=1")
 	}
-	// The error is cached (deterministic), not recompiled into success.
+	if pc.Len() != 0 {
+		t.Fatalf("a failed compile left %d entries, want 0", pc.Len())
+	}
 	if _, err := pc.Lookup(bad); err == nil {
-		t.Fatal("cached lookup accepted threads=1")
+		t.Fatal("repeat lookup accepted threads=1")
 	}
 }
 

@@ -43,12 +43,13 @@ type routeMetrics struct {
 // pre-resolved handles every serve event is counted on, each at exactly
 // one site, and the request-ID generator.
 type serveObs struct {
-	reg          *obs.Registry
-	routes       map[string]*routeMetrics
-	computations *obs.Counter // leader computations, served or not
-	inflight     *obs.Gauge   // leader computations running now
-	jobsAccepted *obs.Counter // sweep jobs newly enqueued
-	queueDepth   *obs.Gauge
+	reg            *obs.Registry
+	routes         map[string]*routeMetrics
+	computations   *obs.Counter // leader computations, served or not
+	inflight       *obs.Gauge   // leader computations running now
+	cacheEvictions *obs.Counter // response bodies dropped by the cache's capacity bound
+	jobsAccepted   *obs.Counter // sweep jobs newly enqueued
+	queueDepth     *obs.Gauge
 
 	idPrefix  string
 	idCounter atomic.Uint64
@@ -89,6 +90,8 @@ func newServeObs() *serveObs {
 		"Leader computations of the cached endpoints, counted whether or not the response reaches the client.")
 	o.inflight = o.reg.Gauge("serve_computations_inflight",
 		"Leader computations running now, including those waiting for an estimate worker slot.")
+	o.cacheEvictions = o.reg.Counter("serve_cache_evictions_total",
+		"Response bodies evicted by the response cache's capacity bound (Config.CacheSize).")
 	o.jobsAccepted = o.reg.Counter("serve_jobs_accepted_total",
 		"Sweep jobs newly enqueued (a resubmitted identical spec is not counted).")
 	o.queueDepth = o.reg.Gauge("serve_job_queue_depth",

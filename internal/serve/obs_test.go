@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -280,6 +281,52 @@ func TestFailedWriteCountsNothing(t *testing.T) {
 	}
 	if got := srv.obs.computations.Value(); got != 1 {
 		t.Errorf("computations = %d, want still 1", got)
+	}
+}
+
+// TestFailedComputeIsNotKept: a computation that fails answers its
+// error and leaves nothing cached, so the next request for the key
+// computes again and answers miss with the body.
+func TestFailedComputeIsNotKept(t *testing.T) {
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	calls := 0
+	compute := func(ctx context.Context) (any, error) {
+		calls++
+		if calls == 1 {
+			return nil, errors.New("estimator failed")
+		}
+		return map[string]string{"v": "1"}, nil
+	}
+	req := httptest.NewRequest("GET", "/v1/litmus", nil)
+	cache := srv.obs.route(req.Pattern).cache
+
+	rec := httptest.NewRecorder()
+	srv.cached(rec, req, "k", compute)
+	if rec.Code != http.StatusInternalServerError || rec.Header().Get("X-Cache") != "" {
+		t.Fatalf("failed compute: status %d X-Cache %q, want 500 and none", rec.Code, rec.Header().Get("X-Cache"))
+	}
+	if got := cache["miss"].Value(); got != 0 {
+		t.Errorf("misses = %d after a failed compute, want 0", got)
+	}
+
+	rec = httptest.NewRecorder()
+	srv.cached(rec, req, "k", compute)
+	if got := rec.Header().Get("X-Cache"); got != "miss" {
+		t.Errorf("retry X-Cache = %q, want miss (the error was not kept)", got)
+	}
+	if got, want := rec.Body.String(), "{\n  \"v\": \"1\"\n}\n"; got != want {
+		t.Errorf("retry body = %q, want %q", got, want)
+	}
+	if calls != 2 || srv.obs.computations.Value() != 2 {
+		t.Errorf("compute ran %d times, %d computations counted; want 2 and 2", calls, srv.obs.computations.Value())
+	}
+	if got := cache["miss"].Value(); got != 1 {
+		t.Errorf("misses = %d after the retry, want 1", got)
 	}
 }
 

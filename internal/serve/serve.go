@@ -4,10 +4,11 @@
 //
 // The hot path leans on the engine's reproducibility guarantee: every
 // estimator is deterministic in its request, so responses are perfectly
-// cacheable. Cached endpoints share one pipeline — a canonical request
-// key, an LRU cache of encoded response bodies, and singleflight
-// deduplication so N concurrent identical requests run the estimator
-// once and all receive byte-identical bodies. Async sweep jobs run on a
+// cacheable. Cached endpoints share one pipeline: a canonical request
+// key and one get-or-compute-once LRU of encoded response bodies
+// (internal/lru). N concurrent identical requests run the estimator
+// once and all receive byte-identical bodies; a failed computation is
+// not kept, so the next request tries again. Async sweep jobs run on a
 // separate bounded worker pool (so a heavy sweep can never starve a
 // cheap estimate) and are content-addressed by their normalized spec,
 // which deduplicates resubmissions for free.
@@ -48,6 +49,7 @@ import (
 
 	"memreliability/internal/estimator"
 	"memreliability/internal/litmus"
+	"memreliability/internal/lru"
 	"memreliability/internal/mc"
 	"memreliability/internal/obs"
 	"memreliability/internal/store"
@@ -99,8 +101,8 @@ type Config struct {
 	// Nil disables request logging.
 	Logger *slog.Logger
 	// Store, when non-nil, is the persistent content-addressed result
-	// store: a second cache tier behind the LRU. Responses found there
-	// serve with X-Cache: disk (and promote into the LRU); every leader
+	// store: a second cache tier behind the LRU. A response found there
+	// serves with X-Cache: disk and becomes the LRU entry; every
 	// computation writes through. Because results are deterministic in
 	// their canonical key, the store is safe to share across restarts
 	// and between fleet members on shared storage.
@@ -145,13 +147,12 @@ func (c Config) validate() error {
 // with an http.Server (see cmd/memserved) or httptest for tests. Close
 // releases its background workers.
 type Server struct {
-	cfg    Config
-	mux    *http.ServeMux
-	cache  *lruCache
-	flight *flightGroup
-	jobs   *jobStore
-	obs    *serveObs
-	pool   *mc.Pool // estimate-worker slots, held by leaders and lent to their Monte Carlo
+	cfg   Config
+	mux   *http.ServeMux
+	cache *lru.Cache[string, []byte] // canonical request key → encoded response body
+	jobs  *jobStore
+	obs   *serveObs
+	pool  *mc.Pool // estimate-worker slots, held by computations and lent to their Monte Carlo
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -168,8 +169,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
-		cache:   newLRUCache(cfg.CacheSize),
-		flight:  newFlightGroup(),
+		cache:   lru.New[string, []byte](cfg.CacheSize, so.cacheEvictions),
 		jobs:    newJobStore(ctx, cfg.SweepWorkers, cfg.SweepCellWorkers, cfg.QueueDepth, cfg.MaxJobs, so.queueDepth, cfg.RunSweep),
 		obs:     so,
 		pool:    mc.NewPool(cfg.EstimateWorkers),
@@ -318,104 +318,104 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, base any) error {
 	return nil
 }
 
-// cached serves one cacheable endpoint: look the canonical key up in the
-// LRU, then (when configured) in the persistent store, and on a full
-// miss run compute behind singleflight on one of the estimate worker
-// slots, caching the encoded body in both tiers. Concurrent
-// identical requests share one computation; every path returns the same
-// bytes.
+// cached serves one cacheable endpoint through the response cache. The
+// first request for a key fills its entry: from the persistent store
+// when one is configured and holds the key (X-Cache: disk), otherwise by
+// running compute (miss, see computeBody). Concurrent identical requests
+// wait for that one fill and share its bytes (dedup); later ones find
+// the entry done (hit). A failed fill is not kept, so the next request
+// tries again. Every path returns the same bytes.
 //
 // The route's cache-outcome series is incremented only after the body
 // write succeeds: a client that disconnects mid-stream received nothing,
 // and counting it would overcount served traffic. The computation
 // series (serve_computations_total, serve_computations_inflight) are
-// updated inside the leader — they measure estimator work, which
-// happens whether or not the bytes land.
+// updated inside the fill — they measure estimator work, which happens
+// whether or not the bytes land.
 func (s *Server) cached(w http.ResponseWriter, r *http.Request, key string, compute func(ctx context.Context) (any, error)) {
 	span := obs.SpanFrom(r.Context())
 	lookup := span.Child("cache.lookup")
-	body, ok := s.cache.Get(key)
-	lookup.End()
-	if ok {
-		s.countServed(w, r, "hit", body)
-		return
-	}
-	if body, ok := s.diskGet(span, key); ok {
-		s.countServed(w, r, "disk", body)
-		return
-	}
-	// leaderState is written only inside fn, which Do runs on this
-	// goroutine when (and only when) shared comes back false.
-	leaderState := "miss"
-	body, err, shared := s.flight.Do(key, func() ([]byte, error) {
-		// Double-check the cache as leader: a caller that missed, then
-		// was descheduled past a previous leader's entire compute+cache,
-		// becomes a new leader here — the recheck turns that duplicate
-		// computation into a hit, keeping "identical concurrent requests
-		// compute once" airtight.
-		if body, ok := s.cache.Get(key); ok {
-			leaderState = "hit"
-			return body, nil
-		}
-		if body, ok := s.diskGet(span, key); ok {
-			leaderState = "disk"
-			return body, nil
-		}
-		s.obs.inflight.Add(1)
-		defer s.obs.inflight.Add(-1)
-		// Refuse before acquiring: Acquire takes a free slot without
-		// looking at the context, so this check is what makes
-		// post-Close refusal deterministic.
-		if s.baseCtx.Err() != nil {
-			return nil, ErrShuttingDown
-		}
-		if err := s.pool.Acquire(s.baseCtx); err != nil {
-			return nil, ErrShuttingDown
-		}
-		defer s.pool.Release()
-		// Compute against the server's context, not the request's: the
-		// result is shared with concurrent duplicates and then cached,
-		// so one impatient client must not poison it. The leader's trace
-		// span rides along (scheduling metadata only — the computation
-		// itself is deterministic in the query).
-		s.obs.computations.Inc()
-		cspan := span.Child("compute")
-		v, err := compute(obs.WithSpan(s.baseCtx, cspan))
-		cspan.End()
-		if err != nil {
-			if s.baseCtx.Err() != nil {
-				return nil, ErrShuttingDown
-			}
-			return nil, err
-		}
-		// Computations that ignore ctx (litmus.CheckAll) can complete
-		// across a Close; honor the shutdown rather than caching and
-		// serving mid-drain.
-		if s.baseCtx.Err() != nil {
-			return nil, ErrShuttingDown
-		}
-		data, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			return nil, fmt.Errorf("serve: encode response: %w", err)
-		}
-		data = append(data, '\n')
-		s.cache.Add(key, data)
-		// Write-through to the persistent tier is best-effort (the
-		// store counts its own put errors) and never gates the response.
+	// state is written only by the fill, which Get runs on this
+	// goroutine when (and only when) the outcome is Computed.
+	state := "miss"
+	body, outcome, err := s.cache.Get(key, func() ([]byte, error) {
+		lookup.End()
 		if s.cfg.Store != nil {
-			s.cfg.Store.Put(key, data) //nolint:errcheck
+			read := span.Child("store.lookup")
+			body, ok := s.cfg.Store.Get(key)
+			read.End()
+			// A corrupt or missing record reads as a miss (the store's
+			// contract) and falls through to compute.
+			if ok {
+				state = "disk"
+				return body, nil
+			}
 		}
-		return data, nil
+		return s.computeBody(span, key, compute)
 	})
+	lookup.End()
 	if err != nil {
 		writeError(w, errorStatus(err), err)
 		return
 	}
-	state := leaderState
-	if shared {
+	switch outcome {
+	case lru.Waited:
 		state = "dedup"
+	case lru.Ready:
+		state = "hit"
 	}
 	s.countServed(w, r, state, body)
+}
+
+// computeBody runs compute on one of the estimate worker slots, encodes
+// its result as the response body, and writes the body through to the
+// persistent store. After Close it refuses with ErrShuttingDown rather
+// than start, keep or serve a computation.
+func (s *Server) computeBody(span *obs.Span, key string, compute func(ctx context.Context) (any, error)) ([]byte, error) {
+	s.obs.inflight.Add(1)
+	defer s.obs.inflight.Add(-1)
+	// Refuse before acquiring: Acquire takes a free slot without
+	// looking at the context, so this check is what makes post-Close
+	// refusal deterministic.
+	if s.baseCtx.Err() != nil {
+		return nil, ErrShuttingDown
+	}
+	if err := s.pool.Acquire(s.baseCtx); err != nil {
+		return nil, ErrShuttingDown
+	}
+	defer s.pool.Release()
+	// Compute against the server's context, not the request's: the
+	// result is shared with concurrent duplicates and then cached, so
+	// one impatient client must not poison it. The requesting trace
+	// span rides along (scheduling metadata only — the computation
+	// itself is deterministic in the query).
+	s.obs.computations.Inc()
+	cspan := span.Child("compute")
+	v, err := compute(obs.WithSpan(s.baseCtx, cspan))
+	cspan.End()
+	if err != nil {
+		if s.baseCtx.Err() != nil {
+			return nil, ErrShuttingDown
+		}
+		return nil, err
+	}
+	// Computations that ignore ctx (litmus.CheckAll) can complete across
+	// a Close; honor the shutdown rather than caching and serving
+	// mid-drain.
+	if s.baseCtx.Err() != nil {
+		return nil, ErrShuttingDown
+	}
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("serve: encode response: %w", err)
+	}
+	data = append(data, '\n')
+	// Write-through to the persistent tier is best-effort (the store
+	// counts its own put errors) and never gates the response.
+	if s.cfg.Store != nil {
+		s.cfg.Store.Put(key, data) //nolint:errcheck
+	}
+	return data, nil
 }
 
 // countServed writes a cacheable body with its X-Cache state and, only
@@ -427,26 +427,6 @@ func (s *Server) countServed(w http.ResponseWriter, r *http.Request, state strin
 		return
 	}
 	s.obs.route(r.Pattern).cacheEvent(state)
-}
-
-// diskGet consults the persistent second-tier store and promotes a hit
-// into the LRU, so repeated requests stop paying the disk read. The
-// stored payload is exactly the bytes a leader computation cached, so
-// promotion preserves byte-identity across cache states. A corrupt or
-// missing record reads as a miss (the store's contract) and falls
-// through to recompute.
-func (s *Server) diskGet(span *obs.Span, key string) ([]byte, bool) {
-	if s.cfg.Store == nil {
-		return nil, false
-	}
-	read := span.Child("store.lookup")
-	body, ok := s.cfg.Store.Get(key)
-	read.End()
-	if !ok {
-		return nil, false
-	}
-	s.cache.Add(key, body)
-	return body, true
 }
 
 // writeCached writes a cacheable body with its X-Cache state, reporting

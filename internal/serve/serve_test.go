@@ -573,6 +573,31 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestLRUBasic checks the response cache's bound through the server:
+// at CacheSize 2, the least recently used body is the one evicted, a
+// recently used one survives, serve_cache_evictions_total counts each
+// eviction, and an evicted key computes again.
+func TestLRUBasic(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheSize: 2})
+	body := func(model string) string {
+		return `{"model":"` + model + `","threads":2,"estimator":"exact","prefix_len":8}`
+	}
+	for i, step := range []struct{ model, want string }{
+		{"SC", "miss"}, {"TSO", "miss"}, {"SC", "hit"},
+		{"PSO", "miss"},                // evicts TSO, the least recently used
+		{"SC", "hit"}, {"TSO", "miss"}, // evicts PSO
+	} {
+		resp, data := post(t, ts.URL+"/v1/estimate", body(step.model))
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != step.want {
+			t.Fatalf("request %d (%s): status %d X-Cache %q, want 200 %s: %s",
+				i, step.model, resp.StatusCode, resp.Header.Get("X-Cache"), step.want, data)
+		}
+	}
+	if got := metric(t, ts.URL, "serve_cache_evictions_total"); got != 2 {
+		t.Errorf("serve_cache_evictions_total = %v, want 2", got)
+	}
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, _ := get(t, ts.URL+"/v1/estimate")

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"io/fs"
 	"net/http"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"memreliability/internal/obs"
 	"memreliability/internal/store"
 )
 
@@ -107,5 +109,64 @@ func TestDiskTierCorruptRecordRecomputes(t *testing.T) {
 	resp3, _ := post(t, ts3.URL+"/v1/estimate", body)
 	if resp3.Header.Get("X-Cache") != "disk" {
 		t.Fatalf("healed-store request: X-Cache %q, want disk", resp3.Header.Get("X-Cache"))
+	}
+}
+
+// countSpans counts the spans named name in the tree under sj.
+func countSpans(sj obs.SpanJSON, name string) int {
+	n := 0
+	if sj.Name == name {
+		n++
+	}
+	for _, c := range sj.Children {
+		n += countSpans(c, name)
+	}
+	return n
+}
+
+// TestFullMissReadsStoreOnce checks that a full miss on a server with a
+// store reads the store once: store_gets_total{outcome="miss"} moves by
+// exactly 1, and the miss's trace holds one store.lookup span. The
+// repeat is a hit that reads the store no more.
+func TestFullMissReadsStoreOnce(t *testing.T) {
+	_, ts := newTestServer(t, Config{Store: openStore(t, t.TempDir())})
+	body := `{"model":"PSO","estimator":"exact","threads":2,"prefix_len":10}`
+	const storeMisses = `store_gets_total{outcome="miss"}`
+	before := metric(t, ts.URL, storeMisses)
+
+	req, err := http.NewRequest("POST", ts.URL+"/v1/estimate", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Trace", "1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envBody := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("first request: status %d X-Cache %q, want 200 miss: %s",
+			resp.StatusCode, resp.Header.Get("X-Cache"), envBody)
+	}
+	if got := metric(t, ts.URL, storeMisses) - before; got != 1 {
+		t.Errorf("one full miss moved %s by %v, want 1", storeMisses, got)
+	}
+	var env struct {
+		Trace obs.SpanJSON `json:"trace"`
+	}
+	if err := json.Unmarshal(envBody, &env); err != nil {
+		t.Fatalf("parse envelope: %v\n%s", err, envBody)
+	}
+	if got := countSpans(env.Trace, "store.lookup"); got != 1 {
+		t.Errorf("the miss's trace holds %d store.lookup spans, want 1:\n%s", got, envBody)
+	}
+
+	resp2, _ := post(t, ts.URL+"/v1/estimate", body)
+	if resp2.Header.Get("X-Cache") != "hit" {
+		t.Fatalf("repeat request: X-Cache %q, want hit", resp2.Header.Get("X-Cache"))
+	}
+	if got := metric(t, ts.URL, storeMisses) - before; got != 1 {
+		t.Errorf("a hit read the store: %s moved by %v in all, want 1", storeMisses, got)
 	}
 }

@@ -45,7 +45,7 @@ type WindowCache struct {
 }
 
 func newWindowCache(capacity int) *WindowCache {
-	return &WindowCache{dists: lru.New[windowKey, []float64](capacity, settleWindowCacheHits, settleWindowCacheEvictions)}
+	return &WindowCache{dists: lru.New[windowKey, []float64](capacity, settleWindowCacheEvictions)}
 }
 
 // WindowDist returns ExactWindowDist(model, m, pStore, s, maxGamma) bit
@@ -60,9 +60,12 @@ func (wc *WindowCache) WindowDist(model memmodel.Model, m int, pStore, s float64
 	key := windowKey{ld: d.ld, st: d.st, m: m,
 		pBits: math.Float64bits(pStore + 0), sBits: math.Float64bits(s + 0)}
 	// The DP cannot fail on validated inputs, so no entry holds an error.
-	mass, _ := wc.dists.Get(key, func() ([]float64, error) {
+	mass, outcome, _ := wc.dists.Get(key, func() ([]float64, error) {
 		return d.windowMass(m, pStore, m), nil
 	})
+	if outcome != lru.Computed {
+		settleWindowCacheHits.Inc()
+	}
 	if maxGamma > m {
 		padded := make([]float64, maxGamma+1)
 		copy(padded, mass)

@@ -383,9 +383,10 @@ func LitmusTests() []LitmusTest { return litmus.Registry() }
 func LitmusCheckAll() ([]LitmusResult, error) { return litmus.CheckAll() }
 
 // Server is the HTTP estimation service: a JSON API over the estimators
-// and the sweep engine with an LRU result cache, singleflight
-// deduplication, and async sweep jobs on a bounded worker pool. It
-// implements http.Handler; cmd/memserved is the ready-made daemon.
+// and the sweep engine with a get-or-compute-once LRU response cache
+// (concurrent identical requests compute once) and async sweep jobs on
+// a bounded worker pool. It implements http.Handler; cmd/memserved is
+// the ready-made daemon.
 type Server = serve.Server
 
 // ServeConfig configures a Server; its zero value gets sensible
