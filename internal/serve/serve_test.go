@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -595,6 +597,53 @@ func TestLRUBasic(t *testing.T) {
 	}
 	if got := metric(t, ts.URL, "serve_cache_evictions_total"); got != 2 {
 		t.Errorf("serve_cache_evictions_total = %v, want 2", got)
+	}
+}
+
+// TestLRUConcurrent drives the response cache from four goroutines
+// over four keys at CacheSize 2, so lookups, computes and evictions
+// interleave: every answer carries its own key's body, the cache stays
+// within its bound, and each miss is exactly one computation.
+func TestLRUConcurrent(t *testing.T) {
+	srv, err := New(Config{CacheSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	keys := []string{"a", "b", "c", "d"}
+	var misses atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 250; i++ {
+				key := keys[(g+i)%len(keys)]
+				rec := httptest.NewRecorder()
+				srv.cached(rec, httptest.NewRequest("GET", "/v1/litmus", nil), key,
+					func(context.Context) (any, error) { return map[string]string{"k": key}, nil })
+				if want := "{\n  \"k\": \"" + key + "\"\n}\n"; rec.Code != http.StatusOK || rec.Body.String() != want {
+					t.Errorf("key %s: status %d body %q, want 200 %q", key, rec.Code, rec.Body.String(), want)
+					return
+				}
+				switch state := rec.Header().Get("X-Cache"); state {
+				case "miss":
+					misses.Add(1)
+				case "hit", "dedup":
+				default:
+					t.Errorf("key %s: X-Cache %q", key, state)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := srv.cache.Len(); n > 2 {
+		t.Errorf("cache holds %d entries, want at most 2", n)
+	}
+	if got, want := srv.obs.computations.Value(), misses.Load(); got != want {
+		t.Errorf("computations = %d, misses answered = %d; want equal", got, want)
 	}
 }
 
