@@ -8,7 +8,7 @@ GO ?= go
 # Pinned staticcheck (2025.1.1); CI installs exactly this version.
 STATICCHECK_VERSION ?= v0.6.1
 
-.PHONY: all build test stress bench bench-bits bench-compare bench-module staticcheck staticcheck-install lint smoke-serve smoke-cluster fuzz-smoke vuln ci
+.PHONY: all build test test-386 stress bench bench-bits bench-compare bench-module staticcheck staticcheck-install lint smoke-serve smoke-cluster fuzz-smoke vuln ci
 
 all: ci
 
@@ -42,15 +42,23 @@ build:
 test:
 	$(GO) test -race ./...
 
+# test-386 vets and tests the module with a 32-bit int: trial budgets
+# (mc.TrialLimit) and the compiled engine's sign-mask arithmetic must hold
+# where int is 32 bits wide.
+test-386:
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./...
+
 # stress reruns the concurrency tests under the race detector, so an
 # interleaving that fails once in hundreds of runs shows up here rather
 # than as a flaky `test`: internal/lru's compute-once, waited and panic
-# paths, memserved's N-identical-requests-compute-once test, and the
-# cluster's worker-killed-mid-sweep retry.
+# paths, memserved's N-identical-requests-compute-once test and its
+# shutdown under load, and the cluster's worker-killed-mid-sweep retry
+# and queue takeover from a stalled worker.
 stress:
 	$(GO) test -race -count=200 -run '^(TestGetComputesOnce|TestGetWaitsForInFlightCompute|TestPanicDoesNotWedgeKey)$$' ./internal/lru
-	$(GO) test -race -count=20 -run '^TestEstimateSingleflight$$' ./internal/serve
-	$(GO) test -race -count=100 -run '^TestWorkerKilledMidSweepRetries$$' ./internal/cluster
+	$(GO) test -race -count=20 -run '^(TestEstimateSingleflight|TestGracefulShutdownUnderLoad)$$' ./internal/serve
+	$(GO) test -race -count=100 -run '^(TestWorkerKilledMidSweepRetries|TestIdleWorkerTakesQueuedCells)$$' ./internal/cluster
 
 # bench runs every root benchmark once, the AdaptivePrecision
 # fixed-vs-adaptive comparison included: both sides meet the same
@@ -108,4 +116,4 @@ vuln:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-ci: lint staticcheck build test stress bench bench-bits bench-compare bench-module smoke-serve smoke-cluster fuzz-smoke vuln
+ci: lint staticcheck build test test-386 stress bench bench-bits bench-compare bench-module smoke-serve smoke-cluster fuzz-smoke vuln

@@ -32,13 +32,20 @@ func testSpec() sweep.Spec {
 
 // countingWorker wraps the worker handler with a served-request counter.
 type countingWorker struct {
-	h http.Handler
-	n atomic.Int64
+	h      http.Handler
+	n      atomic.Int64
+	served atomic.Int64
+	// full, when set, is closed once quota requests have been served.
+	quota int64
+	full  chan struct{}
 }
 
 func (cw *countingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	cw.n.Add(1)
 	cw.h.ServeHTTP(w, r)
+	if cw.served.Add(1) == cw.quota && cw.full != nil {
+		close(cw.full)
+	}
 }
 
 // startWorkers boots n in-process workers over real HTTP.
@@ -166,19 +173,15 @@ func TestIdleWorkerTakesQueuedCells(t *testing.T) {
 	want := standaloneBytes(t, spec)
 	cells := len(spec.Normalized().Expand())
 
-	sw := &stallingWorker{h: NewWorker(WorkerConfig{Workers: 1}), release: make(chan struct{})}
+	// The stall ends when the free worker has served every other cell.
+	free := &countingWorker{h: NewWorker(WorkerConfig{Workers: 1}), quota: int64(cells - 1), full: make(chan struct{})}
+	freeSrv := httptest.NewServer(free)
+	t.Cleanup(freeSrv.Close)
+	sw := &stallingWorker{h: NewWorker(WorkerConfig{Workers: 1}), release: free.full}
 	stalled := httptest.NewServer(sw)
 	t.Cleanup(stalled.Close)
-	otherURLs, others := startWorkers(t, 1)
-	go func() {
-		deadline := time.Now().Add(10 * time.Second)
-		for others[0].n.Load() < int64(cells-1) && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		close(sw.release)
-	}()
 
-	coord, err := New(Config{Workers: []string{stalled.URL, otherURLs[0]}, MaxBatch: 1})
+	coord, err := New(Config{Workers: []string{stalled.URL, freeSrv.URL}, MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +189,14 @@ func TestIdleWorkerTakesQueuedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if sw.expired.Load() {
+		t.Fatalf("the stalled worker's first request was held %v and the free worker never served %d cells",
+			stallBound, cells-1)
+	}
 	if got := artifactBytes(t, art); !bytes.Equal(got, want) {
 		t.Error("artifact differs from standalone")
 	}
-	if got := others[0].n.Load(); got != int64(cells-1) {
+	if got := free.n.Load(); got != int64(cells-1) {
 		t.Errorf("the free worker served %d of %d cells while the other stalled on one, want %d",
 			got, cells, cells-1)
 	}
@@ -482,5 +489,17 @@ func TestWorkerRejectsOversizedBatch(t *testing.T) {
 		`"store_prob":0.5,"swap_prob":0.5,"trials":9223372036854775807},"seed":1}]}`
 	if code, data := send(huge); code != http.StatusBadRequest {
 		t.Errorf("cell with trials 2^63-1: status %d, want 400 (%s)", code, data)
+	}
+	// So is a cell whose threads or prefix_len is over the estimator's
+	// limits, refused before any scratch is sized from it.
+	for _, size := range []string{`"threads":4611686018427387904,"prefix_len":8`, `"threads":2,"prefix_len":4611686018427387904`} {
+		cell := `{"cells":[{"index":0,"query":{"kind":"mc-compiled","model":"TSO",` + size +
+			`,"store_prob":0.5,"swap_prob":0.5,"trials":64},"seed":1}]}`
+		if code, data := send(cell); code != http.StatusBadRequest {
+			t.Errorf("cell with %s: status %d, want 400 (%s)", size, code, data)
+		}
+	}
+	if code, data := send(batch); code != http.StatusOK {
+		t.Fatalf("normal batch after oversized cells: status %d: %s", code, data)
 	}
 }

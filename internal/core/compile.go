@@ -21,10 +21,14 @@ import (
 //     pair shares a threshold);
 //   - the all-interior lattice point (0 < p, s < 1, m ≤ 64) runs on
 //     bit-sliced decision streams: every refill of the bulk draw buffer
-//     turns its words into one success bitmask per distinct threshold,
-//     and the trial reads its prefix as one m-bit extraction, each
-//     settling walk and each geometric shift as a run of ones found with
-//     a bit scan (compileStreams);
+//     turns its words into one success bitmask per distinct threshold
+//     (decided as the generator fills it when there is one), and the
+//     trial reads its prefix as one m-bit extraction, each settling walk
+//     and each geometric shift as a run of ones found with a bit scan;
+//     a walk's limit comes from the highest position of each kind that
+//     blocks it, an integer per copy, and WO, where nothing blocks,
+//     counts off the walks whose outcomes it discards a window at a
+//     time (compileStreams);
 //   - the p ∈ {0,1} draw-free edges — constant program prefix, s = 0
 //     (settling never moves anything, γ ≡ 0) and s = 1 (a deterministic
 //     settling walk) — and prefixes wider than one word run on composed
@@ -113,9 +117,16 @@ func (c *drawCursor) attach(src *rng.Source, nstreams int) {
 
 // refillStreams snapshots the source, bulk-fills the buffer and decides
 // every draw of it against each stream's threshold, 64 draws per word.
-// The caller continues at position 0.
+// A buffer that feeds one stream (p = s = ½: store, swap and shift share
+// a threshold) is decided while it is filled, with no word buffer
+// between the generator and the stream. The caller continues at
+// position 0.
 func (c *drawCursor) refillStreams() {
 	c.snap = c.src.State()
+	if c.nstreams == 1 {
+		c.src.FillBelow(c.streams[0][:cursorWords/64], c.thr[0])
+		return
+	}
 	c.src.FillUint64s(c.buf[:])
 	for k := 0; k < c.nstreams; k++ {
 		thr, s := c.thr[k], &c.streams[k]
@@ -209,7 +220,7 @@ func (r *reader) capped(limit int) (s int, ok bool) {
 	// z's bit 63 is set, and saying so again drops the scan's zero guard.
 	end := bits.TrailingZeros64(r.z|1<<63) + 1 // just past the next failure
 	d := r.cur + limit - end
-	capped := d >> 63 // -1 when the limit comes first
+	capped := d >> (bits.UintSize - 1) // -1 when the limit comes first
 	end += d & capped
 	if end > r.lim {
 		return 0, false
@@ -252,6 +263,84 @@ func (c *drawCursor) runSlow(k int, r reader, limit int) (int, reader) {
 		s, pos, limit = s+ones, pos+ones, limit-ones
 	}
 }
+
+// runGuard is the shortest limit skip batches: a walk whose limit is at
+// least runGuard ends at its first failed draw unless runGuard successes
+// come first, so where the window holds no run of runGuard successes,
+// each failure ends exactly one such walk.
+const runGuard = 8
+
+// skip consumes up to walks walks whose outcomes nothing reads, each
+// with a limit of at least runGuard, and reports how many it consumed:
+// one per failure, up to the window's first run of runGuard successes
+// and its end. It reports 0 when such a run, or the window's end, comes
+// before the next failure; capped and runSlow take that walk.
+func (r *reader) skip(walks int) int {
+	// Bit i of run: decisions i to i+runGuard-1 all succeed.
+	run := ^r.z
+	run &= run >> 1
+	run &= run >> 2
+	run &= run >> 4
+	stop := min(bits.TrailingZeros64(run>>uint(r.cur)<<uint(r.cur)), r.lim)
+	fails := r.z & (1<<uint(stop) - 1)
+	n := bits.OnesCount64(fails)
+	if n == 0 {
+		return 0
+	}
+	last := bits.Len64(fails) - 1
+	if n > walks {
+		last, n = selectBit(fails, walks-1), walks
+	}
+	r.cur = last + 1
+	r.z &^= 2<<uint(last) - 1
+	return n
+}
+
+// skipWalks consumes the walks with limits from to to-1 (from ≥
+// runGuard), whose outcomes nothing reads, and returns the reader after
+// them: skip batches them a window at a time, and a walk that meets a
+// long run or the window's end is read one capped at a time.
+func (c *drawCursor) skipWalks(k int, r reader, from, to int) reader {
+	for at := from; at < to; at++ {
+		if n := r.skip(to - at); n > 0 {
+			at += n - 1
+			continue
+		}
+		if _, ok := r.capped(at); !ok {
+			_, r = c.runSlow(k, r, at)
+		}
+	}
+	return r
+}
+
+// selectBit returns the offset of x's set bit of rank r (the lowest set
+// bit has rank 0); x has more than r set bits.
+func selectBit(x uint64, r int) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	// Byte i of c counts the set bits of x's bytes 0 to i. The counts
+	// stay below 0x80, so the bytewise compare below never borrows across
+	// bytes, and the first byte whose count exceeds r holds the bit.
+	c := x - x>>1&0x5555555555555555
+	c = c&0x3333333333333333 + c>>2&0x3333333333333333
+	c = (c + c>>4) & 0x0f0f0f0f0f0f0f0f * ones
+	at := uint(bits.TrailingZeros64(((c|highs)-uint64(r+1)*ones)&highs)) &^ 7
+	r -= int(c << 8 >> at & 0xff)
+	return int(at) + int(selectInByte[r&7][uint8(x>>at)])
+}
+
+// selectInByte[r][b] is the offset of b's set bit of rank r.
+var selectInByte = func() (t [8][256]uint8) {
+	for b := range 256 {
+		r := 0
+		for i := range 8 {
+			if b>>i&1 == 1 {
+				t[r][b] = uint8(i)
+				r++
+			}
+		}
+	}
+	return t
+}()
 
 // sync leaves the source exactly where sequential per-draw consumption
 // would have: rewind to the last pre-refill snapshot, then re-advance by
@@ -347,26 +436,36 @@ func (ir *KernelIR) Compile() (*Program, error) {
 //
 //   - Every draw is one threshold decision, so the refill decides a
 //     whole buffer at once and the trial reads bits: the prefix is one
-//     m-bit extraction (bit = kind, LD=0, ST=1), and the prefix and the
-//     settling order fit one uint64 register (the critical pair never
-//     enters the walked sequence).
+//     m-bit extraction (bit = kind, LD=0, ST=1).
 //   - A settling walk stops at its first failed draw, at a kind its
 //     permission row forbids (no draw), or at the top (no draw). The
 //     first is a run of ones in the swap stream; the other two are one
-//     limit, the distance to the nearest blocking kind below the
-//     walker, found with bits.Len64 on the order register. So a walk is
-//     s = min(run, limit), consuming s draws plus the failure when
-//     run < limit — one bit scan instead of a branch per draw.
+//     limit, the distance to the highest element below the walker whose
+//     kind the row forbids. So a walk is s = min(run, limit), consuming
+//     s draws plus the failure when run < limit — one bit scan instead
+//     of a branch per draw.
 //   - A geometric shift is a run of ones in the shift stream.
 //
 // Elements walk in position order, and each is visited at its ORIGINAL
 // position with its original kind — settling only disturbs positions
 // below the element being walked — so which elements walk at all (those
 // whose permission row is not all-zero) is a pure function of the drawn
-// prefix. When every permission row and both critical columns admit
-// both kinds (WO), no walk ever blocks: the order register is dropped,
-// the prefix draws are skipped undecided, and each walk is a pure skip
-// along the swap stream.
+// prefix. A walk from at to at−s moves every element it passes up one
+// place, so a limit needs only the highest position of each blocking
+// kind, never the settling order. The surface picks one of three forms
+// here, from the IR:
+//
+//   - WO: every row and both critical columns admit both kinds, so no
+//     walk ever blocks. The prefix draws are skipped undecided, and only
+//     the critical walks' outcomes are read; skipWalks consumes the
+//     others a window at a time (freeSegments).
+//   - One blocking kind: its highest position, one integer per copy,
+//     sets every limit (blockerSegments). TSO, PSO, LRO and RMO.
+//   - The rest: the highest position of each kind, two integers per
+//     copy (generalSegments). These are the two surfaces both kinds
+//     block, {ST/LD, LD/ST} and {LD/LD, ST/ST}, and four one-blocker
+//     surfaces whose blocking kind never walks or is passed by the other
+//     kind's walkers; only custom models reach them.
 //
 // The draws, their order and the final generator state are exactly the
 // composed closures' (and hence the reference kernel's).
@@ -417,130 +516,204 @@ func (p *Program) compileStreams(mask [4]uint8, swapThr uint64) bool {
 	shiftK := streamOf(shiftThr)
 	p.allStreams = n
 
-	if orderFree {
-		p.segments = func(st *compiledState) {
-			cur, segments := &st.cur, st.segments
-			rd := cur.reader(swapK, cur.skip(cur.pos, m))
-			for t := range segments {
-				for at := 1; at < m; at++ {
-					if _, ok := rd.capped(at); !ok {
-						_, rd = cur.runSlow(swapK, rd, at)
-					}
-				}
-				a, ok := rd.capped(m)
-				if !ok {
-					a, rd = cur.runSlow(swapK, rd, m)
-				}
-				b, ok := rd.capped(a)
-				if !ok {
-					b, rd = cur.runSlow(swapK, rd, a)
-				}
-				segments[t] = a - b + 2
-			}
-			cur.pos = rd.pos()
+	switch {
+	case orderFree:
+		p.segments = freeSegments(m, swapK)
+	default:
+		p.segments = blockerSegments(m, storeK, swapK, rowAllow, ldAllow, stAllow)
+		if p.segments == nil {
+			p.segments = generalSegments(m, storeK, swapK, rowAllow, ldAllow, stAllow)
 		}
-	} else {
-		p.segments = orderedSegments(m, storeK, swapK, rowAllow, ldAllow, stAllow)
 	}
 	p.disjoint = streamDisjoint(ir.Threads, shiftK)
 	return true
 }
 
-// blocking lowers a permission row (bit k: may settle past kind k) to
-// the pair of masks whose combination o&st | ^o&ld marks, in an order
-// register o, the positions holding a kind the row forbids.
-func blocking(allow uint8) (st, ld uint64) {
-	if allow>>kindStore&1 == 0 {
-		st = ^uint64(0)
+// critical reads one copy's two critical walks and returns its window
+// growth a−b: the critical LD walks down from position m−1 past a ≤
+// ldLimit elements, and the critical ST follows past b ≤ min(a, stLimit)
+// of them (the LD itself blocks it: same location, no draw).
+func (c *drawCursor) critical(k int, r reader, ldLimit, stLimit int) (int, reader) {
+	a, ok := r.capped(ldLimit)
+	if !ok {
+		a, r = c.runSlow(k, r, ldLimit)
 	}
-	if allow>>kindLoad&1 == 0 {
-		ld = ^uint64(0)
+	limit := min(a, stLimit)
+	b, ok := r.capped(limit)
+	if !ok {
+		b, r = c.runSlow(k, r, limit)
 	}
-	return st, ld
+	return a - b, r
 }
 
-// orderedSegments is the segment stage for permission surfaces that
-// block some walks: it keeps the settling order in a register and caps
-// each walk at the nearest blocking kind below it.
-func orderedSegments(m, storeK, swapK int, rowAllow [2]uint8, ldAllow, stAllow uint8) func(*compiledState) {
-	// sel[k] selects whether prefix kind k walks at all; position 0
-	// never walks.
-	var sel [2]uint64
-	var blockST, blockLD [2]uint64
-	for k := range sel {
-		if rowAllow[k] != 0 {
-			sel[k] = ^uint64(0)
+// freeSegments is the segment stage for a surface that never blocks
+// (WO): walk at has limit at, and only the critical walks' outcomes are
+// read. The walks below runGuard read one capped each; skipWalks
+// consumes the rest.
+func freeSegments(m, swapK int) func(*compiledState) {
+	short := min(m, runGuard)
+	return func(st *compiledState) {
+		cur, segments := &st.cur, st.segments
+		rd := cur.reader(swapK, cur.skip(cur.pos, m))
+		for t := range segments {
+			for at := 1; at < short; at++ {
+				if _, ok := rd.capped(at); !ok {
+					_, rd = cur.runSlow(swapK, rd, at)
+				}
+			}
+			rd = cur.skipWalks(swapK, rd, short, m)
+			var g int
+			g, rd = cur.critical(swapK, rd, m, m)
+			segments[t] = g + 2
 		}
-		blockST[k], blockLD[k] = blocking(rowAllow[k])
+		cur.pos = rd.pos()
 	}
-	// When no walking row admits both kinds (TSO, PSO, LRO), every
-	// element a walker passes is of the one kind its row admits, so a
-	// walk only exchanges the walker's bit with its landing position's:
-	// flip[k] is set when kind k differs from the kind it passes.
-	single := true
-	var flip [2]uint64
-	for k, allow := range rowAllow {
-		switch allow {
-		case 3:
-			single = false
-		case 1 << kindLoad, 1 << kindStore:
-			if allow>>uint(k)&1 == 0 {
-				flip[k] = ^uint64(0)
+}
+
+// blockerSegments is the segment stage for a surface whose walks only
+// kind b blocks, or nil when the surface has no such form. Each limit is
+// the distance to the highest b below the walker, kept in one integer
+// hb. It needs every b past position 0 to walk, so that the walks alone
+// keep hb current, and every walker of the other kind to pass only its
+// own kind, leaving hb alone. A walker of kind b either passes only the
+// other kind (TSO, PSO, LRO) and so becomes the highest b, at at−s; or
+// passes both (RMO), never blocks, and moves hb up one place when it
+// passes it. That choice is made here, not per walk.
+func blockerSegments(m, storeK, swapK int, rowAllow [2]uint8, ldAllow, stAllow uint8) func(*compiledState) {
+	for b := range 2 {
+		other := uint8(1) << uint(1-b) // admits only the other kind: blocked by b
+		fits := func(allow uint8) bool { return allow == 0 || allow == 3 || allow == other }
+		if rowAllow[b] != other && rowAllow[b] != 3 ||
+			rowAllow[1-b] != 0 && rowAllow[1-b] != other || !fits(ldAllow) || !fits(stAllow) {
+			continue
+		}
+		// sel[k] selects whether prefix kind k walks at all; position 0
+		// never walks.
+		var sel [2]uint64
+		for k, allow := range rowAllow {
+			if allow != 0 {
+				sel[k] = ^uint64(0)
 			}
 		}
+		all := uint64(1)<<uint(m) - 1
+		var flip uint64 // typ^flip marks the positions of kind b
+		if b == kindLoad {
+			flip = ^uint64(0)
+		}
+		// A critical walk's limit is base − (hb+1)&blk: 0 when its column
+		// admits neither kind, m when it admits both, the distance to the
+		// highest b when it admits the other kind only.
+		critLimit := func(allow uint8) (base, blk int) {
+			switch allow {
+			case 0:
+				return 0, 0
+			case 3:
+				return m, 0
+			}
+			return m, -1
+		}
+		ldBase, ldBlk := critLimit(ldAllow)
+		stBase, stBlk := critLimit(stAllow)
+		if rowAllow[b] == 3 {
+			return func(st *compiledState) {
+				cur, segments := &st.cur, st.segments
+				typ, pos := cur.take(storeK, cur.pos, m)
+				rd := cur.reader(swapK, pos)
+				elems := (typ&sel[1] | ^typ&sel[0]) & all &^ 1
+				bs := (typ ^ flip) & all
+				for t := range segments {
+					hb := int(bs&1) - 1
+					for e := elems; e != 0; e &= e - 1 {
+						at := bits.TrailingZeros64(e)
+						isB := -int(bs >> uint(at) & 1)
+						// A walker of kind b never blocks; the other kind
+						// stops below hb.
+						limit := at - (hb+1)&^isB
+						s, ok := rd.capped(limit)
+						if !ok {
+							s, rd = cur.runSlow(swapK, rd, limit)
+						}
+						// A walker of kind b lands at at−s, above hb unless
+						// it passed hb, which then moves up one.
+						d := hb - (at - s)
+						up := at - s + (d+1)&^(d>>(bits.UintSize-1))
+						hb ^= (hb ^ up) & isB
+					}
+					var g int
+					g, rd = cur.critical(swapK, rd, ldBase-(hb+1)&ldBlk, stBase-(hb+1)&stBlk)
+					segments[t] = g + 2
+				}
+				cur.pos = rd.pos()
+			}
+		}
+		return func(st *compiledState) {
+			cur, segments := &st.cur, st.segments
+			typ, pos := cur.take(storeK, cur.pos, m)
+			rd := cur.reader(swapK, pos)
+			elems := (typ&sel[1] | ^typ&sel[0]) & all &^ 1
+			bs := (typ ^ flip) & all
+			for t := range segments {
+				hb := int(bs&1) - 1
+				for e := elems; e != 0; e &= e - 1 {
+					at := bits.TrailingZeros64(e)
+					limit := at - 1 - hb
+					s, ok := rd.capped(limit)
+					if !ok {
+						s, rd = cur.runSlow(swapK, rd, limit)
+					}
+					// A walker of kind b is now the highest b.
+					hb ^= (hb ^ (at - s)) & -int(bs>>uint(at)&1)
+				}
+				var g int
+				g, rd = cur.critical(swapK, rd, ldBase-(hb+1)&ldBlk, stBase-(hb+1)&stBlk)
+				segments[t] = g + 2
+			}
+			cur.pos = rd.pos()
+		}
 	}
-	ldST, ldLD := blocking(ldAllow)
-	stST, stLD := blocking(stAllow)
-	all := uint64(1)<<uint(m) - 1
-	rangeMask := all &^ 1
+	return nil
+}
+
+// generalSegments is the segment stage for any blocking surface: it
+// keeps the highest position of each kind, h, and visits every position,
+// a non-walking one as a walk of limit 0. A walk of kind k from at is
+// capped below the highest position of each kind its row forbids; it
+// lands at at−s, moves each h it passes up one place, and raises h[k] to
+// at−s.
+func generalSegments(m, storeK, swapK int, rowAllow [2]uint8, ldAllow, stAllow uint8) func(*compiledState) {
+	// hide(allow)[j] is -1 when allow admits kind j: or-ed into h[j], it
+	// keeps that kind out of a limit.
+	hide := func(allow uint8) (f [2]int) {
+		for j := range f {
+			f[j] = -int(allow >> uint(j) & 1)
+		}
+		return f
+	}
+	row := [2][2]int{hide(rowAllow[0]), hide(rowAllow[1])}
+	ldHide, stHide := hide(ldAllow), hide(stAllow)
 	return func(st *compiledState) {
 		cur, segments := &st.cur, st.segments
 		typ, pos := cur.take(storeK, cur.pos, m)
 		rd := cur.reader(swapK, pos)
-		elems := (typ&sel[1] | ^typ&sel[0]) & rangeMask
 		for t := range segments {
-			o := typ
-			for e := elems; e != 0; e &= e - 1 {
-				// Walk the element at position at down past s elements,
-				// then patch o once: exchange two bits, or in general
-				// drop the moving bit, close the gap and land the
-				// element s places down. At s = 0 either patch leaves o
-				// as it is, so neither needs a branch.
-				at := bits.TrailingZeros64(e)
-				moving := typ >> uint(at) & 1
-				// The blockers below at, shifted up over a set bit 0:
-				// the scan then never sees zero and needs no guard.
-				blk := (o&blockST[moving] | ^o&blockLD[moving]) << 1 & (2<<uint(at&63) - 1)
-				limit := at + 1 - bits.Len64(blk|1)
+			h := [2]int{-1, -1}
+			for at := 0; at < m; at++ {
+				k := typ >> uint(at) & 1
+				limit := at - 1 - max(h[0]|row[k][0], h[1]|row[k][1])
 				s, ok := rd.capped(limit)
 				if !ok {
 					s, rd = cur.runSlow(swapK, rd, limit)
 				}
-				// Shift counts are masked to 6 bits, which drops the
-				// compiler's ≥ 64 guards: s and lo are at most 63, and a
-				// shift by lo+1 = 64 only ever moves an empty seg.
-				lo, u := uint(at-s)&63, uint(s)&63
-				if single {
-					o ^= flip[moving] & (1<<lo ^ 1<<uint(at&63))
-				} else {
-					seg := o >> lo & (1<<u - 1)
-					o = o&^((2<<u-1)<<lo) | seg<<((lo+1)&63) | moving<<lo
+				for j := range h {
+					if h[j] >= at-s {
+						h[j]++
+					}
 				}
+				h[k] = max(h[k], at-s)
 			}
-			// The critical LD walks down from position m-1; the critical
-			// ST follows past at most the a elements the LD passed (the
-			// LD itself blocks it: same location, no draw).
-			limit := m - bits.Len64((o&ldST|^o&ldLD)&all)
-			a, ok := rd.capped(limit)
-			if !ok {
-				a, rd = cur.runSlow(swapK, rd, limit)
-			}
-			limit = min(a, m-bits.Len64((o&stST|^o&stLD)&all))
-			b, ok := rd.capped(limit)
-			if !ok {
-				b, rd = cur.runSlow(swapK, rd, limit)
-			}
-			segments[t] = a - b + 2
+			var g int
+			g, rd = cur.critical(swapK, rd, m-1-max(h[0]|ldHide[0], h[1]|ldHide[1]), m-1-max(h[0]|stHide[0], h[1]|stHide[1]))
+			segments[t] = g + 2
 		}
 		cur.pos = rd.pos()
 	}

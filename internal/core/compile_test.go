@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -407,15 +408,16 @@ func TestCompiledConcurrentProductCalls(t *testing.T) {
 }
 
 // TestDecisionPrimitivesAcrossRefill checks the cursor's decision
-// primitives — the m-bit extraction (take), the capped run and the
+// primitives — the m-bit extraction (take), the capped run, the
 // geometric run (reader.capped, at geomCap for the latter, finished by
-// runSlow) —
-// against per-word references on sequential draws, from every start
-// position in the last 70 words of a buffer, so each primitive reads
-// across the end of its buffer into a refill at every offset. Each case
-// compares the result and, after sync, the generator state: the
-// primitive must consume exactly the reference's draws. Thresholds up to
-// p = 0.999 make runs long enough to span windows and buffers.
+// runSlow) and the batched walks (skipWalks over the walks with limits
+// runGuard to runGuard+arg−1) — against per-word references on
+// sequential draws, from every start position in the last 70 words of a
+// buffer, so each primitive reads across the end of its buffer into a
+// refill at every offset. Each case compares the result and, after
+// sync, the generator state: the primitive must consume exactly the
+// reference's draws. Thresholds up to p = 0.999 make runs long enough to
+// span windows and buffers and to trip the batch's run guard.
 func TestDecisionPrimitivesAcrossRefill(t *testing.T) {
 	type primitive struct {
 		name string
@@ -480,6 +482,24 @@ func TestDecisionPrimitivesAcrossRefill(t *testing.T) {
 				return uint64(s)
 			},
 		},
+		{
+			// The walks' outcomes are discarded, so the draws they
+			// consume, checked through the generator state, are the
+			// whole result.
+			name: "skipWalks",
+			args: []int{0, 1, 2, 31, 56},
+			cursor: func(c *drawCursor, pos, walks int) (uint64, int) {
+				rd := c.skipWalks(0, c.reader(0, pos), runGuard, runGuard+walks)
+				return 0, rd.pos()
+			},
+			ref: func(src *rng.Source, thr uint64, walks int) uint64 {
+				for limit := runGuard; limit < runGuard+walks; limit++ {
+					for s := 0; s < limit && src.Uint64() < thr; s++ {
+					}
+				}
+				return 0
+			},
+		},
 	}
 	for _, p := range []float64{0.5, 0.9, 0.999} {
 		thr := drawThreshold(p) << 11
@@ -506,6 +526,110 @@ func TestDecisionPrimitivesAcrossRefill(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// relaxationSubsets returns a model for each of the 16 subsets of Table
+// 1's four reordering pairs, named and built the way scenariogen builds
+// its unregistered variants. The registered models reach only some of
+// the compiled segment forms; the subsets reach them all, the two
+// surfaces blocked by both kinds included.
+func relaxationSubsets(t *testing.T) []memmodel.Model {
+	t.Helper()
+	types := []memmodel.OpType{memmodel.Store, memmodel.Load}
+	var models []memmodel.Model
+	for mask := 0; mask < 16; mask++ {
+		var relaxed []memmodel.Pair
+		bit := 1
+		for _, prev := range types {
+			for _, moving := range types {
+				if mask&bit != 0 {
+					relaxed = append(relaxed, memmodel.Pair{Prev: prev, Moving: moving})
+				}
+				bit <<= 1
+			}
+		}
+		model, err := memmodel.New(fmt.Sprintf("gen-%04b", mask), relaxed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, model)
+	}
+	return models
+}
+
+// TestCompiledSubsetsMatchReference holds the compiled bits and products
+// to the reference oracles on every relaxation subset: identical bits,
+// identical products and identical final generator states. At s = 0.9
+// success runs are long enough to trip the skipped walks' run guard and
+// to cross windows and refills.
+func TestCompiledSubsetsMatchReference(t *testing.T) {
+	for _, model := range relaxationSubsets(t) {
+		for _, n := range []int{2, 3, 8} {
+			for _, m := range []int{7, 16, 40, 63, 64} {
+				for _, s := range []float64{0.5, 0.9} {
+					cfg := Config{Model: model, Threads: n, PrefixLen: m, StoreProb: 0.5, SwapProb: s}
+					name := fmt.Sprintf("%s n=%d m=%d s=%v", model.Name(), n, m, s)
+					prog := compileFor(t, cfg)
+					const trials = 131
+					got := make([]uint64, mc.BitWords(trials))
+					want := make([]uint64, mc.BitWords(trials))
+					compiledSrc, refSrc := rng.New(23), rng.New(23)
+					if err := prog.FillBits(compiledSrc, got, trials); err != nil {
+						t.Fatal(err)
+					}
+					if err := referenceFor(t, cfg)(refSrc, want, trials); err != nil {
+						t.Fatal(err)
+					}
+					for w := range got {
+						if got[w] != want[w] {
+							t.Fatalf("%s word %d: compiled %064b != reference %064b", name, w, got[w], want[w])
+						}
+					}
+					if compiledSrc.State() != refSrc.State() {
+						t.Fatalf("%s: bits consumed different draws", name)
+					}
+					out := make([]float64, 97)
+					if err := prog.FillProducts(compiledSrc, out); err != nil {
+						t.Fatal(err)
+					}
+					for i, got := range out {
+						want, err := cfg.ProductTrial(refSrc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != want {
+							t.Fatalf("%s product %d: compiled %v != closure %v", name, i, got, want)
+						}
+					}
+					if compiledSrc.State() != refSrc.State() {
+						t.Fatalf("%s: products consumed different draws", name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSelectBit checks selectBit against a scan, at every rank of
+// words with few, many and all bits set.
+func TestSelectBit(t *testing.T) {
+	src := rng.New(5)
+	words := []uint64{1, 1 << 63, ^uint64(0), 0x8000000000000001}
+	for i := 0; i < 200; i++ {
+		words = append(words, src.Uint64(), src.Uint64()&src.Uint64()&src.Uint64())
+	}
+	for _, x := range words {
+		r := 0
+		for i := 0; i < 64; i++ {
+			if x>>uint(i)&1 == 0 {
+				continue
+			}
+			if got := selectBit(x, r); got != i {
+				t.Fatalf("selectBit(%#x, %d) = %d, want %d", x, r, got, i)
+			}
+			r++
 		}
 	}
 }

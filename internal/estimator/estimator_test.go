@@ -52,7 +52,13 @@ func TestValidateRejectsBadQueries(t *testing.T) {
 		{"unknown kind", func(q *estimator.Query) { q.Kind = "oracle" }},
 		{"unknown model", func(q *estimator.Query) { q.Model = "ARM" }},
 		{"threads too small", func(q *estimator.Query) { q.Threads = 1 }},
+		{"threads over the limit", func(q *estimator.Query) { q.Threads = estimator.ThreadLimit + 1 }},
+		{"largest int threads for mc-compiled", func(q *estimator.Query) { q.Kind = estimator.CompiledMC; q.Threads = math.MaxInt }},
+		{"largest int threads for mc", func(q *estimator.Query) { q.Kind = estimator.FullMC; q.Threads = math.MaxInt }},
 		{"zero prefix", func(q *estimator.Query) { q.PrefixLen = 0 }},
+		{"prefix over the limit", func(q *estimator.Query) { q.PrefixLen = estimator.PrefixLimit + 1 }},
+		{"largest int prefix for hybrid", func(q *estimator.Query) { q.Kind = estimator.Hybrid; q.PrefixLen = math.MaxInt }},
+		{"largest int prefix for windowdist", func(q *estimator.Query) { q.Kind = estimator.WindowDist; q.PrefixLen = math.MaxInt }},
 		{"zero trials for mc", func(q *estimator.Query) { q.Kind = estimator.FullMC; q.Trials = 0 }},
 		{"zero trials for hybrid", func(q *estimator.Query) { q.Kind = estimator.Hybrid; q.Trials = 0 }},
 		{"trials over the limit for mc", func(q *estimator.Query) { q.Kind = estimator.FullMC; q.Trials = mc.TrialLimit + 1 }},
@@ -88,6 +94,17 @@ func TestValidateRejectsBadQueries(t *testing.T) {
 	exact.Kind, exact.Trials = estimator.Exact, math.MaxInt
 	if err := exact.Validate(); err != nil {
 		t.Errorf("exact with unused huge trials rejected: %v", err)
+	}
+	// The limits themselves are valid sizes (validated only, never run),
+	// and windowdist still ignores threads.
+	atLimit := base
+	atLimit.Threads, atLimit.PrefixLen = estimator.ThreadLimit, estimator.PrefixLimit
+	if err := atLimit.Validate(); err != nil {
+		t.Errorf("threads and prefix at their limits rejected: %v", err)
+	}
+	wd.Threads = math.MaxInt
+	if err := wd.Validate(); err != nil {
+		t.Errorf("windowdist with unused huge threads rejected: %v", err)
 	}
 }
 

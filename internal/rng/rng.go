@@ -115,6 +115,32 @@ func (r *Source) FillFloat64s(buf []float64) {
 	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 }
 
+// FillBelow decides the next 64·len(dst) outputs against thr: bit i of
+// dst[w] is set iff output 64·w+i is below thr. It advances the state
+// exactly as that many sequential Uint64 calls would, and equals
+// FillUint64s followed by the threshold test without the buffer between
+// them. Each word shifts its decisions in from the top, the borrow of
+// output − thr into bit 63, which costs one constant shift per output.
+func (r *Source) FillBelow(dst []uint64, thr uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for w := range dst {
+		var word uint64
+		for j := 0; j < 64; j++ {
+			_, borrow := bits.Sub64(bits.RotateLeft64(s1*5, 7)*9, thr, 0)
+			word = word>>1 | borrow<<63
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = bits.RotateLeft64(s3, 45)
+		}
+		dst[w] = word
+	}
+	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
+}
+
 // Split derives a new Source whose stream is independent of the parent's
 // continued stream. The i-th call to Split on a given Source state yields a
 // deterministic child; Split advances the parent.

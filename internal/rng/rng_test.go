@@ -265,6 +265,36 @@ func TestFillFloat64sStreamIdentical(t *testing.T) {
 	}
 }
 
+// TestFillBelowStreamIdentical pins the deciding fill to FillUint64s
+// plus the threshold test, word for word and in the final state, over
+// buffer sizes including empty ones and thresholds at both ends of the
+// range and between them.
+func TestFillBelowStreamIdentical(t *testing.T) {
+	for _, thr := range []uint64{0, 1, 1 << 63, 0xe666666666666800, ^uint64(0)} {
+		fused, ref := New(77), New(77)
+		for _, size := range []int{0, 1, 3, 16, 0, 40} {
+			got := make([]uint64, size)
+			fused.FillBelow(got, thr)
+			draws := make([]uint64, 64*size)
+			ref.FillUint64s(draws)
+			for w := range got {
+				var want uint64
+				for i, d := range draws[64*w : 64*w+64] {
+					if d < thr {
+						want |= 1 << uint(i)
+					}
+				}
+				if got[w] != want {
+					t.Fatalf("thr %#x size %d word %d: FillBelow %064b, want %064b", thr, size, w, got[w], want)
+				}
+			}
+		}
+		if fused.State() != ref.State() {
+			t.Errorf("thr %#x: FillBelow and FillUint64s end in different states", thr)
+		}
+	}
+}
+
 // TestFillUint64sZeroAlloc pins the bulk fill as allocation-free — the
 // guarantee the rng-bulkfill perf scenario gates.
 func TestFillUint64sZeroAlloc(t *testing.T) {
@@ -276,5 +306,8 @@ func TestFillUint64sZeroAlloc(t *testing.T) {
 	fbuf := make([]float64, 4096)
 	if avg := testing.AllocsPerRun(10, func() { src.FillFloat64s(fbuf) }); avg != 0 {
 		t.Errorf("FillFloat64s allocates %.1f per call, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(10, func() { src.FillBelow(buf[:64], 1<<63) }); avg != 0 {
+		t.Errorf("FillBelow allocates %.1f per call, want 0", avg)
 	}
 }

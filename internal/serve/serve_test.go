@@ -228,6 +228,12 @@ func TestEstimateBadRequests(t *testing.T) {
 		{"windowdist routed here", `{"model":"SC","estimator":"windowdist"}`},
 		{"unknown field", `{"model":"SC","bogus":1}`},
 		{"threads too small", `{"model":"SC","threads":1}`},
+		// Sizes over the estimator's limits are refused before any
+		// scratch is sized from them; 2^62 threads once killed the server.
+		{"threads 2^62 for mc-compiled", `{"model":"SC","estimator":"mc-compiled","threads":4611686018427387904,"trials":64}`},
+		{"threads 2^62 for mc", `{"model":"SC","estimator":"mc","threads":4611686018427387904,"trials":64}`},
+		{"prefix_len 2^62 for hybrid", `{"model":"SC","prefix_len":4611686018427387904,"trials":64}`},
+		{"threads over the limit", `{"model":"SC","threads":4097,"trials":64}`},
 		{"exact needs n=2", `{"model":"SC","threads":4,"estimator":"exact"}`},
 		{"zero trials for mc", `{"model":"SC","estimator":"mc","trials":0}`},
 		{"largest int trials for mc", `{"model":"SC","estimator":"mc","trials":9223372036854775807}`},
@@ -430,6 +436,9 @@ func TestSweepJobErrors(t *testing.T) {
 		`{"models":["SC"],"estimators":["mc"],"trials":9223372036854775807}`,
 		`{"models":["SC"],"trials":1073741825}`,
 		`{"models":["SC"],"trials":100,"precision":{"target_rel_err":0.1,"max_trials":9223372036854775807}}`,
+		// Sizes over the estimator's limits, refused before any cell runs.
+		`{"models":["SC"],"estimators":["mc-compiled"],"threads":[4611686018427387904],"trials":64}`,
+		`{"models":["SC"],"prefix_lens":[4611686018427387904],"trials":64}`,
 	} {
 		resp, body := post(t, ts.URL+"/v1/sweeps", spec)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -524,7 +533,15 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 		}(i)
 	}
 
-	time.Sleep(50 * time.Millisecond)
+	// Close only once a computation is in flight, so the drain is tested
+	// under load rather than timed to it.
+	const inflightBound = 10 * time.Second
+	for deadline := time.Now().Add(inflightBound); metric(t, ts.URL, "serve_computations_inflight") < 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("no computation in flight %v after the load started", inflightBound)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	closed := make(chan struct{})
 	go func() {
 		srv.Close()

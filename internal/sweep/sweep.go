@@ -77,9 +77,11 @@ func Kinds() []Kind { return estimator.Kinds() }
 type Spec struct {
 	// Models are memory model names resolvable by memmodel.ByName.
 	Models []string `json:"models"`
-	// Threads are the thread counts n (each ≥ 2). Empty means {2}.
+	// Threads are the thread counts n, each in [2,
+	// estimator.ThreadLimit]. Empty means {2}.
 	Threads []int `json:"threads,omitempty"`
-	// PrefixLens are the prefix lengths m. Empty means {64}.
+	// PrefixLens are the prefix lengths m, each in [1,
+	// estimator.PrefixLimit]. Empty means {64}.
 	PrefixLens []int `json:"prefix_lens,omitempty"`
 	// Estimators are the estimation routes to run per grid point.
 	// Empty means {hybrid}.
@@ -182,13 +184,13 @@ func (s Spec) Validate() error {
 		}
 	}
 	for _, n := range s.Threads {
-		if n < 2 {
-			return fmt.Errorf("%w: threads=%d (need ≥ 2)", ErrBadSpec, n)
+		if n < 2 || n > estimator.ThreadLimit {
+			return fmt.Errorf("%w: threads=%d (need 2 ≤ n ≤ %d)", ErrBadSpec, n, estimator.ThreadLimit)
 		}
 	}
 	for _, m := range s.PrefixLens {
-		if m < 1 {
-			return fmt.Errorf("%w: prefix length %d", ErrBadSpec, m)
+		if m < 1 || m > estimator.PrefixLimit {
+			return fmt.Errorf("%w: prefix length %d (need 1 ≤ m ≤ %d)", ErrBadSpec, m, estimator.PrefixLimit)
 		}
 	}
 	needTrials := false

@@ -115,7 +115,11 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{},
 		{Models: []string{"RC"}},
 		{Models: []string{"SC"}, Threads: []int{1}},
+		{Models: []string{"SC"}, Threads: []int{2, estimator.ThreadLimit + 1}},
+		{Models: []string{"SC"}, Threads: []int{math.MaxInt}},
 		{Models: []string{"SC"}, PrefixLens: []int{0}},
+		{Models: []string{"SC"}, PrefixLens: []int{estimator.PrefixLimit + 1}},
+		{Models: []string{"SC"}, PrefixLens: []int{math.MaxInt}},
 		{Models: []string{"SC"}, Estimators: []Kind{"bogus"}},
 		{Models: []string{"SC"}, Estimators: []Kind{FullMC}, Trials: 0},
 		{Models: []string{"SC"}, Estimators: []Kind{FullMC}, Trials: mc.TrialLimit + 1},
@@ -133,6 +137,10 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Spec{}, Options{}); !errors.Is(err, ErrBadSpec) {
 		t.Error("Run accepted empty spec")
+	}
+	atLimit := Spec{Models: []string{"SC"}, Threads: []int{estimator.ThreadLimit}, PrefixLens: []int{estimator.PrefixLimit}, Trials: 1}
+	if err := atLimit.Normalized().Validate(); err != nil {
+		t.Errorf("threads and prefix at their limits rejected: %v", err)
 	}
 	// Trials bound only the cells that consume them.
 	exactOnly := Spec{Models: []string{"SC"}, Estimators: []Kind{Exact, WindowDist}, Trials: math.MaxInt}

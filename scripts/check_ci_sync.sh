@@ -15,7 +15,7 @@ makefile=Makefile
 # *-install targets are network-only setup steps (tool installs) that
 # the offline `ci` aggregate deliberately omits; everything else must
 # mirror exactly.
-wf_targets=$(grep -oE 'make [a-z][a-z-]*' "$workflow" | awk '{print $2}' | grep -v -- '-install$' | sort -u)
+wf_targets=$(grep -oE 'make [a-z][a-z0-9-]*' "$workflow" | awk '{print $2}' | grep -v -- '-install$' | sort -u)
 ci_deps=$(awk -F': *' '$1 == "ci" {print $2}' "$makefile" | tr ' ' '\n' | sed '/^$/d' | sort -u)
 
 drift=0

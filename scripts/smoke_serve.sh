@@ -4,8 +4,9 @@
 # only metrics surface; GET /metrics is 404), an 8-chunk estimate that is
 # byte-identical on a 2-slot and a 1-slot server (the 2-slot one lending
 # its idle slot to the estimate's chunks), two window distributions that
-# share one cached DP, a 400 for an oversized trial budget on a sweep and
-# on an estimate from a daemon that keeps serving, and a clean shutdown.
+# share one cached DP, a 400 for an oversized trial budget and for 2^62
+# threads on a sweep and on an estimate from a daemon that keeps serving,
+# and a clean shutdown.
 # Run by both `make smoke-serve` and the CI smoke-serve job.
 set -eu
 
@@ -165,27 +166,32 @@ if [ "$EVALS" -ne 1 ] || [ "$HITS" -lt 1 ]; then
 fi
 echo "smoke-serve: windowdist at prefix_len 16 and 48 shared one DP ($EVALS evaluation, $HITS hit)"
 
-# A trial budget over mc.TrialLimit (2^30) is refused with 400 before any
-# compute: a sweep cell's chunk plan for 2^63-1 trials cannot be
-# allocated, and a panic on a job's goroutine would end the daemon. The
-# same process must still answer /healthz.
+# A trial budget over mc.TrialLimit (2^30), or threads over
+# estimator.ThreadLimit, is refused with 400 before any compute: a sweep
+# cell's chunk plan for 2^63-1 trials cannot be allocated, nor can a
+# trial's scratch for 2^62 threads, and a panic on a job's or a chunk's
+# goroutine would end the daemon. The same process must still answer
+# /healthz.
 HUGE=9223372036854775807
+WIDE=4611686018427387904
 refused() {
     STATUS=$(curl -s -o "$WORKDIR/huge" -w '%{http_code}' -H 'Content-Type: application/json' -d "$2" "$BASE/$1")
     if [ "$STATUS" != 400 ]; then
-        echo "smoke-serve: POST /$1 with trials $HUGE answered $STATUS, want 400" >&2
+        echo "smoke-serve: POST /$1 with $2 answered $STATUS, want 400" >&2
         cat "$WORKDIR/huge" >&2
         exit 1
     fi
 }
 refused v1/sweeps "{\"models\":[\"SC\"],\"estimators\":[\"mc\"],\"trials\":$HUGE}"
 refused v1/estimate "{\"model\":\"SC\",\"estimator\":\"mc\",\"trials\":$HUGE}"
+refused v1/sweeps "{\"models\":[\"SC\"],\"estimators\":[\"mc-compiled\"],\"threads\":[$WIDE],\"trials\":64}"
+refused v1/estimate "{\"model\":\"SC\",\"estimator\":\"mc-compiled\",\"threads\":$WIDE,\"trials\":64}"
 STATUS=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/healthz")
 if [ "$STATUS" != 200 ] || ! kill -0 "$PID" 2>/dev/null; then
     echo "smoke-serve: memserved stopped serving after the oversized requests (healthz $STATUS)" >&2
     exit 1
 fi
-echo "smoke-serve: oversized trial budgets answered 400 and the daemon kept serving"
+echo "smoke-serve: oversized trial budgets and thread counts answered 400 and the daemon kept serving"
 
 # SIGTERM must shut both daemons down cleanly.
 for p in $PID $PID1; do
