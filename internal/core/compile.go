@@ -25,15 +25,16 @@ import (
 //     (decided as the generator fills it when there is one), and the
 //     trial reads its prefix as one m-bit extraction, each settling walk
 //     and each geometric shift as a run of ones found with a bit scan;
-//     a walk's limit comes from the highest position of each kind that
-//     blocks it, an integer per copy, and WO, where nothing blocks,
-//     counts off the walks whose outcomes it discards a window at a
-//     time (compileStreams);
+//     where one kind blocks the walks, a walk's limit comes from that
+//     kind's highest position, an integer per copy, and WO, where
+//     nothing blocks, counts off the walks whose outcomes it discards a
+//     window at a time (compileStreams);
 //   - the p ∈ {0,1} draw-free edges — constant program prefix, s = 0
 //     (settling never moves anything, γ ≡ 0) and s = 1 (a deterministic
-//     settling walk) — and prefixes wider than one word run on composed
-//     per-draw closures that touch the RNG exactly as often as the
-//     reference does;
+//     settling walk) — prefixes wider than one word, and the surfaces
+//     neither stream form covers (no registered model has one) run on
+//     composed per-draw closures that touch the RNG exactly as often as
+//     the reference does;
 //   - loop bounds (m, n) and thresholds are captured constants.
 //
 // A Program serves both trial shapes from one segment stage: FillBits
@@ -289,7 +290,10 @@ func (r *reader) skip(walks int) int {
 	}
 	last := bits.Len64(fails) - 1
 	if n > walks {
-		last, n = selectBit(fails, walks-1), walks
+		for range walks - 1 {
+			fails &= fails - 1
+		}
+		last, n = bits.TrailingZeros64(fails), walks
 	}
 	r.cur = last + 1
 	r.z &^= 2<<uint(last) - 1
@@ -312,35 +316,6 @@ func (c *drawCursor) skipWalks(k int, r reader, from, to int) reader {
 	}
 	return r
 }
-
-// selectBit returns the offset of x's set bit of rank r (the lowest set
-// bit has rank 0); x has more than r set bits.
-func selectBit(x uint64, r int) int {
-	const ones, highs = 0x0101010101010101, 0x8080808080808080
-	// Byte i of c counts the set bits of x's bytes 0 to i. The counts
-	// stay below 0x80, so the bytewise compare below never borrows across
-	// bytes, and the first byte whose count exceeds r holds the bit.
-	c := x - x>>1&0x5555555555555555
-	c = c&0x3333333333333333 + c>>2&0x3333333333333333
-	c = (c + c>>4) & 0x0f0f0f0f0f0f0f0f * ones
-	at := uint(bits.TrailingZeros64(((c|highs)-uint64(r+1)*ones)&highs)) &^ 7
-	r -= int(c << 8 >> at & 0xff)
-	return int(at) + int(selectInByte[r&7][uint8(x>>at)])
-}
-
-// selectInByte[r][b] is the offset of b's set bit of rank r.
-var selectInByte = func() (t [8][256]uint8) {
-	for b := range 256 {
-		r := 0
-		for i := range 8 {
-			if b>>i&1 == 1 {
-				t[r][b] = uint8(i)
-				r++
-			}
-		}
-	}
-	return t
-}()
 
 // sync leaves the source exactly where sequential per-draw consumption
 // would have: rewind to the last pre-refill snapshot, then re-advance by
@@ -429,8 +404,9 @@ func (ir *KernelIR) Compile() (*Program, error) {
 // compileStreams lowers the all-interior lattice point — probabilistic
 // prefix, general masked settling, geometric shifts, m ≤ 64 — onto the
 // cursor's decision streams and reports whether it did. Edge variants
-// (p ∈ {0,1}, s ∈ {0,1}, an empty relaxation set, shift probability 0)
-// and prefixes wider than one word stay on the composed closures.
+// (p ∈ {0,1}, s ∈ {0,1}, an empty relaxation set, shift probability 0),
+// prefixes wider than one word and the surfaces neither form below
+// covers stay on the composed closures.
 //
 // Three facts make the streams enough:
 //
@@ -452,7 +428,7 @@ func (ir *KernelIR) Compile() (*Program, error) {
 // whose permission row is not all-zero) is a pure function of the drawn
 // prefix. A walk from at to at−s moves every element it passes up one
 // place, so a limit needs only the highest position of each blocking
-// kind, never the settling order. The surface picks one of three forms
+// kind, never the settling order. The surface takes one of two forms
 // here, from the IR:
 //
 //   - WO: every row and both critical columns admit both kinds, so no
@@ -461,11 +437,11 @@ func (ir *KernelIR) Compile() (*Program, error) {
 //     others a window at a time (freeSegments).
 //   - One blocking kind: its highest position, one integer per copy,
 //     sets every limit (blockerSegments). TSO, PSO, LRO and RMO.
-//   - The rest: the highest position of each kind, two integers per
-//     copy (generalSegments). These are the two surfaces both kinds
-//     block, {ST/LD, LD/ST} and {LD/LD, ST/ST}, and four one-blocker
-//     surfaces whose blocking kind never walks or is passed by the other
-//     kind's walkers; only custom models reach them.
+//
+// Every registered model takes one of them. The other surfaces — the
+// two both kinds block, {ST/LD, LD/ST} and {LD/LD, ST/ST}, and four
+// whose blocking kind never walks or is passed by the other kind's
+// walkers — stay on the composed closures.
 //
 // The draws, their order and the final generator state are exactly the
 // composed closures' (and hence the reference kernel's).
@@ -490,6 +466,10 @@ func (p *Program) compileStreams(mask [4]uint8, swapThr uint64) bool {
 		stAllow |= (mask[prev] >> kindCritStore & 1) << uint(prev)
 	}
 	orderFree := rowAllow == [2]uint8{3, 3} && ldAllow == 3 && stAllow == 3
+	b, blocked := blockerKind(rowAllow, ldAllow, stAllow)
+	if !orderFree && !blocked {
+		return false
+	}
 
 	// One stream per distinct threshold. Thresholds compare the 53-bit
 	// variate word>>11; pre-shifting them compares the raw word instead.
@@ -516,14 +496,10 @@ func (p *Program) compileStreams(mask [4]uint8, swapThr uint64) bool {
 	shiftK := streamOf(shiftThr)
 	p.allStreams = n
 
-	switch {
-	case orderFree:
+	if orderFree {
 		p.segments = freeSegments(m, swapK)
-	default:
-		p.segments = blockerSegments(m, storeK, swapK, rowAllow, ldAllow, stAllow)
-		if p.segments == nil {
-			p.segments = generalSegments(m, storeK, swapK, rowAllow, ldAllow, stAllow)
-		}
+	} else {
+		p.segments = blockerSegments(m, b, storeK, swapK, rowAllow, ldAllow, stAllow)
 	}
 	p.disjoint = streamDisjoint(ir.Threads, shiftK)
 	return true
@@ -570,82 +546,58 @@ func freeSegments(m, swapK int) func(*compiledState) {
 	}
 }
 
-// blockerSegments is the segment stage for a surface whose walks only
-// kind b blocks, or nil when the surface has no such form. Each limit is
-// the distance to the highest b below the walker, kept in one integer
-// hb. It needs every b past position 0 to walk, so that the walks alone
-// keep hb current, and every walker of the other kind to pass only its
-// own kind, leaving hb alone. A walker of kind b either passes only the
-// other kind (TSO, PSO, LRO) and so becomes the highest b, at at−s; or
-// passes both (RMO), never blocks, and moves hb up one place when it
-// passes it. That choice is made here, not per walk.
-func blockerSegments(m, storeK, swapK int, rowAllow [2]uint8, ldAllow, stAllow uint8) func(*compiledState) {
+// blockerKind reports the kind b that alone blocks the surface's walks,
+// if blockerSegments can keep its highest position in one integer: that
+// needs every b past position 0 to walk, so that the walks alone keep
+// the position current, and every walker of the other kind to pass only
+// its own kind, leaving it alone.
+func blockerKind(rowAllow [2]uint8, ldAllow, stAllow uint8) (int, bool) {
 	for b := range 2 {
 		other := uint8(1) << uint(1-b) // admits only the other kind: blocked by b
 		fits := func(allow uint8) bool { return allow == 0 || allow == 3 || allow == other }
-		if rowAllow[b] != other && rowAllow[b] != 3 ||
-			rowAllow[1-b] != 0 && rowAllow[1-b] != other || !fits(ldAllow) || !fits(stAllow) {
-			continue
+		if (rowAllow[b] == other || rowAllow[b] == 3) &&
+			(rowAllow[1-b] == 0 || rowAllow[1-b] == other) && fits(ldAllow) && fits(stAllow) {
+			return b, true
 		}
-		// sel[k] selects whether prefix kind k walks at all; position 0
-		// never walks.
-		var sel [2]uint64
-		for k, allow := range rowAllow {
-			if allow != 0 {
-				sel[k] = ^uint64(0)
-			}
+	}
+	return 0, false
+}
+
+// blockerSegments is the segment stage for a surface whose walks only
+// kind b blocks (blockerKind). Each limit is the distance to the highest
+// b below the walker, kept in one integer hb. A walker of kind b either
+// passes only the other kind (TSO, PSO, LRO) and so becomes the highest
+// b, at at−s; or passes both (RMO), never blocks, and moves hb up one
+// place when it passes it. That choice is made here, not per walk.
+func blockerSegments(m, b, storeK, swapK int, rowAllow [2]uint8, ldAllow, stAllow uint8) func(*compiledState) {
+	// sel[k] selects whether prefix kind k walks at all; position 0
+	// never walks.
+	var sel [2]uint64
+	for k, allow := range rowAllow {
+		if allow != 0 {
+			sel[k] = ^uint64(0)
 		}
-		all := uint64(1)<<uint(m) - 1
-		var flip uint64 // typ^flip marks the positions of kind b
-		if b == kindLoad {
-			flip = ^uint64(0)
+	}
+	all := uint64(1)<<uint(m) - 1
+	var flip uint64 // typ^flip marks the positions of kind b
+	if b == kindLoad {
+		flip = ^uint64(0)
+	}
+	// A critical walk's limit is base − (hb+1)&blk: 0 when its column
+	// admits neither kind, m when it admits both, the distance to the
+	// highest b when it admits the other kind only.
+	critLimit := func(allow uint8) (base, blk int) {
+		switch allow {
+		case 0:
+			return 0, 0
+		case 3:
+			return m, 0
 		}
-		// A critical walk's limit is base − (hb+1)&blk: 0 when its column
-		// admits neither kind, m when it admits both, the distance to the
-		// highest b when it admits the other kind only.
-		critLimit := func(allow uint8) (base, blk int) {
-			switch allow {
-			case 0:
-				return 0, 0
-			case 3:
-				return m, 0
-			}
-			return m, -1
-		}
-		ldBase, ldBlk := critLimit(ldAllow)
-		stBase, stBlk := critLimit(stAllow)
-		if rowAllow[b] == 3 {
-			return func(st *compiledState) {
-				cur, segments := &st.cur, st.segments
-				typ, pos := cur.take(storeK, cur.pos, m)
-				rd := cur.reader(swapK, pos)
-				elems := (typ&sel[1] | ^typ&sel[0]) & all &^ 1
-				bs := (typ ^ flip) & all
-				for t := range segments {
-					hb := int(bs&1) - 1
-					for e := elems; e != 0; e &= e - 1 {
-						at := bits.TrailingZeros64(e)
-						isB := -int(bs >> uint(at) & 1)
-						// A walker of kind b never blocks; the other kind
-						// stops below hb.
-						limit := at - (hb+1)&^isB
-						s, ok := rd.capped(limit)
-						if !ok {
-							s, rd = cur.runSlow(swapK, rd, limit)
-						}
-						// A walker of kind b lands at at−s, above hb unless
-						// it passed hb, which then moves up one.
-						d := hb - (at - s)
-						up := at - s + (d+1)&^(d>>(bits.UintSize-1))
-						hb ^= (hb ^ up) & isB
-					}
-					var g int
-					g, rd = cur.critical(swapK, rd, ldBase-(hb+1)&ldBlk, stBase-(hb+1)&stBlk)
-					segments[t] = g + 2
-				}
-				cur.pos = rd.pos()
-			}
-		}
+		return m, -1
+	}
+	ldBase, ldBlk := critLimit(ldAllow)
+	stBase, stBlk := critLimit(stAllow)
+	if rowAllow[b] == 3 {
 		return func(st *compiledState) {
 			cur, segments := &st.cur, st.segments
 			typ, pos := cur.take(storeK, cur.pos, m)
@@ -656,13 +608,19 @@ func blockerSegments(m, storeK, swapK int, rowAllow [2]uint8, ldAllow, stAllow u
 				hb := int(bs&1) - 1
 				for e := elems; e != 0; e &= e - 1 {
 					at := bits.TrailingZeros64(e)
-					limit := at - 1 - hb
+					isB := -int(bs >> uint(at) & 1)
+					// A walker of kind b never blocks; the other kind
+					// stops below hb.
+					limit := at - (hb+1)&^isB
 					s, ok := rd.capped(limit)
 					if !ok {
 						s, rd = cur.runSlow(swapK, rd, limit)
 					}
-					// A walker of kind b is now the highest b.
-					hb ^= (hb ^ (at - s)) & -int(bs>>uint(at)&1)
+					// A walker of kind b lands at at−s, above hb unless
+					// it passed hb, which then moves up one.
+					d := hb - (at - s)
+					up := at - s + (d+1)&^(d>>(bits.UintSize-1))
+					hb ^= (hb ^ up) & isB
 				}
 				var g int
 				g, rd = cur.critical(swapK, rd, ldBase-(hb+1)&ldBlk, stBase-(hb+1)&stBlk)
@@ -671,48 +629,26 @@ func blockerSegments(m, storeK, swapK int, rowAllow [2]uint8, ldAllow, stAllow u
 			cur.pos = rd.pos()
 		}
 	}
-	return nil
-}
-
-// generalSegments is the segment stage for any blocking surface: it
-// keeps the highest position of each kind, h, and visits every position,
-// a non-walking one as a walk of limit 0. A walk of kind k from at is
-// capped below the highest position of each kind its row forbids; it
-// lands at at−s, moves each h it passes up one place, and raises h[k] to
-// at−s.
-func generalSegments(m, storeK, swapK int, rowAllow [2]uint8, ldAllow, stAllow uint8) func(*compiledState) {
-	// hide(allow)[j] is -1 when allow admits kind j: or-ed into h[j], it
-	// keeps that kind out of a limit.
-	hide := func(allow uint8) (f [2]int) {
-		for j := range f {
-			f[j] = -int(allow >> uint(j) & 1)
-		}
-		return f
-	}
-	row := [2][2]int{hide(rowAllow[0]), hide(rowAllow[1])}
-	ldHide, stHide := hide(ldAllow), hide(stAllow)
 	return func(st *compiledState) {
 		cur, segments := &st.cur, st.segments
 		typ, pos := cur.take(storeK, cur.pos, m)
 		rd := cur.reader(swapK, pos)
+		elems := (typ&sel[1] | ^typ&sel[0]) & all &^ 1
+		bs := (typ ^ flip) & all
 		for t := range segments {
-			h := [2]int{-1, -1}
-			for at := 0; at < m; at++ {
-				k := typ >> uint(at) & 1
-				limit := at - 1 - max(h[0]|row[k][0], h[1]|row[k][1])
+			hb := int(bs&1) - 1
+			for e := elems; e != 0; e &= e - 1 {
+				at := bits.TrailingZeros64(e)
+				limit := at - 1 - hb
 				s, ok := rd.capped(limit)
 				if !ok {
 					s, rd = cur.runSlow(swapK, rd, limit)
 				}
-				for j := range h {
-					if h[j] >= at-s {
-						h[j]++
-					}
-				}
-				h[k] = max(h[k], at-s)
+				// A walker of kind b is now the highest b.
+				hb ^= (hb ^ (at - s)) & -int(bs>>uint(at)&1)
 			}
 			var g int
-			g, rd = cur.critical(swapK, rd, m-1-max(h[0]|ldHide[0], h[1]|ldHide[1]), m-1-max(h[0]|stHide[0], h[1]|stHide[1]))
+			g, rd = cur.critical(swapK, rd, ldBase-(hb+1)&ldBlk, stBase-(hb+1)&stBlk)
 			segments[t] = g + 2
 		}
 		cur.pos = rd.pos()

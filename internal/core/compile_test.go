@@ -532,9 +532,10 @@ func TestDecisionPrimitivesAcrossRefill(t *testing.T) {
 
 // relaxationSubsets returns a model for each of the 16 subsets of Table
 // 1's four reordering pairs, named and built the way scenariogen builds
-// its unregistered variants. The registered models reach only some of
-// the compiled segment forms; the subsets reach them all, the two
-// surfaces blocked by both kinds included.
+// its unregistered variants. Besides the surfaces the registered models
+// have, they reach the six that neither decision-stream form covers (the
+// two blocked by both kinds among them), which run on the composed
+// closures.
 func relaxationSubsets(t *testing.T) []memmodel.Model {
 	t.Helper()
 	types := []memmodel.OpType{memmodel.Store, memmodel.Load}
@@ -608,28 +609,6 @@ func TestCompiledSubsetsMatchReference(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestSelectBit checks selectBit against a scan, at every rank of
-// words with few, many and all bits set.
-func TestSelectBit(t *testing.T) {
-	src := rng.New(5)
-	words := []uint64{1, 1 << 63, ^uint64(0), 0x8000000000000001}
-	for i := 0; i < 200; i++ {
-		words = append(words, src.Uint64(), src.Uint64()&src.Uint64()&src.Uint64())
-	}
-	for _, x := range words {
-		r := 0
-		for i := 0; i < 64; i++ {
-			if x>>uint(i)&1 == 0 {
-				continue
-			}
-			if got := selectBit(x, r); got != i {
-				t.Fatalf("selectBit(%#x, %d) = %d, want %d", x, r, got, i)
-			}
-			r++
 		}
 	}
 }

@@ -83,11 +83,13 @@ func (k Kind) DisplayName() string {
 	return string(k)
 }
 
-// ThreadLimit and PrefixLimit bound a query's threads and prefix_len,
-// as mc.TrialLimit bounds its trials: every trial engine sizes per-thread
-// and per-position scratch from them, so an unbounded value fails the
-// allocation and kills the process. Every size the paper's questions
-// need is far below them.
+// ThreadLimit and PrefixLimit bound a Monte Carlo query's threads and
+// prefix_len, as mc.TrialLimit bounds its trials: the trial engines size
+// per-thread and per-position scratch from them, so an unbounded value
+// fails the allocation and kills the process. Every size the paper's
+// questions need is far below them. The exact kinds need neither bound:
+// they clamp the prefix to ExactPrefixCap, exact answers only n = 2 and
+// windowdist ignores threads.
 const (
 	ThreadLimit = 4096
 	PrefixLimit = 4096
@@ -105,13 +107,13 @@ type Query struct {
 	Kind Kind `json:"kind"`
 	// Model is a memory model name resolvable by memmodel.ByName.
 	Model string `json:"model"`
-	// Threads is n, the number of concurrent buggy threads, in [2,
-	// ThreadLimit]. WindowDist queries ignore it (the distribution is
-	// thread-count independent).
+	// Threads is n, the number of concurrent buggy threads (≥ 2, and at
+	// most ThreadLimit for mc/hybrid queries). WindowDist queries ignore
+	// it (the distribution is thread-count independent).
 	Threads int `json:"threads"`
-	// PrefixLen is m, the random-program prefix length, in [1,
-	// PrefixLimit]. Exact and windowdist routes clamp it to
-	// ExactPrefixCap.
+	// PrefixLen is m, the random-program prefix length (≥ 1, and at most
+	// PrefixLimit for mc/hybrid queries). Exact and windowdist routes
+	// clamp it to ExactPrefixCap.
 	PrefixLen int `json:"prefix_len"`
 	// StoreProb is p and SwapProb is s; zeros are honored as genuine
 	// probabilities (DefaultQuery gives the paper's normal form 1/2).
@@ -247,14 +249,22 @@ func (q Query) validate() error {
 	if _, err := memmodel.ByName(q.Model); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	if q.Kind != WindowDist && (q.Threads < 2 || q.Threads > ThreadLimit) {
-		return fmt.Errorf("%w: threads=%d (need 2 ≤ n ≤ %d)", ErrBadQuery, q.Threads, ThreadLimit)
+	if q.Kind != WindowDist && q.Threads < 2 {
+		return fmt.Errorf("%w: threads=%d (need ≥ 2)", ErrBadQuery, q.Threads)
 	}
-	if q.PrefixLen < 1 || q.PrefixLen > PrefixLimit {
-		return fmt.Errorf("%w: prefix length %d (need 1 ≤ m ≤ %d)", ErrBadQuery, q.PrefixLen, PrefixLimit)
+	if q.PrefixLen < 1 {
+		return fmt.Errorf("%w: prefix length %d", ErrBadQuery, q.PrefixLen)
 	}
-	if q.Kind.NeedsTrials() && (q.Trials < 1 || q.Trials > mc.TrialLimit) {
-		return fmt.Errorf("%w: trials=%d (mc/hybrid queries need 1 ≤ n ≤ %d)", ErrBadQuery, q.Trials, mc.TrialLimit)
+	if q.Kind.NeedsTrials() {
+		if q.Threads > ThreadLimit {
+			return fmt.Errorf("%w: threads=%d (mc/hybrid queries need n ≤ %d)", ErrBadQuery, q.Threads, ThreadLimit)
+		}
+		if q.PrefixLen > PrefixLimit {
+			return fmt.Errorf("%w: prefix length %d (mc/hybrid queries need m ≤ %d)", ErrBadQuery, q.PrefixLen, PrefixLimit)
+		}
+		if q.Trials < 1 || q.Trials > mc.TrialLimit {
+			return fmt.Errorf("%w: trials=%d (mc/hybrid queries need 1 ≤ n ≤ %d)", ErrBadQuery, q.Trials, mc.TrialLimit)
+		}
 	}
 	// Positive-form range checks so NaN fails validation up front
 	// instead of surfacing as a downstream stats error (or an

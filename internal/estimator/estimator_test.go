@@ -58,7 +58,6 @@ func TestValidateRejectsBadQueries(t *testing.T) {
 		{"zero prefix", func(q *estimator.Query) { q.PrefixLen = 0 }},
 		{"prefix over the limit", func(q *estimator.Query) { q.PrefixLen = estimator.PrefixLimit + 1 }},
 		{"largest int prefix for hybrid", func(q *estimator.Query) { q.Kind = estimator.Hybrid; q.PrefixLen = math.MaxInt }},
-		{"largest int prefix for windowdist", func(q *estimator.Query) { q.Kind = estimator.WindowDist; q.PrefixLen = math.MaxInt }},
 		{"zero trials for mc", func(q *estimator.Query) { q.Kind = estimator.FullMC; q.Trials = 0 }},
 		{"zero trials for hybrid", func(q *estimator.Query) { q.Kind = estimator.Hybrid; q.Trials = 0 }},
 		{"trials over the limit for mc", func(q *estimator.Query) { q.Kind = estimator.FullMC; q.Trials = mc.TrialLimit + 1 }},
@@ -95,16 +94,21 @@ func TestValidateRejectsBadQueries(t *testing.T) {
 	if err := exact.Validate(); err != nil {
 		t.Errorf("exact with unused huge trials rejected: %v", err)
 	}
-	// The limits themselves are valid sizes (validated only, never run),
-	// and windowdist still ignores threads.
+	// The limits themselves are valid sizes (validated only, never run).
 	atLimit := base
 	atLimit.Threads, atLimit.PrefixLen = estimator.ThreadLimit, estimator.PrefixLimit
 	if err := atLimit.Validate(); err != nil {
 		t.Errorf("threads and prefix at their limits rejected: %v", err)
 	}
-	wd.Threads = math.MaxInt
+	// The exact kinds clamp the prefix, and exact skips every n but 2, so
+	// neither limit applies to them.
+	wd.Threads, wd.PrefixLen = math.MaxInt, math.MaxInt
 	if err := wd.Validate(); err != nil {
-		t.Errorf("windowdist with unused huge threads rejected: %v", err)
+		t.Errorf("windowdist with huge threads and prefix rejected: %v", err)
+	}
+	exact.Threads, exact.PrefixLen = math.MaxInt, math.MaxInt
+	if err := exact.Validate(); err != nil {
+		t.Errorf("exact with huge threads and prefix rejected: %v", err)
 	}
 }
 

@@ -77,11 +77,13 @@ func Kinds() []Kind { return estimator.Kinds() }
 type Spec struct {
 	// Models are memory model names resolvable by memmodel.ByName.
 	Models []string `json:"models"`
-	// Threads are the thread counts n, each in [2,
-	// estimator.ThreadLimit]. Empty means {2}.
+	// Threads are the thread counts n (each ≥ 2, and at most
+	// estimator.ThreadLimit when an mc/hybrid estimator runs). Empty
+	// means {2}.
 	Threads []int `json:"threads,omitempty"`
-	// PrefixLens are the prefix lengths m, each in [1,
-	// estimator.PrefixLimit]. Empty means {64}.
+	// PrefixLens are the prefix lengths m (each ≥ 1, and at most
+	// estimator.PrefixLimit when an mc/hybrid estimator runs). Empty
+	// means {64}.
 	PrefixLens []int `json:"prefix_lens,omitempty"`
 	// Estimators are the estimation routes to run per grid point.
 	// Empty means {hybrid}.
@@ -183,22 +185,28 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("%w: %v", ErrBadSpec, err)
 		}
 	}
-	for _, n := range s.Threads {
-		if n < 2 || n > estimator.ThreadLimit {
-			return fmt.Errorf("%w: threads=%d (need 2 ≤ n ≤ %d)", ErrBadSpec, n, estimator.ThreadLimit)
-		}
-	}
-	for _, m := range s.PrefixLens {
-		if m < 1 || m > estimator.PrefixLimit {
-			return fmt.Errorf("%w: prefix length %d (need 1 ≤ m ≤ %d)", ErrBadSpec, m, estimator.PrefixLimit)
-		}
-	}
 	needTrials := false
 	for _, k := range s.Estimators {
 		if !k.Valid() {
 			return fmt.Errorf("%w: unknown estimator %q", ErrBadSpec, k)
 		}
 		needTrials = needTrials || k.NeedsTrials()
+	}
+	for _, n := range s.Threads {
+		if n < 2 {
+			return fmt.Errorf("%w: threads=%d (need ≥ 2)", ErrBadSpec, n)
+		}
+		if needTrials && n > estimator.ThreadLimit {
+			return fmt.Errorf("%w: threads=%d (mc/hybrid cells need n ≤ %d)", ErrBadSpec, n, estimator.ThreadLimit)
+		}
+	}
+	for _, m := range s.PrefixLens {
+		if m < 1 {
+			return fmt.Errorf("%w: prefix length %d", ErrBadSpec, m)
+		}
+		if needTrials && m > estimator.PrefixLimit {
+			return fmt.Errorf("%w: prefix length %d (mc/hybrid cells need m ≤ %d)", ErrBadSpec, m, estimator.PrefixLimit)
+		}
 	}
 	if needTrials && (s.Trials < 1 || s.Trials > mc.TrialLimit) {
 		return fmt.Errorf("%w: trials=%d (mc/hybrid cells need 1 ≤ n ≤ %d)", ErrBadSpec, s.Trials, mc.TrialLimit)

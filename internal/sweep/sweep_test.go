@@ -142,10 +142,13 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	if err := atLimit.Normalized().Validate(); err != nil {
 		t.Errorf("threads and prefix at their limits rejected: %v", err)
 	}
-	// Trials bound only the cells that consume them.
-	exactOnly := Spec{Models: []string{"SC"}, Estimators: []Kind{Exact, WindowDist}, Trials: math.MaxInt}
+	// Trials, threads and prefix lengths bound only the cells that run
+	// Monte Carlo trials: the exact kinds clamp the prefix and skip every
+	// n but 2.
+	exactOnly := Spec{Models: []string{"SC"}, Estimators: []Kind{Exact, WindowDist}, Trials: math.MaxInt,
+		Threads: []int{math.MaxInt}, PrefixLens: []int{math.MaxInt}}
 	if err := exactOnly.Normalized().Validate(); err != nil {
-		t.Errorf("deterministic grid with unused huge trials rejected: %v", err)
+		t.Errorf("deterministic grid with huge trials, threads and prefix rejected: %v", err)
 	}
 }
 
