@@ -14,28 +14,30 @@ import (
 // table-driven Kernel (kernel.go) *interprets* the KernelIR: its hot
 // loops re-test the neverThr/alwaysThr sentinels on every draw and load
 // the swap threshold from the 4×4 table on every attempt. Compile
-// resolves all of that once, at query time, into monomorphized closures:
+// resolves the surface once, at query time, onto bit-sliced decision
+// streams: every refill of the bulk draw buffer turns its words into
+// one success bitmask per distinct threshold (decided as the generator
+// fills it when there is one), and a trial reads its prefix as one
+// m-bit extraction, each settling walk and each geometric shift as a
+// run of ones found with a bit scan. The swap surface collapses to a
+// per-row permission mask plus one uniform threshold (memmodel.Uniform
+// guarantees every permitted pair shares a threshold), and loop bounds
+// (m, n) and thresholds are captured constants. The stream forms:
 //
-//   - the swap surface collapses to a per-row permission mask plus one
-//     uniform threshold (memmodel.Uniform guarantees every permitted
-//     pair shares a threshold);
-//   - the all-interior lattice point (0 < p, s < 1, m ≤ 64) runs on
-//     bit-sliced decision streams: every refill of the bulk draw buffer
-//     turns its words into one success bitmask per distinct threshold
-//     (decided as the generator fills it when there is one), and the
-//     trial reads its prefix as one m-bit extraction, each settling walk
-//     and each geometric shift as a run of ones found with a bit scan;
-//     where one kind blocks the walks, a walk's limit comes from that
-//     kind's highest position, an integer per copy, and WO, where
-//     nothing blocks, counts off the walks whose outcomes it discards a
-//     window at a time (compileStreams);
-//   - the p ∈ {0,1} draw-free edges — constant program prefix, s = 0
-//     (settling never moves anything, γ ≡ 0) and s = 1 (a deterministic
-//     settling walk) — prefixes wider than one word, and the surfaces
-//     neither stream form covers (no registered model has one) run on
-//     composed per-draw closures that touch the RNG exactly as often as
-//     the reference does;
-//   - loop bounds (m, n) and thresholds are captured constants.
+//   - where nothing settles (an empty permission mask: SC at any s, or
+//     any model at s = 0), the prefix's draws are skipped undecided,
+//     every Γ is 2 and only the shifts are read (compileNoSettle);
+//   - at the all-interior lattice point (0 < p, s < 1, m ≤ 64), where
+//     one kind blocks the walks a walk's limit comes from that kind's
+//     highest position, an integer per copy, and WO, where nothing
+//     blocks, counts off the walks whose outcomes it discards a window
+//     at a time (compileStreams).
+//
+// Every other surface — something settles and p ∈ {0,1}, s = 1 or
+// m > 64, and the six relaxation subsets compileStreams does not cover
+// (no registered model has one) — runs the table kernel's own loops
+// (Kernel.sampleSegments and Kernel.FillBits) on a kernel each pooled
+// state builds once.
 //
 // A Program serves both trial shapes from one segment stage: FillBits
 // (the mc-compiled kind's event-A bits) adds the shift stage, and
@@ -91,8 +93,8 @@ func (s *stream) window(pos int) uint64 {
 //
 // The decision-stream stages read the streams: refillStreams builds
 // them, take and skip consume a prefix's draws, and a reader consumes
-// runs. The composed closures draw from src directly and leave the
-// buffer unfilled, so sync has nothing to undo for them.
+// runs. The table-kernel fallback draws from the source directly and
+// never attaches a cursor.
 type drawCursor struct {
 	src *rng.Source
 	// pos is the next unconsumed word; pos == cursorWords means the
@@ -110,8 +112,8 @@ type drawCursor struct {
 }
 
 // attach binds the cursor to a source at the start of a batch call,
-// which will read the first nstreams decision streams (0 for the
-// composed closures).
+// which will read the first nstreams decision streams (0 for a products
+// fill where nothing settles: its refills only count draws).
 func (c *drawCursor) attach(src *rng.Source, nstreams int) {
 	c.src, c.pos, c.nstreams = src, cursorWords, nstreams
 }
@@ -176,9 +178,10 @@ func (c *drawCursor) takeSlow(k, pos, m int) (uint64, int) {
 	return low | high<<uint(avail), m - avail
 }
 
-// skip consumes m ≤ 64 draws whose decisions nothing reads.
+// skip consumes m draws whose decisions nothing reads, across as many
+// refills as they span.
 func (c *drawCursor) skip(pos, m int) int {
-	if m > cursorWords-pos {
+	for m > cursorWords-pos {
 		m -= cursorWords - pos
 		c.refillStreams()
 		pos = 0
@@ -340,40 +343,36 @@ func (c *drawCursor) sync() {
 // allocate nothing.
 type compiledState struct {
 	cur      drawCursor
-	typ      []uint8
-	order    []uint8
 	segments []int
 	shifts   []int
+	// kern runs the trials, and cur stays unused, when no stream form
+	// takes the Program's surface.
+	kern *Kernel
 }
 
-// Program is a compiled trial kernel: the monomorphized closures for one
+// Program is a compiled trial kernel: the decision-stream stages for one
 // IR plus a pool of scratch states. A Program is immutable after Compile
 // and safe for concurrent batch calls; it stays valid even after
 // eviction from a plan cache.
 type Program struct {
 	ir KernelIR
 	// segments draws one program prefix and settles Threads copies of
-	// it into st.segments (Γ_k = γ_k + 2): the decision-stream stage at
-	// the all-interior lattice point, the composed prefix and settle
-	// closures elsewhere.
+	// it into st.segments (Γ_k = γ_k + 2). It is nil when no stream form
+	// takes the surface: the table kernel's loops run those trials.
 	segments func(st *compiledState)
-	// disjoint draws the shifts for st.segments and reports the event A:
-	// from the decision streams when segments reads them, from the
-	// source directly otherwise.
+	// disjoint reads the shifts for st.segments from the shift stream
+	// and reports the event A.
 	disjoint func(st *compiledState) bool
 	// thr holds the decision streams' raw thresholds. The segment stage
-	// reads the first segStreams, the shift stage up to allStreams; both
-	// are 0 on the composed closures.
+	// reads the first segStreams, the shift stage up to allStreams.
 	thr                    [maxStreams]uint64
 	segStreams, allStreams int
-	// constTyp is the compile-time program prefix when p ∈ {0,1}.
-	constTyp []uint8
-	pool     sync.Pool
+	pool                   sync.Pool
 }
 
-// Compile lowers the IR into a monomorphized Program: the
-// decision-stream stages where compileStreams takes the lattice point,
-// else one composed variant per coordinate (prefix × settle × disjoint).
+// Compile lowers the IR into a Program: the no-settle form on an empty
+// permission mask, else compileStreams' forms where they take the
+// surface, else the table kernel's loops.
 func (ir *KernelIR) Compile() (*Program, error) {
 	mask, swapThr, ok := ir.uniformSwap()
 	if !ok {
@@ -386,27 +385,46 @@ func (ir *KernelIR) Compile() (*Program, error) {
 	}
 	p := &Program{ir: *ir}
 	p.pool.New = func() any { return p.newState() }
-	if !p.compileStreams(mask, swapThr) {
-		prefix := compilePrefix(ir, p)
-		settle := compileSettle(ir, mask, swapThr)
-		p.segments = func(st *compiledState) {
-			prefix(st)
-			for t := range st.segments {
-				st.segments[t] = settle(st) + 2
-			}
-		}
-		p.disjoint = compileDisjoint(ir)
+	if mask == [4]uint8{} {
+		p.compileNoSettle()
+	} else {
+		p.compileStreams(mask, swapThr)
 	}
 	corePlansCompiled.Inc()
 	return p, nil
 }
 
+// compileNoSettle lowers a surface where nothing settles onto the shift
+// stream. With an empty permission mask the reference draws the prefix
+// and never a swap, so the prefix's draws are skipped undecided (none
+// when p ∈ {0,1}), every Γ is 2, and the shifts are runs of the shift
+// stream.
+func (p *Program) compileNoSettle() {
+	ir := &p.ir
+	if ir.ShiftThr == neverThr || ir.ShiftThr >= 1<<53 {
+		return
+	}
+	m := ir.PrefixLen
+	if ir.StoreThr == neverThr || ir.StoreThr == alwaysThr {
+		m = 0
+	}
+	p.thr[0], p.allStreams = ir.ShiftThr<<11, 1
+	p.segments = func(st *compiledState) {
+		st.cur.pos = st.cur.skip(st.cur.pos, m)
+		for t := range st.segments {
+			st.segments[t] = 2
+		}
+	}
+	p.disjoint = streamDisjoint(ir.Threads, 0)
+}
+
 // compileStreams lowers the all-interior lattice point — probabilistic
 // prefix, general masked settling, geometric shifts, m ≤ 64 — onto the
-// cursor's decision streams and reports whether it did. Edge variants
-// (p ∈ {0,1}, s ∈ {0,1}, an empty relaxation set, shift probability 0),
-// prefixes wider than one word and the surfaces neither form below
-// covers stay on the composed closures.
+// cursor's decision streams when one of the forms below takes its
+// surface; Compile hands it only a non-empty permission mask, so s > 0.
+// Edge variants (p ∈ {0,1}, s = 1, shift probability 0), prefixes wider
+// than one word and the surfaces neither form covers leave p.segments
+// nil, and the table kernel's loops run them.
 //
 // Three facts make the streams enough:
 //
@@ -438,21 +456,20 @@ func (ir *KernelIR) Compile() (*Program, error) {
 //   - One blocking kind: its highest position, one integer per copy,
 //     sets every limit (blockerSegments). TSO, PSO, LRO and RMO.
 //
-// Every registered model takes one of them. The other surfaces — the
-// two both kinds block, {ST/LD, LD/ST} and {LD/LD, ST/ST}, and four
-// whose blocking kind never walks or is passed by the other kind's
-// walkers — stay on the composed closures.
+// Every registered model with a non-empty relaxation set takes one of
+// them. The other surfaces — the two both kinds block, {ST/LD, LD/ST}
+// and {LD/LD, ST/ST}, and four whose blocking kind never walks or is
+// passed by the other kind's walkers — run on the table kernel.
 //
 // The draws, their order and the final generator state are exactly the
-// composed closures' (and hence the reference kernel's).
-func (p *Program) compileStreams(mask [4]uint8, swapThr uint64) bool {
+// table kernel's (and hence the reference's).
+func (p *Program) compileStreams(mask [4]uint8, swapThr uint64) {
 	ir := &p.ir
 	storeThr, shiftThr, m := ir.StoreThr, ir.ShiftThr, ir.PrefixLen
-	if storeThr == neverThr || storeThr == alwaysThr ||
-		swapThr == neverThr || swapThr == alwaysThr || mask == [4]uint8{} ||
+	if storeThr == neverThr || storeThr == alwaysThr || swapThr == alwaysThr ||
 		shiftThr == neverThr || shiftThr == alwaysThr || m > 64 ||
 		storeThr >= 1<<53 || swapThr >= 1<<53 || shiftThr >= 1<<53 {
-		return false
+		return
 	}
 	// Lower the permission surfaces onto binary kinds: rowAllow{0,1}
 	// bit k permits a moving LD/ST to settle past prev kind k,
@@ -468,7 +485,7 @@ func (p *Program) compileStreams(mask [4]uint8, swapThr uint64) bool {
 	orderFree := rowAllow == [2]uint8{3, 3} && ldAllow == 3 && stAllow == 3
 	b, blocked := blockerKind(rowAllow, ldAllow, stAllow)
 	if !orderFree && !blocked {
-		return false
+		return
 	}
 
 	// One stream per distinct threshold. Thresholds compare the 53-bit
@@ -502,7 +519,6 @@ func (p *Program) compileStreams(mask [4]uint8, swapThr uint64) bool {
 		p.segments = blockerSegments(m, b, storeK, swapK, rowAllow, ldAllow, stAllow)
 	}
 	p.disjoint = streamDisjoint(ir.Threads, shiftK)
-	return true
 }
 
 // critical reads one copy's two critical walks and returns its window
@@ -704,172 +720,17 @@ func disjointShifts(shifts, seg []int) bool {
 	return true
 }
 
-// compilePrefix selects the program-prefix generator variant.
-func compilePrefix(ir *KernelIR, p *Program) func(*compiledState) {
-	switch thr := ir.StoreThr; thr {
-	case neverThr, alwaysThr:
-		// Draw-free edge: the prefix is a compile-time constant, baked
-		// into every pooled state by newState. The reference engine
-		// draws nothing here either (sentinel short-circuit).
-		kind := uint8(kindLoad)
-		if thr == alwaysThr {
-			kind = kindStore
-		}
-		p.constTyp = make([]uint8, ir.PrefixLen)
-		for i := range p.constTyp {
-			p.constTyp[i] = kind
-		}
-		return func(*compiledState) {}
-	default:
-		return func(st *compiledState) {
-			typ, src := st.typ, st.cur.src
-			for i := range typ {
-				k := uint8(kindLoad)
-				if src.Uint64()>>11 < thr {
-					k = kindStore
-				}
-				typ[i] = k
-			}
-		}
-	}
-}
-
-// compileSettle selects the settling variant for the uniform swap
-// surface: γ ≡ 0 when no pair may ever swap, a deterministic draw-free
-// walk when every permitted swap succeeds, and the general single-
-// threshold masked loop otherwise.
-func compileSettle(ir *KernelIR, mask [4]uint8, swapThr uint64) func(*compiledState) int {
-	// Column masks for the critical rounds: bit prev set iff the
-	// critical LD (resp. ST) may settle past kind prev.
-	var ldMask, stMask uint8
-	for prev := 0; prev < 4; prev++ {
-		ldMask |= (mask[prev] >> kindCritLoad & 1) << uint(prev)
-		stMask |= (mask[prev] >> kindCritStore & 1) << uint(prev)
-	}
-	m := ir.PrefixLen
-	allZero := mask == [4]uint8{}
-	switch {
-	case allZero || swapThr == neverThr:
-		// s = 0 (or SC's empty relaxation set): nothing ever settles
-		// anywhere, γ ≡ 0, and the reference draws nothing either.
-		return func(*compiledState) int { return 0 }
-	case swapThr == alwaysThr:
-		// s = 1: every permitted swap succeeds — settling is a
-		// deterministic, draw-free walk over the permission masks.
-		return func(st *compiledState) int {
-			order := st.order
-			copy(order, st.typ)
-			for r := 2; r <= m; r++ {
-				pos := r - 1
-				moving := order[pos] & 3
-				bit := uint8(1) << moving
-				for pos > 0 {
-					prev := order[pos-1] & 3
-					if mask[prev]&bit == 0 {
-						break
-					}
-					order[pos], order[pos-1] = prev, moving
-					pos--
-				}
-			}
-			a := 0
-			for a < m && ldMask>>(order[m-1-a]&3)&1 == 1 {
-				a++
-			}
-			b := 0
-			for b < a && stMask>>(order[m-1-b]&3)&1 == 1 {
-				b++
-			}
-			return a - b
-		}
-	default:
-		// General uniform surface: one threshold in a register, one
-		// mask test per attempt, one draw per permitted attempt — the
-		// same draws, in the same order, as the interpreter's table
-		// walk.
-		return func(st *compiledState) int {
-			order := st.order
-			copy(order, st.typ)
-			src := st.cur.src
-			for r := 2; r <= m; r++ {
-				pos := r - 1
-				moving := order[pos] & 3
-				bit := uint8(1) << moving
-				for pos > 0 {
-					prev := order[pos-1] & 3
-					if mask[prev]&bit == 0 || src.Uint64()>>11 >= swapThr {
-						break
-					}
-					order[pos], order[pos-1] = prev, moving
-					pos--
-				}
-			}
-			a := 0
-			for a < m {
-				if ldMask>>(order[m-1-a]&3)&1 == 0 || src.Uint64()>>11 >= swapThr {
-					break
-				}
-				a++
-			}
-			b := 0
-			for b < a { // b == a is the critical LD: same location, no draw
-				if stMask>>(order[m-1-b]&3)&1 == 0 || src.Uint64()>>11 >= swapThr {
-					break
-				}
-				b++
-			}
-			return a - b
-		}
-	}
-}
-
-// compileDisjoint selects the composed shifted-disjointness variant: the
-// n = 2 single pair check, or the general nested scan.
-func compileDisjoint(ir *KernelIR) func(*compiledState) bool {
-	thr := ir.ShiftThr
-	if ir.Threads == 2 {
-		return func(st *compiledState) bool {
-			src := st.cur.src
-			s0 := geometricDraw(src, thr)
-			s1 := geometricDraw(src, thr)
-			seg := st.segments
-			// Closed-interval disjointness of [s0, s0+Γ0] and [s1, s1+Γ1].
-			return s0 > s1+seg[1] || s1 > s0+seg[0]
-		}
-	}
-	return func(st *compiledState) bool {
-		src, shifts := st.cur.src, st.shifts
-		for i := range shifts {
-			shifts[i] = geometricDraw(src, thr)
-		}
-		return disjointShifts(shifts, st.segments)
-	}
-}
-
-// geometricDraw replays rng-draw-identical geometric sampling: count
-// successes below thr until the first failure. thr == neverThr draws
-// nothing, exactly as the reference's sentinel guard.
-func geometricDraw(src *rng.Source, thr uint64) int {
-	if thr == neverThr {
-		return 0
-	}
-	s := 0
-	for src.Uint64()>>11 < thr {
-		s++
-	}
-	return s
-}
-
-// newState builds one scratch state, prefilling the constant prefix of
-// the draw-free prefix variants and the decision streams' thresholds.
+// newState builds one scratch state: the decision streams' thresholds
+// and the stages' buffers, or the table kernel where no stream form
+// takes the surface.
 func (p *Program) newState() *compiledState {
+	if p.segments == nil {
+		return &compiledState{kern: p.ir.NewKernel()}
+	}
 	st := &compiledState{
-		typ:      make([]uint8, p.ir.PrefixLen),
-		order:    make([]uint8, p.ir.PrefixLen),
 		segments: make([]int, p.ir.Threads),
 		shifts:   make([]int, p.ir.Threads),
 	}
-	copy(st.typ, p.constTyp)
 	st.cur.thr = p.thr
 	return st
 }
@@ -881,6 +742,9 @@ func (p *Program) newState() *compiledState {
 func (p *Program) FillBits(src *rng.Source, out []uint64, n int) error {
 	st := p.pool.Get().(*compiledState)
 	defer p.pool.Put(st)
+	if k := st.kern; k != nil {
+		return k.FillBits(src, out, n)
+	}
 	st.cur.attach(src, p.allStreams)
 	words := out[:mc.BitWords(n)]
 	for w := range words {
@@ -904,6 +768,13 @@ func (p *Program) FillBits(src *rng.Source, out []uint64, n int) error {
 func (p *Program) FillProducts(src *rng.Source, out []float64) error {
 	st := p.pool.Get().(*compiledState)
 	defer p.pool.Put(st)
+	if k := st.kern; k != nil {
+		for i := range out {
+			k.sampleSegments(src)
+			out[i] = productOf(k.segments)
+		}
+		return nil
+	}
 	st.cur.attach(src, p.segStreams)
 	for i := range out {
 		p.segments(st)

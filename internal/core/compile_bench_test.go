@@ -17,10 +17,10 @@ const engineBatch = 1024
 // per trial: the table-driven kernel's bits (NoBugBits) and the compiled
 // engine's bits (CompiledNoBugBits) at n = 3, m = 24, and the Theorem
 // 6.1 product batch (ProductBatch) at n = 8 with m = 64, the widest
-// prefix the compiled engine's decision streams take, and m = 96, which
-// falls back to its composed closures. It calls only the Config entry
-// points, so the same file measures any revision of the engines behind
-// them.
+// prefix the compiled engine's settling stream forms take, and m = 96,
+// where every model but SC (whose no-settle form takes any m) falls back
+// to the table kernel's loops. It calls only the Config entry points, so
+// the same file measures any revision of the engines behind them.
 func BenchmarkEngines(b *testing.B) {
 	for _, model := range kernelModels() {
 		bitsCfg := Config{Model: model, Threads: 3, PrefixLen: 24, StoreProb: 0.5, SwapProb: 0.5}

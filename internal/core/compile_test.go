@@ -27,10 +27,11 @@ type latticeCase struct {
 
 // compileLattice sweeps models × thread counts × prefix lengths ×
 // edge-and-interior probabilities. Prefixes of 63, 64 and 65 run at the
-// interior points only, the ones that take the decision streams: they
-// pack the prefix into one word, so m = 64 is their widest case (a full
-// word, and a critical walk of up to 64) and m = 65 falls back to the
-// composed path.
+// interior points only, the ones where compileStreams' forms take the
+// surfaces that settle: they pack the prefix into one word, so m = 64 is
+// their widest case (a full word, and a critical walk of up to 64) and
+// m = 65 falls back to the table kernel's loops. The edges reach the
+// no-settle form (SC, s = 0) and the kernel fallback (p ∈ {0,1}, s = 1).
 func compileLattice(t *testing.T) []latticeCase {
 	t.Helper()
 	type probs struct{ store, swap float64 }
@@ -310,8 +311,9 @@ func TestCompileRejectsNonUniformIR(t *testing.T) {
 // cache) against the ProductTrial closure over the whole lattice —
 // identical float64 bits and identical final generator states. The
 // closure runs on the independent prog and settle packages, so this
-// pins both the decision-stream segment stage (m ≤ 64, interior
-// probabilities) and the composed closures (the edges, m = 65).
+// pins the decision-stream segment stages (m ≤ 64 at interior
+// probabilities, and wherever nothing settles) and the table-kernel
+// fallback (the other edges, m = 65).
 func TestCompiledProductsMatchClosure(t *testing.T) {
 	for _, lc := range compileLattice(t) {
 		cfg := lc.cfg
@@ -533,9 +535,9 @@ func TestDecisionPrimitivesAcrossRefill(t *testing.T) {
 // relaxationSubsets returns a model for each of the 16 subsets of Table
 // 1's four reordering pairs, named and built the way scenariogen builds
 // its unregistered variants. Besides the surfaces the registered models
-// have, they reach the six that neither decision-stream form covers (the
-// two blocked by both kinds among them), which run on the composed
-// closures.
+// have, they reach the six that neither of compileStreams' forms covers
+// (the two blocked by both kinds among them), which run on the table
+// kernel's loops.
 func relaxationSubsets(t *testing.T) []memmodel.Model {
 	t.Helper()
 	types := []memmodel.OpType{memmodel.Store, memmodel.Load}
@@ -609,6 +611,89 @@ func TestCompiledSubsetsMatchReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// uncoveredSubsets names the relaxationSubsets models (bits LD/LD,
+// LD/ST, ST/LD, ST/ST from the left) whose surfaces neither of
+// compileStreams' forms takes: those that relax both ST/LD and LD/ST or
+// neither, short of all four pairs (WO) and none (SC).
+var uncoveredSubsets = map[string]bool{
+	"gen-0001": true, "gen-0110": true, "gen-0111": true,
+	"gen-1000": true, "gen-1001": true, "gen-1110": true,
+}
+
+// TestCompiledForms pins which form each query compiles to. Every
+// registered model at p = s = ½ with m from 1 to 64 — every query the
+// benchmark workloads make — takes a decision-stream form, and the
+// table kernel's loops run exactly where something settles and p ∈
+// {0,1}, s = 1 or m = 65, or the surface is one of the six relaxation
+// subsets no stream form covers.
+func TestCompiledForms(t *testing.T) {
+	for _, model := range kernelModels() {
+		for m := 1; m <= 64; m++ {
+			cfg := Config{Model: model, Threads: 3, PrefixLen: m, StoreProb: 0.5, SwapProb: 0.5}
+			if compileFor(t, cfg).allStreams == 0 {
+				t.Errorf("%s m=%d at p = s = 1/2 reads no decision stream", model.Name(), m)
+			}
+		}
+	}
+	models := append(kernelModels(), relaxationSubsets(t)...)
+	for _, model := range models {
+		for _, m := range []int{0, 16, 64, 65} {
+			for _, p := range []float64{0, 0.5, 1} {
+				for _, s := range []float64{0, 0.5, 1} {
+					cfg := Config{Model: model, Threads: 3, PrefixLen: m, StoreProb: p, SwapProb: s}
+					settles := s > 0 && model.RelaxedPairCount() > 0
+					want := settles && (p == 0 || p == 1 || s == 1 || m == 65 || uncoveredSubsets[model.Name()])
+					if got := compileFor(t, cfg).segments == nil; got != want {
+						t.Errorf("%s m=%d p=%v s=%v: table kernel %v, want %v", model.Name(), m, p, s, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNoSettleSkipsAcrossRefills holds the no-settle form to the
+// reference where one prefix's skipped draws span more than one refill
+// of the draw buffer: bits and products, values and generator state.
+func TestNoSettleSkipsAcrossRefills(t *testing.T) {
+	for _, cfg := range []Config{
+		{Model: memmodel.SC(), Threads: 3, PrefixLen: 2100, StoreProb: 0.5, SwapProb: 0.5},
+		{Model: memmodel.WO(), Threads: 2, PrefixLen: 1100, StoreProb: 0.3, SwapProb: 0},
+	} {
+		name := fmt.Sprintf("%s m=%d s=%v", cfg.Model.Name(), cfg.PrefixLen, cfg.SwapProb)
+		prog := compileFor(t, cfg)
+		const trials = 67
+		got := make([]uint64, mc.BitWords(trials))
+		want := make([]uint64, mc.BitWords(trials))
+		compiledSrc, refSrc := rng.New(29), rng.New(29)
+		if err := prog.FillBits(compiledSrc, got, trials); err != nil {
+			t.Fatal(err)
+		}
+		if err := referenceFor(t, cfg)(refSrc, want, trials); err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != want[0] || got[1] != want[1] || compiledSrc.State() != refSrc.State() {
+			t.Fatalf("%s: compiled bits %x != reference %x, or different draws", name, got, want)
+		}
+		out := make([]float64, 5)
+		if err := prog.FillProducts(compiledSrc, out); err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range out {
+			want, err := cfg.ProductTrial(refSrc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s product %d: compiled %v != closure %v", name, i, got, want)
+			}
+		}
+		if compiledSrc.State() != refSrc.State() {
+			t.Fatalf("%s: products consumed different draws", name)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"math"
 	"sort"
 
+	"memreliability/internal/dist"
 	"memreliability/internal/memmodel"
 	"memreliability/internal/settle"
 	"memreliability/internal/shift"
@@ -34,17 +35,6 @@ const maxExactEnumThreads = 4
 // expectation and the window tuples are exhausted, so the only
 // approximation anywhere is float64 rounding.
 func ExactSmallPrA(cfg Config) (float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	if cfg.PrefixLen > maxExactEnumPrefix {
-		return 0, fmt.Errorf("%w: prefix length %d exceeds exact-enumeration limit %d",
-			ErrBadConfig, cfg.PrefixLen, maxExactEnumPrefix)
-	}
-	if cfg.Threads > maxExactEnumThreads {
-		return 0, fmt.Errorf("%w: %d threads exceeds exact-enumeration limit %d",
-			ErrBadConfig, cfg.Threads, maxExactEnumThreads)
-	}
 	m := cfg.PrefixLen
 	n := cfg.Threads
 
@@ -69,26 +59,8 @@ func ExactSmallPrA(cfg Config) (float64, error) {
 	}
 
 	total := 0.0
-	prefix := make([]memmodel.OpType, m)
-	gammas := make([]int, n)
-	for mask := uint64(0); mask < 1<<uint(m); mask++ {
-		weight := 1.0
-		for i := 0; i < m; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				prefix[i] = memmodel.Store
-				weight *= cfg.StoreProb
-			} else {
-				prefix[i] = memmodel.Load
-				weight *= 1 - cfg.StoreProb
-			}
-		}
-		if weight == 0 {
-			continue
-		}
-		pmf, err := settle.ConditionalWindowDist(cfg.Model, prefix, cfg.SwapProb)
-		if err != nil {
-			return 0, fmt.Errorf("core: %w", err)
-		}
+	var gammas [maxExactEnumThreads]int
+	err := enumeratePrograms(cfg, func(weight float64, pmf *dist.PMF) error {
 		// Sum over all window tuples; threads are conditionally i.i.d.
 		var sumTuples func(k int, tupleWeight float64) (float64, error)
 		sumTuples = func(k int, tupleWeight float64) (float64, error) {
@@ -96,7 +68,7 @@ func ExactSmallPrA(cfg Config) (float64, error) {
 				return 0, nil
 			}
 			if k == n {
-				pA, err := disjointProb(gammas)
+				pA, err := disjointProb(gammas[:n])
 				if err != nil {
 					return 0, err
 				}
@@ -115,9 +87,13 @@ func ExactSmallPrA(cfg Config) (float64, error) {
 		}
 		progPrA, err := sumTuples(0, 1)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		total += weight * progPrA
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	return total, nil
 }
@@ -126,21 +102,47 @@ func ExactSmallPrA(cfg Config) (float64, error) {
 // E[Π_{i=1}^{n-1} 2^-i·Γᵢ] by the same full enumeration, for validating
 // the Monte Carlo product estimator including cross-thread dependence.
 func ExactProductExpectation(cfg Config) (float64, error) {
-	if err := cfg.Validate(); err != nil {
+	m := cfg.PrefixLen
+	n := cfg.Threads
+	total := 0.0
+	err := enumeratePrograms(cfg, func(weight float64, pmf *dist.PMF) error {
+		// Conditionally independent threads: the product expectation
+		// factorizes given the program, E[Π 2^-iΓᵢ | prog] =
+		// Π_i E[2^-i(γ+2) | prog].
+		product := 1.0
+		for i := 1; i <= n-1; i++ {
+			e := 0.0
+			for g := 0; g <= m; g++ {
+				e += pmf.At(g) * math.Pow(2, -float64(i*(g+2)))
+			}
+			product *= e
+		}
+		total += weight * product
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
+	return total, nil
+}
+
+// enumeratePrograms checks the config against both enumeration limits,
+// then hands visit each of the 2^m program prefixes of nonzero weight,
+// in mask order: its probability and its conditional window PMF
+// Pr[B_γ | prog].
+func enumeratePrograms(cfg Config, visit func(weight float64, pmf *dist.PMF) error) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if cfg.PrefixLen > maxExactEnumPrefix {
-		return 0, fmt.Errorf("%w: prefix length %d exceeds exact-enumeration limit %d",
+		return fmt.Errorf("%w: prefix length %d exceeds exact-enumeration limit %d",
 			ErrBadConfig, cfg.PrefixLen, maxExactEnumPrefix)
 	}
 	if cfg.Threads > maxExactEnumThreads {
-		return 0, fmt.Errorf("%w: %d threads exceeds exact-enumeration limit %d",
+		return fmt.Errorf("%w: %d threads exceeds exact-enumeration limit %d",
 			ErrBadConfig, cfg.Threads, maxExactEnumThreads)
 	}
 	m := cfg.PrefixLen
-	n := cfg.Threads
-
-	total := 0.0
 	prefix := make([]memmodel.OpType, m)
 	for mask := uint64(0); mask < 1<<uint(m); mask++ {
 		weight := 1.0
@@ -158,22 +160,13 @@ func ExactProductExpectation(cfg Config) (float64, error) {
 		}
 		pmf, err := settle.ConditionalWindowDist(cfg.Model, prefix, cfg.SwapProb)
 		if err != nil {
-			return 0, fmt.Errorf("core: %w", err)
+			return fmt.Errorf("core: %w", err)
 		}
-		// Conditionally independent threads: the product expectation
-		// factorizes given the program, E[Π 2^-iΓᵢ | prog] =
-		// Π_i E[2^-i(γ+2) | prog].
-		product := 1.0
-		for i := 1; i <= n-1; i++ {
-			e := 0.0
-			for g := 0; g <= m; g++ {
-				e += pmf.At(g) * math.Pow(2, -float64(i*(g+2)))
-			}
-			product *= e
+		if err := visit(weight, pmf); err != nil {
+			return err
 		}
-		total += weight * product
 	}
-	return total, nil
+	return nil
 }
 
 // ExactSmallPrAViaTheorem61 combines the exact product expectation with

@@ -12,9 +12,10 @@ import (
 // lowered to integer draw thresholds (see drawThreshold). Extracting it
 // as an explicit compile step is what makes a two-engine architecture
 // possible — the table-driven Kernel *interprets* the IR, while the
-// compiler engine (compile.go) lowers it further into monomorphized
-// closures — and guarantees both engines answer every swap/store/shift
-// question from the same precomputed numbers.
+// compiler engine (compile.go) lowers it further onto decision streams
+// and runs the Kernel's loops where no stream form takes the surface —
+// and guarantees both engines answer every swap/store/shift question
+// from the same precomputed numbers.
 //
 // A KernelIR is immutable after BuildIR and safe to share.
 type KernelIR struct {
@@ -91,7 +92,8 @@ func (ir *KernelIR) uniformSwap() (mask [4]uint8, thr uint64, ok bool) {
 	return mask, thr, true
 }
 
-// NewKernel builds the table-driven (interpreter) engine for the IR.
+// NewKernel builds the table-driven (interpreter) engine for the IR. It
+// counts no build: Config.NewKernel, the mc kind's constructor, does.
 func (ir *KernelIR) NewKernel() *Kernel {
 	return &Kernel{
 		threads:  ir.Threads,

@@ -10,7 +10,11 @@ import (
 )
 
 // This file is the table-driven joined-process kernel behind the bitset
-// batch constructor NoBugBits (the mc kind's engine). The reference route —
+// batch constructor NoBugBits (the mc kind's engine). Its loops also back
+// the compiled engine (compile.go) on every surface no decision-stream
+// form takes: each pooled Program state builds one kernel with
+// KernelIR.NewKernel and runs sampleSegments and FillBits on it. The
+// reference route —
 // prog.Generate → settle.Settle → shift.DisjointTrial, as ManifestTrial
 // and ReferenceNoBugBits run it — allocates a program, a settling order, a
 // permutation, and a shift placement on every trial and consults the

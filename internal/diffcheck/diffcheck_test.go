@@ -32,8 +32,8 @@ func TestCheckGeneratedQueries(t *testing.T) {
 // TestCheckProducts runs hybrid queries through the products leg: fixed
 // trials ending mid-chunk, and adaptive queries stopping on a half-width
 // target (rescaled by K(n)), on a relative-error target, and at the
-// budget — on the decision-stream segment stage and on the composed
-// closures (an edge probability and a prefix past one word).
+// budget — on the decision-stream segment stage and on the table-kernel
+// fallback (an edge probability and a prefix past one word).
 func TestCheckProducts(t *testing.T) {
 	for _, tc := range []struct {
 		model     string

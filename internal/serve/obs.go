@@ -13,22 +13,6 @@ import (
 	"memreliability/internal/obs"
 )
 
-// routePatterns are the mux patterns the server registers, duplicated
-// here as the label space of the per-endpoint metrics so every route's
-// series exists (at zero) from the first scrape. A request that matches
-// no pattern lands on the routeUnmatched series.
-var routePatterns = []string{
-	"GET /healthz",
-	"GET /metrics/prom",
-	"GET /v1/litmus",
-	"POST /v1/estimate",
-	"POST /v1/windowdist",
-	"POST /v1/sweeps",
-	"GET /v1/sweeps",
-	"GET /v1/sweeps/{id}",
-	"GET /v1/sweeps/{id}/artifact",
-}
-
 const routeUnmatched = "unmatched"
 
 // routeMetrics is one route's instrumentation bundle.
@@ -62,7 +46,7 @@ type serveObs struct {
 func newServeObs() *serveObs {
 	o := &serveObs{
 		reg:    obs.NewRegistry(),
-		routes: make(map[string]*routeMetrics, len(routePatterns)+1),
+		routes: make(map[string]*routeMetrics, len(routes)+1),
 	}
 	var nonce [4]byte
 	if _, err := rand.Read(nonce[:]); err == nil {
@@ -70,22 +54,10 @@ func newServeObs() *serveObs {
 	} else {
 		o.idPrefix = "00000000"
 	}
-	for _, pattern := range append(append([]string(nil), routePatterns...), routeUnmatched) {
-		label := obs.L("route", pattern)
-		rm := &routeMetrics{
-			requests: o.reg.Counter("serve_requests_total",
-				"HTTP requests served, by route pattern.", label),
-			latency: o.reg.Histogram("serve_request_seconds",
-				"HTTP request latency, by route pattern.", obs.LatencyBuckets(), label),
-			cache: make(map[string]*obs.Counter, 4),
-		}
-		for _, state := range []string{"hit", "miss", "dedup", "disk"} {
-			rm.cache[state] = o.reg.Counter("serve_cache_events_total",
-				"Cache outcomes on successfully written responses, by route and state.",
-				label, obs.L("state", state))
-		}
-		o.routes[pattern] = rm
+	for _, rt := range routes {
+		o.addRoute(rt.pattern)
 	}
+	o.addRoute(routeUnmatched)
 	o.computations = o.reg.Counter("serve_computations_total",
 		"Leader computations of the cached endpoints, counted whether or not the response reaches the client.")
 	o.inflight = o.reg.Gauge("serve_computations_inflight",
@@ -97,6 +69,24 @@ func newServeObs() *serveObs {
 	o.queueDepth = o.reg.Gauge("serve_job_queue_depth",
 		"Sweep jobs queued and not yet picked up by a worker.")
 	return o
+}
+
+// addRoute registers one route pattern's series.
+func (o *serveObs) addRoute(pattern string) {
+	label := obs.L("route", pattern)
+	rm := &routeMetrics{
+		requests: o.reg.Counter("serve_requests_total",
+			"HTTP requests served, by route pattern.", label),
+		latency: o.reg.Histogram("serve_request_seconds",
+			"HTTP request latency, by route pattern.", obs.LatencyBuckets(), label),
+		cache: make(map[string]*obs.Counter, 4),
+	}
+	for _, state := range []string{"hit", "miss", "dedup", "disk"} {
+		rm.cache[state] = o.reg.Counter("serve_cache_events_total",
+			"Cache outcomes on successfully written responses, by route and state.",
+			label, obs.L("state", state))
+	}
+	o.routes[pattern] = rm
 }
 
 // route resolves a mux pattern to its metrics bundle ("" and unknown
@@ -143,14 +133,12 @@ func sanitizeRequestID(id string) string {
 	return id
 }
 
-// statusRecorder passes writes through while capturing the status code
-// and the first body-write error, so the middleware can log the status
-// and the cache pipeline can refuse to count a response the client
-// never received.
+// statusRecorder passes writes through while capturing the status code,
+// so the middleware can log it. A failed body write reaches the cache
+// pipeline as writeCached's own error, which countServed checks.
 type statusRecorder struct {
 	http.ResponseWriter
-	status   int
-	writeErr error
+	status int
 }
 
 func (rw *statusRecorder) WriteHeader(code int) {
@@ -164,11 +152,7 @@ func (rw *statusRecorder) Write(b []byte) (int, error) {
 	if rw.status == 0 {
 		rw.status = http.StatusOK
 	}
-	n, err := rw.ResponseWriter.Write(b)
-	if err != nil && rw.writeErr == nil {
-		rw.writeErr = err
-	}
-	return n, err
+	return rw.ResponseWriter.Write(b)
 }
 
 // traceRecorder buffers the handler's body instead of writing it, so an

@@ -143,6 +143,25 @@ func (c Config) validate() error {
 	return nil
 }
 
+// routes is the server's route table: New registers each pattern on the
+// mux, and newServeObs gives each one its per-route series, which exist
+// (at zero) from the first scrape. A request that matches no pattern
+// lands on the routeUnmatched series.
+var routes = []struct {
+	pattern string
+	handle  func(*Server, http.ResponseWriter, *http.Request)
+}{
+	{"GET /healthz", (*Server).handleHealthz},
+	{"GET /metrics/prom", (*Server).handleMetricsProm},
+	{"GET /v1/litmus", (*Server).handleLitmus},
+	{"POST /v1/estimate", (*Server).handleEstimate},
+	{"POST /v1/windowdist", (*Server).handleWindowDist},
+	{"POST /v1/sweeps", (*Server).handleSweepSubmit},
+	{"GET /v1/sweeps", (*Server).handleSweepList},
+	{"GET /v1/sweeps/{id}", (*Server).handleSweepStatus},
+	{"GET /v1/sweeps/{id}/artifact", (*Server).handleSweepArtifact},
+}
+
 // Server is the estimation service. It implements http.Handler; pair it
 // with an http.Server (see cmd/memserved) or httptest for tests. Close
 // releases its background workers.
@@ -176,15 +195,9 @@ func New(cfg Config) (*Server, error) {
 		baseCtx: ctx,
 		cancel:  cancel,
 	}
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics/prom", s.handleMetricsProm)
-	s.mux.HandleFunc("GET /v1/litmus", s.handleLitmus)
-	s.mux.HandleFunc("POST /v1/estimate", s.handleEstimate)
-	s.mux.HandleFunc("POST /v1/windowdist", s.handleWindowDist)
-	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweepSubmit)
-	s.mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepStatus)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/artifact", s.handleSweepArtifact)
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) })
+	}
 	return s, nil
 }
 

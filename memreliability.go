@@ -193,9 +193,8 @@ const (
 	SweepWindowDist = sweep.WindowDist
 	// SweepCompiledMC is full Monte Carlo on the query-compiled kernel
 	// engine — bit-identical to SweepFullMC on the same query, and
-	// faster per trial on every registered model: core's
-	// BenchmarkEngines puts its bits at 0.36–0.77 of the table-driven
-	// kernel's time (see README "Kernel architecture").
+	// faster per trial on every registered model (README "Kernel
+	// architecture" quotes core's BenchmarkEngines ratios).
 	SweepCompiledMC = sweep.CompiledMC
 )
 
