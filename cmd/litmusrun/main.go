@@ -2,7 +2,7 @@
 // memory model on the operational simulator, and optionally measures
 // relaxed-outcome frequencies under a random scheduler. Tests come from
 // the built-in registry or, with -f, from .litmus files in the text DSL
-// (internal/litmus/text).
+// (litmus.Parse).
 //
 // Usage:
 //
@@ -13,9 +13,9 @@
 //	litmusrun -f dir/ -models SC,RMO
 //
 // -json emits the same encoding the serve API's GET /v1/litmus endpoint
-// returns (litmus.EncodeResultsJSON): running -f over the committed
-// internal/litmus/text/testdata/registry files reproduces the built-in
-// matrix byte-for-byte.
+// returns (litmus.EncodeResultsJSON): running -f over
+// internal/litmus/registry.litmus, the file the built-in registry is
+// parsed from, reproduces the built-in matrix byte-for-byte.
 package main
 
 import (
@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"memreliability/internal/litmus"
-	"memreliability/internal/litmus/text"
 	"memreliability/internal/memmodel"
 	"memreliability/internal/report"
 	"memreliability/internal/rng"
@@ -162,7 +161,7 @@ func selectTests(files []string, testName string) ([]litmus.Test, error) {
 				if err != nil {
 					return nil, err
 				}
-				parsed, err := text.Parse(file, data)
+				parsed, err := litmus.Parse(file, data)
 				if err != nil {
 					return nil, err
 				}

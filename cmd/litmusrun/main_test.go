@@ -108,49 +108,41 @@ func TestRunJSONRejectsFreq(t *testing.T) {
 	}
 }
 
-// registryFiles returns the committed DSL files in registry order, so
-// file-mode output can be compared byte-for-byte with registry-mode
-// output.
-func registryFiles(t *testing.T) []string {
-	t.Helper()
-	dir := filepath.Join("..", "..", "internal", "litmus", "text", "testdata", "registry")
-	var files []string
-	for _, tc := range litmus.Registry() {
-		f := filepath.Join(dir, tc.Name+".litmus")
-		if _, err := os.Stat(f); err != nil {
-			t.Fatalf("committed DSL file missing: %v", err)
-		}
-		files = append(files, f)
-	}
-	return files
-}
+// registryFile is the DSL file the built-in registry is parsed from.
+var registryFile = filepath.Join("..", "..", "internal", "litmus", "registry.litmus")
 
 // TestFileModeMatchesRegistryJSON is the acceptance gate: running the
-// committed .litmus files through -f must reproduce the built-in
+// committed registry.litmus through -f must reproduce the built-in
 // registry's JSON byte-for-byte.
 func TestFileModeMatchesRegistryJSON(t *testing.T) {
 	var registry bytes.Buffer
 	if err := run([]string{"-json"}, &registry); err != nil {
 		t.Fatal(err)
 	}
-	args := []string{"-json"}
-	for _, f := range registryFiles(t) {
-		args = append(args, "-f", f)
-	}
-	var fromFiles bytes.Buffer
-	if err := run(args, &fromFiles); err != nil {
+	var fromFile bytes.Buffer
+	if err := run([]string{"-json", "-f", registryFile}, &fromFile); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(registry.Bytes(), fromFiles.Bytes()) {
-		t.Errorf("file-mode JSON differs from registry JSON:\nregistry: %s\nfiles:    %s",
-			registry.Bytes(), fromFiles.Bytes())
+	if !bytes.Equal(registry.Bytes(), fromFile.Bytes()) {
+		t.Errorf("file-mode JSON differs from registry JSON:\nregistry: %s\nfile:     %s",
+			registry.Bytes(), fromFile.Bytes())
 	}
 }
 
-// TestDirectoryMode loads the whole committed directory at once (sorted
-// file order) and checks the full matrix comes back.
+// TestDirectoryMode loads a directory holding one file per built-in
+// test at once (sorted file order) and checks the full matrix comes
+// back.
 func TestDirectoryMode(t *testing.T) {
-	dir := filepath.Join("..", "..", "internal", "litmus", "text", "testdata", "registry")
+	dir := t.TempDir()
+	for _, tc := range litmus.Registry() {
+		data, err := litmus.Print(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, tc.Name+".litmus"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var out bytes.Buffer
 	if err := run([]string{"-f", dir, "-json"}, &out); err != nil {
 		t.Fatal(err)

@@ -65,7 +65,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("memrisk", flag.ContinueOnError)
-	modelName := fs.String("model", "TSO", "memory model: SC, TSO, PSO, or WO")
+	modelName := fs.String("model", "TSO", "memory model: SC, TSO, PSO, WO, RMO, or LRO")
 	threads := fs.Int("threads", 2, "number of concurrent buggy threads (n ≥ 2)")
 	trials := fs.Int("trials", 200000, "Monte Carlo trials")
 	seed := fs.Uint64("seed", 1, "experiment seed (runs are reproducible)")
@@ -83,6 +83,22 @@ func run(args []string, out io.Writer) error {
 	ctx, flushTrace := withTrace(context.Background(), *traceJSON, "memrisk")
 
 	if *doSweep {
+		// The sweep fixes its models, thread counts, m, p and s and runs a
+		// fixed budget, so a single-point flag given with it is refused by
+		// name rather than ignored.
+		var ignored string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "sweep", "trials", "seed", "trace-json":
+			default:
+				if ignored == "" {
+					ignored = f.Name
+				}
+			}
+		})
+		if ignored != "" {
+			return fmt.Errorf("-%s does not apply to -sweep, which reads only -trials, -seed and -trace-json", ignored)
+		}
 		if err := runSweep(ctx, out, *trials, *seed); err != nil {
 			return err
 		}

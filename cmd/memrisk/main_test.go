@@ -98,6 +98,23 @@ func TestRunSweep(t *testing.T) {
 	}
 }
 
+// TestRunSweepRejectsPointFlags: the sweep reads only -trials, -seed and
+// -trace-json, so a single-point flag given with -sweep fails by name
+// instead of being dropped.
+func TestRunSweepRejectsPointFlags(t *testing.T) {
+	for _, flagArgs := range [][]string{
+		{"-model", "WO"}, {"-threads", "3"}, {"-m", "8"}, {"-p", "0.9"}, {"-s", "0.9"},
+		{"-ci-halfwidth", "0.01"}, {"-ci-relerr", "0.05"}, {"-max-trials", "1000"},
+	} {
+		args := append([]string{"-sweep", "-trials", "64"}, flagArgs...)
+		var sb strings.Builder
+		err := run(args, &sb)
+		if err == nil || !strings.Contains(err.Error(), flagArgs[0]) {
+			t.Errorf("%v: err = %v, want a rejection naming %s", args, err, flagArgs[0])
+		}
+	}
+}
+
 // TestTraceJSON pins the -trace-json flag: the run succeeds and the file
 // holds a span tree rooted at memrisk with per-route estimate children.
 func TestTraceJSON(t *testing.T) {

@@ -34,22 +34,18 @@ func startDaemon(t *testing.T) (string, context.CancelFunc, chan error) {
 	return "http://" + l.Addr().String(), cancel, errc
 }
 
+// healthClient bounds each test's first request to a daemon. The
+// listener is bound before the server goroutine starts, so that request
+// waits in the accept backlog until Serve runs; a daemon that never
+// serves fails the test by name when the timeout runs out.
+var healthClient = &http.Client{Timeout: 10 * time.Second}
+
 func TestDaemonServesAndShutsDown(t *testing.T) {
 	url, cancel, errc := startDaemon(t)
 
-	// The daemon accepts the connection as soon as Serve starts; poll
-	// briefly in case the goroutine has not scheduled yet.
-	var resp *http.Response
-	var err error
-	for i := 0; i < 100; i++ {
-		resp, err = http.Get(url + "/healthz")
-		if err == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	resp, err := healthClient.Get(url + "/healthz")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("daemon never answered /healthz: %v", err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
@@ -119,18 +115,15 @@ func startHandlerDaemon(t *testing.T, h http.Handler) (string, context.CancelFun
 	return "http://" + l.Addr().String(), cancel, errc
 }
 
-// waitHealthy polls /healthz until the daemon answers.
+// waitHealthy makes one /healthz request and returns once the daemon
+// answers it.
 func waitHealthy(t *testing.T, url string) {
 	t.Helper()
-	for i := 0; i < 100; i++ {
-		resp, err := http.Get(url + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	resp, err := healthClient.Get(url + "/healthz")
+	if err != nil {
+		t.Fatalf("daemon at %s never became healthy: %v", url, err)
 	}
-	t.Fatalf("daemon at %s never became healthy", url)
+	resp.Body.Close()
 }
 
 // TestWorkerModeServesCells: the worker-mode handler computes cells and

@@ -15,6 +15,7 @@ import (
 
 	"memreliability/internal/combin"
 	"memreliability/internal/dist"
+	"memreliability/internal/shift"
 )
 
 // ErrOutOfDomain reports arguments outside a formula's domain.
@@ -262,39 +263,28 @@ func TwoThreadPrA(mgf Interval) Interval {
 
 // --- Theorem 6.3: many threads ---
 
-// exactC returns the exact normalization c(n) = 2/Π_{i=1}^{n-1}(1−2^-(n+1-i)).
-func exactC(n int) float64 {
-	den := 1.0
-	for i := 1; i <= n-1; i++ {
-		den *= 1 - math.Pow(2, -float64(n+1-i))
-	}
-	return 2 / den
-}
-
 // SCPrA returns the exact Pr[A] under Sequential Consistency for n ≥ 2
 // threads: c(n)·2^-C(n+1,2)·n!·2^-2C(n,2) (every window has Γ=2). Computed
 // in log space to stay finite for large n.
 func SCPrA(n int) (float64, error) {
-	if n < 2 {
-		return 0, fmt.Errorf("%w: n=%d", ErrOutOfDomain, n)
+	logP, err := SCLogPrA(n)
+	if err != nil {
+		return 0, err
 	}
-	logP := math.Log(exactC(n)) -
-		float64(n+1)*float64(n)/2*math.Ln2 +
-		combin.LogFactorial(n) -
-		float64(n)*float64(n-1)*math.Ln2
 	return math.Exp(logP), nil
 }
 
 // SCLogPrA returns ln Pr[A] under SC directly, usable when Pr[A] itself
-// underflows.
+// underflows: ln K(n) (shift.LogK) − 2C(n,2)·ln 2.
 func SCLogPrA(n int) (float64, error) {
 	if n < 2 {
 		return 0, fmt.Errorf("%w: n=%d", ErrOutOfDomain, n)
 	}
-	return math.Log(exactC(n)) -
-		float64(n+1)*float64(n)/2*math.Ln2 +
-		combin.LogFactorial(n) -
-		float64(n)*float64(n-1)*math.Ln2, nil
+	logK, err := shift.LogK(n)
+	if err != nil {
+		return 0, err
+	}
+	return logK - float64(n)*float64(n-1)*math.Ln2, nil
 }
 
 // AnyModelLogPrALower returns the Theorem 6.3 lower bound on ln Pr[A] valid

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -403,10 +404,13 @@ func TestPermanentRejectionFailsFast(t *testing.T) {
 // TestCancellation: canceling the caller's context surfaces as a
 // context error, not a worker failure.
 func TestCancellation(t *testing.T) {
+	dispatched := make(chan struct{})
+	var once sync.Once
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Drain the body first: net/http only watches for client
 		// disconnects (and cancels r.Context) once the body is consumed.
 		io.Copy(io.Discard, r.Body) //nolint:errcheck
+		once.Do(func() { close(dispatched) })
 		<-r.Context().Done()
 	}))
 	t.Cleanup(slow.Close)
@@ -416,12 +420,22 @@ func TestCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
 	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
+		_, err := coord.RunSweep(ctx, testSpec(), sweep.Options{})
+		errc <- err
 	}()
-	_, err = coord.RunSweep(ctx, testSpec(), sweep.Options{})
-	if !errors.Is(err, context.Canceled) {
+	// Cancel only once a dispatch is in flight on the stalled worker.
+	select {
+	case <-dispatched:
+	case err := <-errc:
+		t.Fatalf("sweep returned before any dispatch reached the worker: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("no dispatch reached the stalled worker within 10 s")
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -207,18 +207,13 @@ func hybridResultFrom(cfg Config, expectation, stdErr float64) (*HybridResult, e
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	// Recompute in log space for the deep-tail regime.
-	n := cfg.Threads
-	c, err := shift.CorollaryC(n)
+	logK, err := shift.LogK(cfg.Threads)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	logPrA := math.Log(c) -
-		float64(n+1)*float64(n)/2*math.Ln2 +
-		logFactorial(n) +
-		math.Log(expectation)
 	return &HybridResult{
 		PrA:                prA,
-		LogPrA:             logPrA,
+		LogPrA:             logK + math.Log(expectation),
 		ProductExpectation: expectation,
 		StdErr:             stdErr,
 	}, nil
@@ -260,15 +255,6 @@ func HybridPrA(ctx context.Context, cfg Config, run mc.AdaptiveConfig) (*HybridR
 	}
 	res.TrialsUsed, res.Rounds, res.StopReason = sum.TrialsUsed(), sum.Rounds, sum.StopReason
 	return res, nil
-}
-
-// logFactorial is a small local helper (ln n!).
-func logFactorial(n int) float64 {
-	sum := 0.0
-	for i := 2; i <= n; i++ {
-		sum += math.Log(float64(i))
-	}
-	return sum
 }
 
 // ScalingRow is one row of a Theorem 6.3 thread-scaling sweep. The sweep

@@ -1,4 +1,4 @@
-package text
+package litmus
 
 import (
 	"errors"
@@ -17,19 +17,17 @@ import (
 // registry litmus test plus hand-written grammar edge cases; plain
 // `go test` replays all of it.
 func FuzzParseLitmus(f *testing.F) {
-	// The committed registry files double as in-code seeds, so the
-	// property runs against the real tests even with an empty corpus.
-	entries, err := os.ReadDir(filepath.Join("testdata", "registry"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join("testdata", "registry", e.Name()))
+	// The built-in tests double as in-code seeds, one per test and the
+	// whole embedded file, so the property runs against the real tests
+	// even with an empty corpus.
+	for _, tc := range Registry() {
+		data, err := Print(tc)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
 	}
+	f.Add(registrySource)
 	f.Fuzz(func(t *testing.T, src []byte) {
 		tests, err := Parse("fuzz.litmus", src)
 		if err != nil {

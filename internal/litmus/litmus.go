@@ -3,14 +3,18 @@
 // outcome, per-model allowed/forbidden expectations, exhaustive outcome
 // enumeration, and randomized frequency measurement.
 //
-// The registry covers the canonical shapes (SB, MP, LB, 2+2W, CoRR, IRIW)
-// plus the paper's §2.2 increment race. Expectations are for a
-// store-atomic machine — the paper explicitly sets store-atomicity aside
-// (§2.1), so IRIW's relaxed outcome is reachable only via LD/LD reordering
-// (WO), not via non-atomic store propagation.
+// Tests are written in a small text DSL (Parse and its inverse Print).
+// The built-in registry is one DSL file, registry.litmus, embedded in the
+// package: the canonical shapes SB, MP, LB, 2+2W, CoRR, IRIW, R and S,
+// the always-forbidden LB+deps, MP+fences and CoWR, and the paper's §2.2
+// increment race INC. Expectations are for a store-atomic machine — the
+// paper explicitly sets store-atomicity aside (§2.1), so IRIW's relaxed
+// outcome is reachable only via LD/LD reordering, not via non-atomic
+// store propagation.
 package litmus
 
 import (
+	_ "embed"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -77,214 +81,20 @@ type Test struct {
 	AllowedUnder map[string]bool
 }
 
-// Registry returns the built-in tests in a stable order.
+// registrySource is the one definition of the built-in tests.
+//
+//go:embed registry.litmus
+var registrySource []byte
+
+// Registry returns the built-in tests in registry.litmus order. Each call
+// parses the embedded file afresh, so callers own the returned maps; the
+// file is part of the program, so a parse failure is a bug and panics.
 func Registry() []Test {
-	st := func(addr string, v int) machine.Op { return machine.StoreOp{Addr: addr, Src: machine.Imm(v)} }
-	ld := func(addr, dst string) machine.Op { return machine.LoadOp{Addr: addr, Dst: dst} }
-	init2 := map[string]int{"x": 0, "y": 0}
-
-	incThread := machine.Thread{Ops: []machine.Op{
-		machine.LoadOp{Addr: "x", Dst: "r"},
-		machine.AddOp{Dst: "r", A: machine.Reg("r"), B: machine.Imm(1)},
-		machine.StoreOp{Addr: "x", Src: machine.Reg("r")},
-	}}
-
-	return []Test{
-		{
-			Name:        "SB",
-			Description: "store buffering: both loads read the initial value (ST→LD reordering)",
-			Prog: machine.Program{
-				Threads: []machine.Thread{
-					{Ops: []machine.Op{st("x", 1), ld("y", "r1")}},
-					{Ops: []machine.Op{st("y", 1), ld("x", "r2")}},
-				},
-				Init: init2,
-			},
-			Target: Condition{"t0:r1": 0, "t1:r2": 0},
-			AllowedUnder: map[string]bool{
-				"SC": false, "TSO": true, "PSO": true, "WO": true,
-				"RMO": true, "LRO": false,
-			},
-		},
-		{
-			Name:        "MP",
-			Description: "message passing: stale data after seeing the flag (ST→ST or LD→LD reordering)",
-			Prog: machine.Program{
-				Threads: []machine.Thread{
-					{Ops: []machine.Op{st("x", 1), st("y", 1)}},
-					{Ops: []machine.Op{ld("y", "r1"), ld("x", "r2")}},
-				},
-				Init: init2,
-			},
-			Target: Condition{"t1:r1": 1, "t1:r2": 0},
-			AllowedUnder: map[string]bool{
-				"SC": false, "TSO": false, "PSO": true, "WO": true,
-				"RMO": true, "LRO": true,
-			},
-		},
-		{
-			Name:        "LB",
-			Description: "load buffering: both loads see the other thread's later store (LD→ST reordering)",
-			Prog: machine.Program{
-				Threads: []machine.Thread{
-					{Ops: []machine.Op{ld("x", "r1"), st("y", 1)}},
-					{Ops: []machine.Op{ld("y", "r2"), st("x", 1)}},
-				},
-				Init: init2,
-			},
-			Target: Condition{"t0:r1": 1, "t1:r2": 1},
-			AllowedUnder: map[string]bool{
-				"SC": false, "TSO": false, "PSO": false, "WO": true,
-				"RMO": false, "LRO": true,
-			},
-		},
-		{
-			Name:        "2+2W",
-			Description: "two threads write both locations in opposite orders (ST→ST reordering)",
-			Prog: machine.Program{
-				Threads: []machine.Thread{
-					{Ops: []machine.Op{st("x", 1), st("y", 2)}},
-					{Ops: []machine.Op{st("y", 1), st("x", 2)}},
-				},
-				Init: init2,
-			},
-			Target: Condition{"x": 1, "y": 1},
-			AllowedUnder: map[string]bool{
-				"SC": false, "TSO": false, "PSO": true, "WO": true,
-				"RMO": true, "LRO": false,
-			},
-		},
-		{
-			Name:        "CoRR",
-			Description: "coherence of read-read: same-location loads must not reorder (forbidden everywhere)",
-			Prog: machine.Program{
-				Threads: []machine.Thread{
-					{Ops: []machine.Op{st("x", 1)}},
-					{Ops: []machine.Op{ld("x", "r1"), ld("x", "r2")}},
-				},
-				Init: map[string]int{"x": 0},
-			},
-			Target: Condition{"t1:r1": 1, "t1:r2": 0},
-			AllowedUnder: map[string]bool{
-				"SC": false, "TSO": false, "PSO": false, "WO": false,
-				"RMO": false, "LRO": false,
-			},
-		},
-		{
-			Name: "IRIW",
-			Description: "independent reads of independent writes; reachable here only via LD→LD " +
-				"reordering (store-atomic machine, per the paper's §2.1 scope)",
-			Prog: machine.Program{
-				Threads: []machine.Thread{
-					{Ops: []machine.Op{st("x", 1)}},
-					{Ops: []machine.Op{st("y", 1)}},
-					{Ops: []machine.Op{ld("x", "r1"), ld("y", "r2")}},
-					{Ops: []machine.Op{ld("y", "r3"), ld("x", "r4")}},
-				},
-				Init: init2,
-			},
-			Target: Condition{"t2:r1": 1, "t2:r2": 0, "t3:r3": 1, "t3:r4": 0},
-			AllowedUnder: map[string]bool{
-				"SC": false, "TSO": false, "PSO": false, "WO": true,
-				"RMO": true, "LRO": true,
-			},
-		},
-		{
-			Name:        "R",
-			Description: "write-to-read causality: requires ST→ST or ST→LD reordering",
-			Prog: machine.Program{
-				Threads: []machine.Thread{
-					{Ops: []machine.Op{st("x", 1), st("y", 1)}},
-					{Ops: []machine.Op{st("y", 2), ld("x", "r1")}},
-				},
-				Init: init2,
-			},
-			Target: Condition{"y": 2, "t1:r1": 0},
-			AllowedUnder: map[string]bool{
-				"SC": false, "TSO": true, "PSO": true, "WO": true,
-				"RMO": true, "LRO": false,
-			},
-		},
-		{
-			Name:        "S",
-			Description: "write subsumption: requires ST→ST reordering (PSO's distinguishing shape)",
-			Prog: machine.Program{
-				Threads: []machine.Thread{
-					{Ops: []machine.Op{st("x", 2), st("y", 1)}},
-					{Ops: []machine.Op{ld("y", "r1"), st("x", 1)}},
-				},
-				Init: init2,
-			},
-			Target: Condition{"x": 2, "t1:r1": 1},
-			AllowedUnder: map[string]bool{
-				"SC": false, "TSO": false, "PSO": true, "WO": true,
-				"RMO": true, "LRO": true,
-			},
-		},
-		{
-			Name: "LB+deps",
-			Description: "load buffering with a data dependency (ST value comes from the LD): " +
-				"forbidden everywhere — register dependencies survive even WO",
-			Prog: machine.Program{
-				Threads: []machine.Thread{
-					{Ops: []machine.Op{ld("x", "r1"), machine.StoreOp{Addr: "y", Src: machine.Reg("r1")}}},
-					{Ops: []machine.Op{ld("y", "r2"), machine.StoreOp{Addr: "x", Src: machine.Reg("r2")}}},
-				},
-				Init: map[string]int{"x": 0, "y": 0},
-			},
-			Target: Condition{"t0:r1": 1, "t1:r2": 1},
-			AllowedUnder: map[string]bool{
-				"SC": false, "TSO": false, "PSO": false, "WO": false,
-				"RMO": false, "LRO": false,
-			},
-		},
-		{
-			Name:        "MP+fences",
-			Description: "message passing with full fences: forbidden everywhere (§7 fence semantics)",
-			Prog: machine.Program{
-				Threads: []machine.Thread{
-					{Ops: []machine.Op{st("x", 1), machine.FenceOp{Kind: memmodel.FenceFull}, st("y", 1)}},
-					{Ops: []machine.Op{ld("y", "r1"), machine.FenceOp{Kind: memmodel.FenceFull}, ld("x", "r2")}},
-				},
-				Init: init2,
-			},
-			Target: Condition{"t1:r1": 1, "t1:r2": 0},
-			AllowedUnder: map[string]bool{
-				"SC": false, "TSO": false, "PSO": false, "WO": false,
-				"RMO": false, "LRO": false,
-			},
-		},
-		{
-			Name: "CoWR",
-			Description: "coherence of write-read: a thread's load after its own store must not " +
-				"read the initial value (forbidden everywhere)",
-			Prog: machine.Program{
-				Threads: []machine.Thread{
-					{Ops: []machine.Op{st("x", 2), ld("x", "r1")}},
-					{Ops: []machine.Op{st("x", 1)}},
-				},
-				Init: map[string]int{"x": 0},
-			},
-			Target: Condition{"t0:r1": 0},
-			AllowedUnder: map[string]bool{
-				"SC": false, "TSO": false, "PSO": false, "WO": false,
-				"RMO": false, "LRO": false,
-			},
-		},
-		{
-			Name:        "INC",
-			Description: "the §2.2 canonical atomicity violation: a lost increment (allowed even under SC)",
-			Prog: machine.Program{
-				Threads: []machine.Thread{incThread, incThread},
-				Init:    map[string]int{"x": 0},
-			},
-			Target: Condition{"x": 1},
-			AllowedUnder: map[string]bool{
-				"SC": true, "TSO": true, "PSO": true, "WO": true,
-				"RMO": true, "LRO": true,
-			},
-		},
+	tests, err := Parse("registry.litmus", registrySource)
+	if err != nil {
+		panic(fmt.Sprintf("litmus: built-in registry: %v", err))
 	}
+	return tests
 }
 
 // ByName returns the registered test with the given name.

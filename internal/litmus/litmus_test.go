@@ -1,7 +1,10 @@
 package litmus
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"memreliability/internal/machine"
@@ -50,6 +53,19 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestCommittedRegistryFile pins registry.litmus to the printer's
+// canonical form: printing the parsed registry reproduces the embedded
+// file byte for byte, so the file has one spelling and no drift.
+func TestCommittedRegistryFile(t *testing.T) {
+	printed, err := Print(Registry()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(printed, registrySource) {
+		t.Errorf("registry.litmus is not in canonical printed form:\n%s", printed)
+	}
+}
+
 func TestCheckAllConforms(t *testing.T) {
 	// The E13 conformance matrix: every registered expectation must match
 	// exhaustive exploration under every model. This pins the simulator's
@@ -69,6 +85,28 @@ func TestCheckAllConforms(t *testing.T) {
 		if r.Outcomes < 1 {
 			t.Errorf("%s under %s: %d outcomes", r.Test, r.Model, r.Outcomes)
 		}
+	}
+}
+
+// TestCheckAllGolden pins the conformance matrix bytes that GET
+// /v1/litmus serves and litmusrun -json prints. A deliberate change to
+// registry.litmus or to the machine regenerates the golden with
+// `go run ./cmd/litmusrun -json > internal/litmus/testdata/golden_matrix.json`.
+func TestCheckAllGolden(t *testing.T) {
+	results, err := CheckAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := EncodeResultsJSON(&got, results); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_matrix.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("conformance matrix differs from testdata/golden_matrix.json:\n%s", got.Bytes())
 	}
 }
 

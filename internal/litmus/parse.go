@@ -1,10 +1,8 @@
-// Package text is the litmus-test text format: a small DSL for the
-// threads, instructions, locations, and fences of a machine program, an
-// init/exists condition clause matching litmus.Condition, and per-model
-// expectation annotations. It is the input surface of the scenario
-// subsystem — the front-end over the same structures the Go registry
-// builds directly, in the way wazero's text format (wat) fronts its
-// binary IR.
+// parse.go is the litmus-test text format: a small DSL for the threads,
+// instructions, locations, and fences of a machine program, an
+// init/exists condition clause matching Condition, and per-model
+// expectation annotations. The built-in registry (registry.litmus) and
+// the files cmd/litmusrun -f loads are written in it.
 //
 // The grammar (one or more test blocks per file; `//` comments; clauses
 // in any order, at most one description/init/exists per test):
@@ -34,7 +32,8 @@
 // deterministic inverse: for every parseable input, parse→print→parse
 // yields identical tests and identical printed bytes (the fuzz target
 // FuzzParseLitmus holds the property over arbitrary inputs).
-package text
+
+package litmus
 
 import (
 	"fmt"
@@ -43,7 +42,6 @@ import (
 	"unicode"
 	"unicode/utf8"
 
-	"memreliability/internal/litmus"
 	"memreliability/internal/machine"
 	"memreliability/internal/memmodel"
 )
@@ -311,13 +309,13 @@ type parser struct {
 
 // Parse parses one or more test blocks. The name labels error positions
 // (usually a file name); it may be empty.
-func Parse(name string, src []byte) ([]litmus.Test, error) {
+func Parse(name string, src []byte) ([]Test, error) {
 	toks, lerr := newLexer(name, string(src)).lex()
 	if lerr != nil {
 		return nil, lerr
 	}
 	p := &parser{name: name, toks: toks}
-	var tests []litmus.Test
+	var tests []Test
 	seen := map[string]bool{}
 	for p.cur().kind != tokEOF {
 		headerPos := p.cur().pos
@@ -380,8 +378,8 @@ func (p *parser) ident(ctx string) (token, error) {
 	return t, nil
 }
 
-func (p *parser) parseTest() (litmus.Test, error) {
-	var t litmus.Test
+func (p *parser) parseTest() (Test, error) {
+	var t Test
 	kw, err := p.expect(tokIdent, "file")
 	if err != nil {
 		return t, err
@@ -621,11 +619,11 @@ func (p *parser) parseOperand(ctx string) (machine.Operand, error) {
 	}
 }
 
-func (p *parser) parseExists() (litmus.Condition, error) {
+func (p *parser) parseExists() (Condition, error) {
 	if _, err := p.expect(tokLBrace, "exists"); err != nil {
 		return nil, err
 	}
-	cond := litmus.Condition{}
+	cond := Condition{}
 	for {
 		ref, err := p.expect(tokIdent, "exists")
 		if err != nil {
@@ -664,7 +662,7 @@ func (p *parser) parseExists() (litmus.Condition, error) {
 // must resolve in the memmodel registry: an expectation for an unknown
 // model is a positioned parse error, so a typo can never masquerade as a
 // silently-forbidden outcome.
-func (p *parser) parseExpect(t *litmus.Test) error {
+func (p *parser) parseExpect(t *Test) error {
 	nameTok, err := p.ident("model expectation")
 	if err != nil {
 		return err

@@ -1,9 +1,9 @@
 // print.go is the deterministic printer: the inverse of Parse. Printing
 // the same test always yields identical bytes (maps are emitted in
-// sorted or registry order), and Parse(Print(t)) reconstructs t exactly
-// — the committed testdata/registry/*.litmus files are proven equal to
-// litmus.Registry() through exactly this pair.
-package text
+// sorted or registry order), and Parse(Print(t)) reconstructs t exactly;
+// registry.litmus is in exactly this canonical form.
+
+package litmus
 
 import (
 	"fmt"
@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 
-	"memreliability/internal/litmus"
 	"memreliability/internal/machine"
 	"memreliability/internal/memmodel"
 )
@@ -21,20 +20,20 @@ import (
 // types, names that are not identifiers, expectations for unregistered
 // models) — loudly, rather than printing something that will not parse
 // back.
-func Print(tests ...litmus.Test) ([]byte, error) {
+func Print(tests ...Test) ([]byte, error) {
 	var sb strings.Builder
 	for i, t := range tests {
 		if i > 0 {
 			sb.WriteString("\n")
 		}
 		if err := printTest(&sb, t); err != nil {
-			return nil, fmt.Errorf("text: print test %q: %w", t.Name, err)
+			return nil, fmt.Errorf("litmus: print test %q: %w", t.Name, err)
 		}
 	}
 	return []byte(sb.String()), nil
 }
 
-func printTest(sb *strings.Builder, t litmus.Test) error {
+func printTest(sb *strings.Builder, t Test) error {
 	if t.Name == "" {
 		return fmt.Errorf("empty test name")
 	}
@@ -98,7 +97,7 @@ func printTest(sb *strings.Builder, t litmus.Test) error {
 // expectation, in memmodel registration order. An expectation for a
 // model that is not registered is an error: it could never parse back,
 // and silently dropping it would turn a typo into a missing verdict.
-func printExpectations(sb *strings.Builder, t litmus.Test) error {
+func printExpectations(sb *strings.Builder, t Test) error {
 	printed := 0
 	for _, m := range memmodel.Registered() {
 		allowed, ok := t.AllowedUnder[m.Name()]

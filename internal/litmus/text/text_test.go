@@ -1,9 +1,15 @@
+// Package text holds the black-box tests of the .litmus text format:
+// parse errors and their positions, every instruction form, printing and
+// the round trip of the built-in registry. They reach the parser and the
+// printer only through package litmus's exported API (Parse, Print,
+// ParseError), so they pin the format as litmusrun -f and the scenario
+// generator see it. The directory has no non-test Go; the fuzz target
+// and the check that registry.litmus is in printed form sit in package
+// litmus, beside the embedded file.
 package text
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,11 +23,11 @@ import (
 // every built-in litmus test survives the DSL byte-identically.
 func TestRegistryRoundTrip(t *testing.T) {
 	for _, tc := range litmus.Registry() {
-		data, err := Print(tc)
+		data, err := litmus.Print(tc)
 		if err != nil {
 			t.Fatalf("%s: print: %v", tc.Name, err)
 		}
-		parsed, err := Parse(tc.Name+".litmus", data)
+		parsed, err := litmus.Parse(tc.Name+".litmus", data)
 		if err != nil {
 			t.Fatalf("%s: parse: %v\n%s", tc.Name, err, data)
 		}
@@ -32,7 +38,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 			t.Errorf("%s: round-trip mismatch:\ngot  %#v\nwant %#v", tc.Name, parsed[0], tc)
 		}
 		// Printing the reparsed test reproduces the bytes exactly.
-		again, err := Print(parsed[0])
+		again, err := litmus.Print(parsed[0])
 		if err != nil {
 			t.Fatalf("%s: reprint: %v", tc.Name, err)
 		}
@@ -42,64 +48,17 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCommittedRegistryFiles pins the committed testdata/registry files
-// to the Go structs: parsing each file yields exactly the registry test,
-// and printing the registry test yields exactly the file's bytes. A
-// drifted file (or a registry change without `go run ./internal/litmus/
-// text/gen`) fails here.
-func TestCommittedRegistryFiles(t *testing.T) {
-	dir := filepath.Join("testdata", "registry")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onDisk := map[string]bool{}
-	for _, e := range entries {
-		onDisk[e.Name()] = true
-	}
-	for _, tc := range litmus.Registry() {
-		name := tc.Name + ".litmus"
-		if !onDisk[name] {
-			t.Errorf("registry test %q has no committed %s", tc.Name, name)
-			continue
-		}
-		delete(onDisk, name)
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parsed, err := Parse(name, data)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if len(parsed) != 1 || !reflect.DeepEqual(parsed[0], tc) {
-			t.Errorf("%s: committed file does not parse to the registry struct", name)
-		}
-		printed, err := Print(tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(printed) != string(data) {
-			t.Errorf("%s: committed bytes differ from the canonical printed form", name)
-		}
-	}
-	for name := range onDisk {
-		t.Errorf("testdata/registry/%s matches no registry test", name)
-	}
-}
-
 func TestParseMultipleTests(t *testing.T) {
 	var all []litmus.Test
 	var combined []byte
 	for _, tc := range litmus.Registry() {
 		all = append(all, tc)
 	}
-	combined, err := Print(all...)
+	combined, err := litmus.Print(all...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := Parse("registry.litmus", combined)
+	parsed, err := litmus.Parse("registry.litmus", combined)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,13 +105,13 @@ func TestParseErrorPositions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse("in.litmus", []byte(tc.src))
+			_, err := litmus.Parse("in.litmus", []byte(tc.src))
 			if err == nil {
 				t.Fatalf("input accepted:\n%s", tc.src)
 			}
-			var pe *ParseError
+			var pe *litmus.ParseError
 			if !errors.As(err, &pe) {
-				t.Fatalf("error is %T, not *ParseError: %v", err, err)
+				t.Fatalf("error is %T, not *litmus.ParseError: %v", err, err)
 			}
 			if pe.Name != "in.litmus" {
 				t.Errorf("error name = %q", pe.Name)
@@ -188,7 +147,7 @@ test "ALL" {
   model SC allowed
 }
 `
-	parsed, err := Parse("", []byte(src))
+	parsed, err := litmus.Parse("", []byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +181,11 @@ test "ALL" {
 		t.Errorf("parse mismatch:\ngot  %#v\nwant %#v", parsed[0], want)
 	}
 	// And the canonical form survives its own round trip.
-	printed, err := Print(parsed[0])
+	printed, err := litmus.Print(parsed[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := Parse("", printed)
+	re, err := litmus.Parse("", printed)
 	if err != nil {
 		t.Fatalf("reparse: %v\n%s", err, printed)
 	}
@@ -237,7 +196,7 @@ test "ALL" {
 
 func TestParseModelCanonicalCasing(t *testing.T) {
 	src := `test "X" { thread { ST x = 1 } exists { x = 1 } model tso allowed model rmo forbidden }`
-	parsed, err := Parse("", []byte(src))
+	parsed, err := litmus.Parse("", []byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +233,7 @@ func TestPrintRejectsUnprintable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := base
 			tc.mutate(&bad)
-			if _, err := Print(bad); err == nil {
+			if _, err := litmus.Print(bad); err == nil {
 				t.Error("unprintable test printed without error")
 			}
 		})

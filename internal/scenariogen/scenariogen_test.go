@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"memreliability/internal/litmus/text"
+	"memreliability/internal/litmus"
 	"memreliability/internal/memmodel"
 )
 
@@ -99,11 +99,11 @@ func TestLitmusTestValidAndRoundTrips(t *testing.T) {
 		if err := tc.Prog.Validate(); err != nil {
 			t.Fatalf("draw %d: invalid program: %v\n%+v", i, err, tc)
 		}
-		data, err := text.Print(tc)
+		data, err := litmus.Print(tc)
 		if err != nil {
 			t.Fatalf("draw %d: print: %v\n%+v", i, err, tc)
 		}
-		parsed, err := text.Parse("gen.litmus", data)
+		parsed, err := litmus.Parse("gen.litmus", data)
 		if err != nil {
 			t.Fatalf("draw %d: parse: %v\n%s", i, err, data)
 		}

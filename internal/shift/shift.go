@@ -112,9 +112,13 @@ func ExactTheorem51(lengths []int) (float64, error) {
 	if n > MaxExactN {
 		return 0, fmt.Errorf("%w: n=%d exceeds exact limit %d", ErrBadInput, n, MaxExactN)
 	}
-	prefactor := normalizationConstant(n)
+	c, err := CorollaryC(n)
+	if err != nil {
+		return 0, err
+	}
+	prefactor := c * math.Pow(2, -float64(n+1)*float64(n)/2)
 	sum := 0.0
-	err := combin.Permutations(n, func(perm []int) bool {
+	err = combin.Permutations(n, func(perm []int) bool {
 		term := 1.0
 		for i := 1; i <= n-1; i++ {
 			// σ(i) is the segment with the i-th largest shift; perm is
@@ -128,16 +132,6 @@ func ExactTheorem51(lengths []int) (float64, error) {
 		return 0, fmt.Errorf("shift: %w", err)
 	}
 	return prefactor * sum, nil
-}
-
-// normalizationConstant returns 2^-(C(n+1,2)-1) / Π_{i=1}^{n-1}(1−2^-(n+1-i)).
-func normalizationConstant(n int) float64 {
-	num := math.Pow(2, -(float64(n+1)*float64(n)/2 - 1))
-	den := 1.0
-	for i := 1; i <= n-1; i++ {
-		den *= 1 - math.Pow(2, -float64(n+1-i))
-	}
-	return num / den
 }
 
 // CorollaryC returns c(n) from Corollary 5.2, defined by
@@ -211,4 +205,16 @@ func Theorem61(n int, productExpectation float64) (float64, error) {
 	}
 	logTerm := -float64(n+1) * float64(n) / 2 * math.Ln2
 	return c * math.Exp(logTerm) * combin.Factorial(n) * productExpectation, nil
+}
+
+// LogK returns ln K(n) = ln c(n) − C(n+1,2)·ln 2 + ln n!, the logarithm of
+// Theorem 6.1's prefactor K(n) = Theorem61(n, 1). Theorem61's linear
+// product underflows for large n; LogK stays finite for every n ≥ 2, so
+// log-space results read it.
+func LogK(n int) (float64, error) {
+	c, err := CorollaryC(n)
+	if err != nil {
+		return 0, err
+	}
+	return math.Log(c) - float64(n+1)*float64(n)/2*math.Ln2 + combin.LogFactorial(n), nil
 }

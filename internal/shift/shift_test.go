@@ -34,6 +34,9 @@ func TestValidation(t *testing.T) {
 	if _, err := CorollaryC(1); !errors.Is(err, ErrBadInput) {
 		t.Error("c(1) accepted")
 	}
+	if _, err := LogK(1); !errors.Is(err, ErrBadInput) {
+		t.Error("ln K(1) accepted")
+	}
 	if _, err := Theorem61(1, 0.5); !errors.Is(err, ErrBadInput) {
 		t.Error("Theorem61 n=1 accepted")
 	}
@@ -236,6 +239,27 @@ func TestTheorem61MatchesExactForConstantLengths(t *testing.T) {
 		}
 		if math.Abs(direct-via61) > 1e-12*math.Max(1, direct) {
 			t.Errorf("n=%d γ=%d: direct %v vs Theorem61 %v", tc.n, tc.gamma, direct, via61)
+		}
+	}
+}
+
+// TestLogKMatchesTheorem61: ln K(n) is the log of Theorem61(n, 1) wherever
+// the linear form is finite, and stays finite past its underflow.
+func TestLogKMatchesTheorem61(t *testing.T) {
+	for n := 2; n <= 64; n++ {
+		logK, err := LogK(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := Theorem61(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case math.IsInf(logK, 0) || math.IsNaN(logK):
+			t.Errorf("ln K(%d) = %v", n, logK)
+		case k >= 0x1p-1022 && math.Abs(logK-math.Log(k)) > 1e-12*math.Abs(logK):
+			t.Errorf("ln K(%d) = %v, ln Theorem61(%d, 1) = %v", n, logK, n, math.Log(k))
 		}
 	}
 }

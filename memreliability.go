@@ -241,7 +241,8 @@ func WO() Model { return memmodel.WO() }
 // AllModels returns the four canonical models, strongest first.
 func AllModels() []Model { return memmodel.All() }
 
-// ModelByName resolves "SC", "TSO", "PSO", or "WO" (case-insensitive).
+// ModelByName resolves a registered model by name, case-insensitively:
+// "SC", "TSO", "PSO", "WO", "RMO", or "LRO".
 func ModelByName(name string) (Model, error) { return memmodel.ByName(name) }
 
 // WindowDistribution returns the exact distribution of the critical-window
@@ -374,11 +375,12 @@ func DecodeSweepArtifact(r io.Reader) (*SweepArtifact, error) {
 }
 
 // LitmusTests returns the built-in litmus registry (SB, MP, LB, 2+2W,
-// CoRR, IRIW, INC).
+// CoRR, IRIW, R, S, LB+deps, MP+fences, CoWR, INC), parsed afresh from
+// its one definition, internal/litmus/registry.litmus.
 func LitmusTests() []LitmusTest { return litmus.Registry() }
 
 // LitmusCheckAll exhaustively checks every registered litmus test under
-// every canonical model against its expected allowed/forbidden status.
+// every registered model against its expected allowed/forbidden status.
 func LitmusCheckAll() ([]LitmusResult, error) { return litmus.CheckAll() }
 
 // Server is the HTTP estimation service: a JSON API over the estimators

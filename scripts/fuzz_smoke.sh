@@ -26,9 +26,9 @@ FUZZTIME="${FUZZTIME:-30s}"
 fail() {
 	echo "fuzz-smoke: FAILED in $1" >&2
 	echo "fuzz-smoke: new crashers (untracked corpus files), if any:" >&2
-	git ls-files --others --exclude-standard -- 'internal/*/testdata/fuzz/*' 'internal/*/*/testdata/fuzz/*' >&2 || true
+	git ls-files --others --exclude-standard -- 'internal/*/testdata/fuzz/*' >&2 || true
 	echo "fuzz-smoke: replay a crasher with:" >&2
-	echo "  go test ./internal/litmus/text/ -run 'FuzzParseLitmus/<crasher-file>'" >&2
+	echo "  go test ./internal/litmus/       -run 'FuzzParseLitmus/<crasher-file>'" >&2
 	echo "  go test ./internal/diffcheck/    -run 'FuzzDifferentialEstimate/<crasher-file>'" >&2
 	echo "fuzz-smoke: differential divergences replay through the seeded sweep:" >&2
 	echo "  go run ./cmd/memdiff -duration 10s -seed 1" >&2
@@ -36,7 +36,7 @@ fail() {
 }
 
 echo "fuzz-smoke: corpus replay"
-go test ./internal/litmus/text/ ./internal/diffcheck/ -run 'Fuzz|Corpus' -count=1 \
+go test ./internal/litmus/ ./internal/diffcheck/ -run 'Fuzz|Corpus' -count=1 \
 	|| fail "corpus replay"
 
 echo "fuzz-smoke: memdiff seeded differential sweep (10s, seed 1)"
@@ -44,7 +44,7 @@ go run ./cmd/memdiff -duration 10s -seed 1 \
 	|| fail "memdiff"
 
 echo "fuzz-smoke: FuzzParseLitmus ($FUZZTIME)"
-go test ./internal/litmus/text/ -fuzz='^FuzzParseLitmus$' -fuzztime="$FUZZTIME" -run '^$' \
+go test ./internal/litmus/ -fuzz='^FuzzParseLitmus$' -fuzztime="$FUZZTIME" -run '^$' \
 	|| fail "FuzzParseLitmus"
 
 echo "fuzz-smoke: FuzzDifferentialEstimate ($FUZZTIME)"
