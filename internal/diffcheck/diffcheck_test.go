@@ -112,11 +112,15 @@ func TestCheckEnginesAdaptive(t *testing.T) {
 
 // TestCheckWindowDistAllModels runs the window-distribution sanity (and
 // the SC/TSO/WO analytic bounds) for every registered model, variants
-// included.
+// included, at m = 12 and, over the whole support, at m = 64 and at
+// estimator.PrefixLimit, where the truncation slack is below float64
+// rounding and WO's deepest masses are subnormal.
 func TestCheckWindowDistAllModels(t *testing.T) {
 	for _, m := range memmodel.Registered() {
-		if err := CheckWindowDist(m, 12, 6); err != nil {
-			t.Errorf("%s: %v", m.Name(), err)
+		for _, size := range [][2]int{{12, 6}, {64, 64}, {estimator.PrefixLimit, estimator.PrefixLimit}} {
+			if err := CheckWindowDist(m, size[0], size[1]); err != nil {
+				t.Errorf("%s m=%d: %v", m.Name(), size[0], err)
+			}
 		}
 	}
 }

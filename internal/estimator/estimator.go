@@ -3,8 +3,8 @@
 // sweep engine's grid cells, the HTTP service's /v1/estimate and
 // /v1/windowdist endpoints, and the cmd/ tools — expresses its work as a
 // Query and dispatches it through one registry keyed by estimator Kind,
-// so validation, clamping (ExactPrefixCap), defaulting (DefaultQuery),
-// and seed derivation live in exactly one place.
+// so validation, defaulting (DefaultQuery) and seed derivation live in
+// exactly one place.
 //
 // The registry maps a Kind (exact, mc, hybrid, windowdist) to an
 // Estimator implementation; new backends (distributed workers,
@@ -28,10 +28,10 @@ import (
 // ErrBadQuery reports an invalid estimation query.
 var ErrBadQuery = errors.New("estimator: bad query")
 
-// ExactPrefixCap bounds the prefix length fed to the exact dynamic
-// programs (the DP state space is 2^m type strings). Exact and
-// window-distribution queries clamp their prefix to this cap and record
-// the clamp in the result's Note.
+// ExactPrefixCap (16) is the prefix length at which bench/memload's
+// exact checks evaluate the n = 2 DP: its estimate-models and
+// hybrid-precision workloads clamp their exact reference value to it.
+// No estimator reads it; every kind answers at the query's PrefixLen.
 const ExactPrefixCap = 16
 
 // DefaultConfidence is the confidence level of the Wilson intervals
@@ -83,13 +83,13 @@ func (k Kind) DisplayName() string {
 	return string(k)
 }
 
-// ThreadLimit and PrefixLimit bound a Monte Carlo query's threads and
-// prefix_len, as mc.TrialLimit bounds its trials: the trial engines size
-// per-thread and per-position scratch from them, so an unbounded value
-// fails the allocation and kills the process. Every size the paper's
-// questions need is far below them. The exact kinds need neither bound:
-// they clamp the prefix to ExactPrefixCap, exact answers only n = 2 and
-// windowdist ignores threads.
+// ThreadLimit and PrefixLimit bound a query's threads and prefix_len, as
+// mc.TrialLimit bounds its trials: the trial engines size per-thread and
+// per-position scratch from them, so an unbounded value fails the
+// allocation and kills the process, and the exact DP's O(m²) time grows
+// without bound in m. Every size the paper's questions need is far below
+// them. PrefixLimit bounds every kind; ThreadLimit only the Monte Carlo
+// kinds, since exact answers only n = 2 and windowdist ignores threads.
 const (
 	ThreadLimit = 4096
 	PrefixLimit = 4096
@@ -111,9 +111,8 @@ type Query struct {
 	// most ThreadLimit for mc/hybrid queries). WindowDist queries ignore
 	// it (the distribution is thread-count independent).
 	Threads int `json:"threads"`
-	// PrefixLen is m, the random-program prefix length (≥ 1, and at most
-	// PrefixLimit for mc/hybrid queries). Exact and windowdist routes
-	// clamp it to ExactPrefixCap.
+	// PrefixLen is m, the random-program prefix length (1 ≤ m ≤
+	// PrefixLimit). Every kind answers at it.
 	PrefixLen int `json:"prefix_len"`
 	// StoreProb is p and SwapProb is s; zeros are honored as genuine
 	// probabilities (DefaultQuery gives the paper's normal form 1/2).
@@ -129,7 +128,7 @@ type Query struct {
 	// selects DefaultConfidence (0.99).
 	Confidence float64 `json:"confidence"`
 	// MaxGamma bounds the tabulated support of windowdist results
-	// (clamped to the effective prefix length).
+	// (clamped to the prefix length, past which γ has no mass).
 	MaxGamma int `json:"max_gamma"`
 	// Precision, when non-nil, switches the trial-consuming kinds (mc,
 	// hybrid) to adaptive-precision sampling: deterministic chunk-aligned
@@ -252,15 +251,12 @@ func (q Query) validate() error {
 	if q.Kind != WindowDist && q.Threads < 2 {
 		return fmt.Errorf("%w: threads=%d (need ≥ 2)", ErrBadQuery, q.Threads)
 	}
-	if q.PrefixLen < 1 {
-		return fmt.Errorf("%w: prefix length %d", ErrBadQuery, q.PrefixLen)
+	if q.PrefixLen < 1 || q.PrefixLen > PrefixLimit {
+		return fmt.Errorf("%w: prefix length %d (need 1 ≤ m ≤ %d)", ErrBadQuery, q.PrefixLen, PrefixLimit)
 	}
 	if q.Kind.NeedsTrials() {
 		if q.Threads > ThreadLimit {
 			return fmt.Errorf("%w: threads=%d (mc/hybrid queries need n ≤ %d)", ErrBadQuery, q.Threads, ThreadLimit)
-		}
-		if q.PrefixLen > PrefixLimit {
-			return fmt.Errorf("%w: prefix length %d (mc/hybrid queries need m ≤ %d)", ErrBadQuery, q.PrefixLen, PrefixLimit)
 		}
 		if q.Trials < 1 || q.Trials > mc.TrialLimit {
 			return fmt.Errorf("%w: trials=%d (mc/hybrid queries need 1 ≤ n ≤ %d)", ErrBadQuery, q.Trials, mc.TrialLimit)
@@ -312,9 +308,8 @@ type Result struct {
 	Skipped bool   `json:"skipped,omitempty"`
 	Note    string `json:"note,omitempty"`
 
-	// EffectiveM is the prefix length the estimator actually used:
-	// equal to the query's PrefixLen unless the exact DP clamped it to
-	// ExactPrefixCap.
+	// EffectiveM is the prefix length the result is for: the query's
+	// PrefixLen, on every kind.
 	EffectiveM int `json:"effective_m"`
 
 	// Estimate is the Pr[A] point estimate — or, for windowdist, the

@@ -58,6 +58,9 @@ func TestValidateRejectsBadQueries(t *testing.T) {
 		{"zero prefix", func(q *estimator.Query) { q.PrefixLen = 0 }},
 		{"prefix over the limit", func(q *estimator.Query) { q.PrefixLen = estimator.PrefixLimit + 1 }},
 		{"largest int prefix for hybrid", func(q *estimator.Query) { q.Kind = estimator.Hybrid; q.PrefixLen = math.MaxInt }},
+		{"prefix over the limit for exact", func(q *estimator.Query) { q.Kind = estimator.Exact; q.PrefixLen = estimator.PrefixLimit + 1 }},
+		{"prefix over the limit for windowdist", func(q *estimator.Query) { q.Kind = estimator.WindowDist; q.PrefixLen = estimator.PrefixLimit + 1 }},
+		{"largest int prefix for windowdist", func(q *estimator.Query) { q.Kind = estimator.WindowDist; q.PrefixLen = math.MaxInt }},
 		{"zero trials for mc", func(q *estimator.Query) { q.Kind = estimator.FullMC; q.Trials = 0 }},
 		{"zero trials for hybrid", func(q *estimator.Query) { q.Kind = estimator.Hybrid; q.Trials = 0 }},
 		{"trials over the limit for mc", func(q *estimator.Query) { q.Kind = estimator.FullMC; q.Trials = mc.TrialLimit + 1 }},
@@ -100,15 +103,15 @@ func TestValidateRejectsBadQueries(t *testing.T) {
 	if err := atLimit.Validate(); err != nil {
 		t.Errorf("threads and prefix at their limits rejected: %v", err)
 	}
-	// The exact kinds clamp the prefix, and exact skips every n but 2, so
-	// neither limit applies to them.
-	wd.Threads, wd.PrefixLen = math.MaxInt, math.MaxInt
+	// Exact skips every n but 2 and windowdist ignores threads, so the
+	// thread limit binds neither; the prefix limit binds both.
+	wd.Threads, wd.PrefixLen = math.MaxInt, estimator.PrefixLimit
 	if err := wd.Validate(); err != nil {
-		t.Errorf("windowdist with huge threads and prefix rejected: %v", err)
+		t.Errorf("windowdist with huge threads and the largest prefix rejected: %v", err)
 	}
-	exact.Threads, exact.PrefixLen = math.MaxInt, math.MaxInt
+	exact.Threads, exact.PrefixLen = math.MaxInt, estimator.PrefixLimit
 	if err := exact.Validate(); err != nil {
-		t.Errorf("exact with huge threads and prefix rejected: %v", err)
+		t.Errorf("exact with huge threads and the largest prefix rejected: %v", err)
 	}
 }
 
@@ -152,11 +155,8 @@ func TestExactClampsPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.EffectiveM != estimator.ExactPrefixCap {
-		t.Errorf("EffectiveM = %d, want %d", res.EffectiveM, estimator.ExactPrefixCap)
-	}
-	if res.Note == "" {
-		t.Error("clamp not recorded in Note")
+	if res.EffectiveM != 64 || res.Note != "" {
+		t.Errorf("EffectiveM = %d with note %q, want 64 and none", res.EffectiveM, res.Note)
 	}
 }
 
@@ -170,12 +170,19 @@ func TestWindowDistClampsSupportAndPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.EffectiveM != estimator.ExactPrefixCap {
-		t.Errorf("EffectiveM = %d, want %d", res.EffectiveM, estimator.ExactPrefixCap)
+	if res.EffectiveM != 64 || res.Note != "" {
+		t.Errorf("EffectiveM = %d with note %q, want 64 and none", res.EffectiveM, res.Note)
 	}
-	if len(res.Dist) != estimator.ExactPrefixCap+1 {
-		t.Errorf("dist length %d, want %d (max gamma clamped to effective m)",
-			len(res.Dist), estimator.ExactPrefixCap+1)
+	if len(res.Dist) != 41 {
+		t.Errorf("dist length %d, want 41 (max gamma 40 is within m)", len(res.Dist))
+	}
+	q.PrefixLen = 24
+	res, err = estimator.Estimate(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Dist) != 25 {
+		t.Errorf("dist length %d, want 25 (max gamma clamped to m)", len(res.Dist))
 	}
 	if math.Abs(res.Dist[0]-2.0/3.0) > 1e-3 {
 		t.Errorf("WO Pr[B_0] = %v, want ≈ 2/3", res.Dist[0])

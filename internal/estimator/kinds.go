@@ -70,11 +70,6 @@ func (exactEstimator) Estimate(ctx context.Context, q Query, seed uint64, ex Exe
 	if err != nil {
 		return res, err
 	}
-	if cfg.PrefixLen > ExactPrefixCap {
-		cfg.PrefixLen = ExactPrefixCap
-		res.EffectiveM = ExactPrefixCap
-		res.Note = fmt.Sprintf("m clamped to %d for exact DP", ExactPrefixCap)
-	}
 	iv, err := core.ExactTwoThreadPrA(cfg)
 	if err != nil {
 		return res, fmt.Errorf("estimator: %w", err)
@@ -162,10 +157,8 @@ func (hybridEstimator) Estimate(ctx context.Context, q Query, seed uint64, ex Ex
 	return res, nil
 }
 
-// windowDistEstimator tabulates the exact Pr[B_γ] distribution. It reads
-// the DP through settle.DefaultWindowCache, which the exact kind's
-// core.ExactTwoThreadPrA shares: one DP per (model rows, m, p, s) serves
-// every maxGamma and both kinds.
+// windowDistEstimator tabulates the exact Pr[B_γ] distribution from the
+// settling DP, the one core.ExactTwoThreadPrA reads for the exact kind.
 type windowDistEstimator struct{}
 
 func (windowDistEstimator) Kind() Kind          { return WindowDist }
@@ -178,17 +171,8 @@ func (windowDistEstimator) Estimate(ctx context.Context, q Query, seed uint64, e
 	if err != nil {
 		return res, fmt.Errorf("estimator: %w", err)
 	}
-	m := q.PrefixLen
-	if m > ExactPrefixCap {
-		m = ExactPrefixCap
-		res.EffectiveM = m
-		res.Note = fmt.Sprintf("m clamped to %d for exact DP", ExactPrefixCap)
-	}
-	maxGamma := q.MaxGamma
-	if maxGamma > m {
-		maxGamma = m
-	}
-	pmf, err := settle.DefaultWindowCache().WindowDist(model, m, q.StoreProb, q.SwapProb, maxGamma)
+	maxGamma := min(q.MaxGamma, q.PrefixLen)
+	pmf, err := settle.ExactWindowDist(model, q.PrefixLen, q.StoreProb, q.SwapProb, maxGamma)
 	if err != nil {
 		return res, fmt.Errorf("estimator: %w", err)
 	}

@@ -18,8 +18,10 @@ import (
 // captured from the pre-registry service (which routed every request
 // through a single-cell sweep.Run), so these tests prove the estimator
 // registry redesign left the wire contract byte-identical: same request,
-// same bytes — estimates, intervals, clamp notes, request echo, field
-// order, everything.
+// same bytes — estimates, intervals, request echo, field order,
+// everything. The two m = 64 exact-DP bodies (golden_estimate_exact.json
+// and golden_windowdist_m64.json) were captured later, from the DP that
+// answers at the requested m.
 var goldenCases = []struct {
 	file, path, body string
 }{
@@ -28,7 +30,7 @@ var goldenCases = []struct {
 	{"golden_estimate_hybrid.json", "/v1/estimate", `{"model":"WO","threads":3,"prefix_len":24,"estimator":"hybrid","trials":4000,"seed":11}`},
 	{"golden_estimate_defaults.json", "/v1/estimate", `{"model":"PSO","trials":2000}`},
 	{"golden_windowdist.json", "/v1/windowdist", `{"model":"WO","prefix_len":12,"max_gamma":6}`},
-	{"golden_windowdist_clamp.json", "/v1/windowdist", `{"model":"tso","prefix_len":64,"max_gamma":4,"store_prob":0.25}`},
+	{"golden_windowdist_m64.json", "/v1/windowdist", `{"model":"tso","prefix_len":64,"max_gamma":4,"store_prob":0.25}`},
 }
 
 func TestGoldenResponseBodies(t *testing.T) {

@@ -488,8 +488,7 @@ type EstimateRequest struct {
 	Model string `json:"model"`
 	// Threads is n (≥ 2).
 	Threads int `json:"threads"`
-	// PrefixLen is m; the exact estimator clamps it to the engine's
-	// ExactPrefixCap, recorded in the result's effective_m and note.
+	// PrefixLen is m, at most estimator.PrefixLimit on every estimator.
 	PrefixLen int `json:"prefix_len"`
 	// Estimator is exact, mc, or hybrid (windowdist has its own
 	// endpoint).
@@ -621,7 +620,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 // WindowDistRequest asks for the exact window-growth distribution
 // Pr[B_γ], γ ∈ [0, max_gamma] (Theorem 4.1 at finite m). Omitted fields
-// take the paper's defaults (m=16, max_gamma=8, p=s=1/2).
+// take the paper's defaults (m=64, max_gamma=8, p=s=1/2).
 type WindowDistRequest struct {
 	Model     string  `json:"model"`
 	PrefixLen int     `json:"prefix_len"`
@@ -630,9 +629,11 @@ type WindowDistRequest struct {
 	SwapProb  float64 `json:"swap_prob"`
 }
 
-// defaultWindowDistRequest is the decode base with the paper's defaults.
+// defaultWindowDistRequest is the decode base with the paper's defaults
+// (estimator.DefaultQuery's normal form).
 func defaultWindowDistRequest() WindowDistRequest {
-	return WindowDistRequest{PrefixLen: 16, MaxGamma: 8, StoreProb: 0.5, SwapProb: 0.5}
+	q := estimator.DefaultQuery()
+	return WindowDistRequest{PrefixLen: q.PrefixLen, MaxGamma: q.MaxGamma, StoreProb: q.StoreProb, SwapProb: q.SwapProb}
 }
 
 // WindowDistResponse echoes the normalized request and carries the

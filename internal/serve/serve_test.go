@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"memreliability/internal/estimator"
 	"memreliability/internal/litmus"
 	"memreliability/internal/sweep"
 )
@@ -127,9 +129,9 @@ func TestEstimateCacheByteIdentical(t *testing.T) {
 	if out.Result.Estimate <= 0 || out.Result.Estimate >= 1 {
 		t.Errorf("estimate %v out of (0,1)", out.Result.Estimate)
 	}
-	// m=64 exceeds the exact-DP cap, so the engine's clamp must show.
-	if out.Result.EffectiveM != sweep.ExactPrefixCap {
-		t.Errorf("effective_m = %d, want %d", out.Result.EffectiveM, sweep.ExactPrefixCap)
+	// The exact DP answers at the default m = 64 itself.
+	if out.Result.EffectiveM != 64 || out.Result.Note != "" {
+		t.Errorf("effective_m = %d with note %q, want 64 and none", out.Result.EffectiveM, out.Result.Note)
 	}
 	if hits := metric(t, ts.URL, `serve_cache_events_total{route="POST /v1/estimate",state="hit"}`); hits < 1 {
 		t.Errorf("cache hits = %v, want ≥ 1", hits)
@@ -234,6 +236,7 @@ func TestEstimateBadRequests(t *testing.T) {
 		{"threads 2^62 for mc", `{"model":"SC","estimator":"mc","threads":4611686018427387904,"trials":64}`},
 		{"prefix_len 2^62 for hybrid", `{"model":"SC","prefix_len":4611686018427387904,"trials":64}`},
 		{"threads over the limit", `{"model":"SC","threads":4097,"trials":64}`},
+		{"prefix_len over the limit for exact", `{"model":"SC","estimator":"exact","prefix_len":4097}`},
 		{"exact needs n=2", `{"model":"SC","threads":4,"estimator":"exact"}`},
 		{"zero trials for mc", `{"model":"SC","estimator":"mc","trials":0}`},
 		{"largest int trials for mc", `{"model":"SC","estimator":"mc","trials":9223372036854775807}`},
@@ -258,39 +261,38 @@ func TestEstimateBadRequests(t *testing.T) {
 func TestWindowDistClampMatchesEngine(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	// An oversized prefix must clamp to the exact-DP cap, identically to
-	// a direct request at the cap.
-	resp, big := post(t, ts.URL+"/v1/windowdist", `{"model":"WO","prefix_len":64,"max_gamma":6}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, big)
-	}
-	var out WindowDistResponse
-	if err := json.Unmarshal(big, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Result.EffectiveM != sweep.ExactPrefixCap {
-		t.Errorf("effective_m = %d, want %d", out.Result.EffectiveM, sweep.ExactPrefixCap)
-	}
-	if !strings.Contains(out.Result.Note, "clamped") {
-		t.Errorf("note %q does not record the clamp", out.Result.Note)
-	}
-	if len(out.Result.Dist) != 7 {
-		t.Fatalf("dist has %d entries, want 7", len(out.Result.Dist))
-	}
-
-	resp, capped := post(t, ts.URL+"/v1/windowdist",
-		fmt.Sprintf(`{"model":"WO","prefix_len":%d,"max_gamma":6}`, sweep.ExactPrefixCap))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, capped)
-	}
-	var ref WindowDistResponse
-	if err := json.Unmarshal(capped, &ref); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref.Result.Dist {
-		if out.Result.Dist[i] != ref.Result.Dist[i] {
-			t.Errorf("dist[%d] = %v, want %v", i, out.Result.Dist[i], ref.Result.Dist[i])
+	// Every prefix up to estimator.PrefixLimit is answered at its own m,
+	// with no note, exactly as a direct estimate; one over it is refused.
+	for _, m := range []int{64, estimator.PrefixLimit} {
+		body := fmt.Sprintf(`{"model":"SC","prefix_len":%d,"max_gamma":6}`, m)
+		resp, data := post(t, ts.URL+"/v1/windowdist", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("prefix_len %d: status %d: %s", m, resp.StatusCode, data)
 		}
+		var out WindowDistResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Result.EffectiveM != m || out.Result.Note != "" {
+			t.Errorf("prefix_len %d: effective_m = %d with note %q, want %d and none",
+				m, out.Result.EffectiveM, out.Result.Note, m)
+		}
+		req := defaultWindowDistRequest()
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		direct, err := estimator.Estimate(t.Context(), req.query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out.Result.Dist, direct.Dist) || len(direct.Dist) != 7 {
+			t.Errorf("prefix_len %d: dist %v, direct estimate %v", m, out.Result.Dist, direct.Dist)
+		}
+	}
+	resp, data := post(t, ts.URL+"/v1/windowdist",
+		fmt.Sprintf(`{"model":"SC","prefix_len":%d}`, estimator.PrefixLimit+1))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("prefix_len %d: status %d, want 400 (%s)", estimator.PrefixLimit+1, resp.StatusCode, data)
 	}
 }
 

@@ -24,12 +24,16 @@ func TestConditionalWindowDistValidation(t *testing.T) {
 	if _, err := ConditionalWindowDist(memmodel.WO(), fence, 0.5); !errors.Is(err, ErrBadInput) {
 		t.Error("fence prefix accepted")
 	}
-	long := make([]memmodel.OpType, 30)
+	long := make([]memmodel.OpType, 50)
 	for i := range long {
 		long[i] = memmodel.Load
 	}
-	if _, err := ConditionalWindowDist(memmodel.SC(), long, 0.5); !errors.Is(err, ErrBadInput) {
-		t.Error("huge prefix accepted")
+	pmf, err := ConditionalWindowDist(memmodel.SC(), long, 0.5)
+	if err != nil {
+		t.Fatalf("m = 50: %v", err)
+	}
+	if math.Abs(pmf.Total()-1) > 1e-12 {
+		t.Errorf("m = 50: mass %v, want 1", pmf.Total())
 	}
 }
 

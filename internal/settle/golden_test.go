@@ -46,9 +46,8 @@ func pmfValues(pmf *dist.PMF) []float64 {
 // dpGoldenLines evaluates every exact-DP entry point over the golden
 // grid: all six models × m ∈ {0, 1, 7, 12} × six (p, s) points
 // (interior and edge), plus m = 16 at the normal form, and
-// ConditionalWindowDist on fixed prefixes at interior and edge s. The
-// window lines come from windowDist.
-func dpGoldenLines(t *testing.T, windowDist func(memmodel.Model, int, float64, float64, int) (*dist.PMF, error)) []string {
+// ConditionalWindowDist on fixed prefixes at interior and edge s.
+func dpGoldenLines(t *testing.T) []string {
 	t.Helper()
 	type point struct {
 		m    int
@@ -67,7 +66,7 @@ func dpGoldenLines(t *testing.T, windowDist func(memmodel.Model, int, float64, f
 	for _, model := range goldenModels() {
 		for _, g := range grid {
 			at := fmt.Sprintf("%s m=%d p=%v s=%v", model.Name(), g.m, g.p, g.s)
-			window, err := windowDist(model, g.m, g.p, g.s, g.m)
+			window, err := ExactWindowDist(model, g.m, g.p, g.s, g.m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +110,7 @@ func dpGoldenLines(t *testing.T, windowDist func(memmodel.Model, int, float64, f
 // memsweep and serve goldens never reach. Regenerate the file only for a
 // deliberate change of results: go test ./internal/settle -run ExactDPGolden -update
 func TestExactDPGolden(t *testing.T) {
-	got := dpGoldenLines(t, ExactWindowDist)
+	got := dpGoldenLines(t)
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(dpGoldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -122,17 +121,6 @@ func TestExactDPGolden(t *testing.T) {
 		return
 	}
 	checkGolden(t, got)
-}
-
-// TestExactDPGoldenThroughWindowCache runs the golden grid's window
-// distributions through a window cache twice: the first pass computes
-// every entry, the second reads them back. Both must match the golden
-// file bit for bit.
-func TestExactDPGoldenThroughWindowCache(t *testing.T) {
-	wc := newWindowCache(windowCacheCap)
-	for pass := 0; pass < 2; pass++ {
-		checkGolden(t, dpGoldenLines(t, wc.WindowDist))
-	}
 }
 
 // checkGolden compares golden lines with the committed file.

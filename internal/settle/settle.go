@@ -16,14 +16,14 @@
 //   - Settle: a sampler producing one random final permutation, and
 //   - ExactWindowDist / ExactContiguousStoreDist / BottomStoreDensity:
 //     exact finite-m distributions computed by dynamic programming over
-//     type strings, used to validate both the sampler and the paper's
-//     closed forms (Theorem 4.1, Lemma 4.2, Claim 4.3).
+//     the law of the settled prefix's bottom run, used to validate both
+//     the sampler and the paper's closed forms (Theorem 4.1, Lemma 4.2,
+//     Claim 4.3).
 package settle
 
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"memreliability/internal/dist"
 	"memreliability/internal/memmodel"
@@ -184,10 +184,6 @@ func swapAllowed(prev, moving prog.Instruction, model memmodel.Model) bool {
 	return model.Relaxed(prev.Type, moving.Type)
 }
 
-// maxExactPrefix bounds the exact-DP prefix length; the state space is
-// 2^m type strings.
-const maxExactPrefix = 18
-
 // ExactWindowDist returns the exact distribution of the critical-window
 // growth γ for a random program with prefix length m and store probability
 // pStore, settled under the given model with uniform swap probability s.
@@ -195,196 +191,219 @@ const maxExactPrefix = 18
 // probability is tail mass.
 //
 // This is a finite-m ground truth for Theorem 4.1 (whose closed forms take
-// m → ∞); the finite-size discrepancy decays geometrically in m.
-//
-// Every call runs the DP; WindowCache.WindowDist returns the same PMF bit
-// for bit and runs it once per distinct input.
+// m → ∞); the finite-size discrepancy decays geometrically in m. It takes
+// O(m²) time and O(m) memory.
 func ExactWindowDist(model memmodel.Model, m int, pStore, s float64, maxGamma int) (*dist.PMF, error) {
 	if err := validateWindowArgs(model, m, pStore, s, maxGamma); err != nil {
 		return nil, err
 	}
-	return dist.NewPMF(newDP(model, s).windowMass(m, pStore, maxGamma))
+	r := newRunLaw(model, m, s)
+	for i := 0; i < m; i++ {
+		r.round(i, pStore)
+	}
+	return dist.NewPMF(r.windowMass(maxGamma))
 }
 
-// windowMass runs the window DP and tabulates Pr[B_γ] for γ ∈ [0,
-// maxGamma]. Each mass[γ] receives the same additions in the same order
-// whatever maxGamma is, so a shorter table is a bit-identical prefix of
-// a longer one.
-func (d dp) windowMass(m int, pStore float64, maxGamma int) []float64 {
-	settleWindowDPEvaluations.Inc()
-	strings := d.prefixStringDist(m, pStore)
-	mass := make([]float64, maxGamma+1)
-	for mask, w := range strings {
-		if w == 0 {
+// The exact DPs track the law of one pair: the type t of the settled
+// prefix's bottom instruction and the length ℓ of its bottom run (the
+// instructions of type t below the lowest one of the other type). That
+// pair holds everything a walker's reach depends on, whichever of Table
+// 1's pairs the model relaxes: a walker stopped by both types passes
+// nothing, one stopped by neither passes the whole prefix, and one
+// stopped by one type passes the bottom run when the run is of the other
+// type and nothing otherwise. So 2m states stand in for the 2^m type
+// strings of the prefix.
+
+// The two plain types, as indices of a walker's row and of the run law.
+const (
+	ld = 0
+	st = 1
+)
+
+// walker is one moving type's row of a model's permission matrix:
+// stops[x] reports whether a preceding instruction of type x stops it.
+type walker struct{ stops [2]bool }
+
+func walkerOf(model memmodel.Model, moving memmodel.OpType) walker {
+	return walker{stops: [2]bool{
+		ld: !model.Relaxed(memmodel.Load, moving),
+		st: !model.Relaxed(memmodel.Store, moving),
+	}}
+}
+
+// reach returns how many instructions of a length-n prefix whose bottom
+// run is l instructions of type t the walker, entering directly below
+// the prefix, can settle past before one stops it.
+func (w walker) reach(t, l, n int) int {
+	switch {
+	case w.stops[t]:
+		return 0
+	case w.stops[1-t]:
+		return l
+	default:
+		return n
+	}
+}
+
+// runLaw is one evaluation of the exact DP: the law of the settled
+// prefix's bottom run, advanced one settling round at a time.
+//
+// Every walk is a truncated geometric: a walker of reach R passes a < R
+// instructions with probability s^a·(1−s) and all R with probability
+// s^R. The floating-point operations and their order are part of every
+// result: testdata/exact_dp_golden.txt pins them bit for bit.
+type runLaw struct {
+	walkers [2]walker // a moving LD's row and a moving ST's
+	stay    float64   // 1 − s, the chance a permitted swap fails
+	pow     []float64 // pow[k] = s^k for k ∈ [0, 2m]
+	gsum    []float64 // gsum[k] = G(k) = Σ_{j<k} s^{2j} for k ∈ [0, m]
+	m       int
+	// cur[t][l] is the probability that the prefix's bottom run is l
+	// instructions of type t; the empty prefix is cur[ld][0]. next is
+	// the round's output, swapped with cur after the round.
+	cur, next [2][]float64
+}
+
+func newRunLaw(model memmodel.Model, m int, s float64) *runLaw {
+	r := &runLaw{
+		walkers: [2]walker{ld: walkerOf(model, memmodel.Load), st: walkerOf(model, memmodel.Store)},
+		stay:    1 - s,
+		pow:     make([]float64, 2*m+1),
+		gsum:    make([]float64, m+1),
+		m:       m,
+	}
+	for t := range 2 {
+		r.cur[t], r.next[t] = make([]float64, m+1), make([]float64, m+1)
+	}
+	r.pow[0] = 1
+	for k := 1; k < len(r.pow); k++ {
+		r.pow[k] = r.pow[k-1] * s
+	}
+	for k := 1; k < len(r.gsum); k++ {
+		r.gsum[k] = r.gsum[k-1] + r.pow[2*(k-1)]
+	}
+	r.cur[ld][0] = 1
+	return r
+}
+
+// round performs settling round i+1 on a prefix of i instructions: the
+// new instruction, a ST with probability pStore, enters below the prefix
+// and settles upward. A walker of type u below a run of l of type t:
+//
+//   - u = t joins the run, unless it passes the whole run and the
+//     instruction above it, which only a walker stopped by neither type
+//     can (probability s^{l+1});
+//   - u ≠ t stopped by t starts a run of its own;
+//   - u ≠ t not stopped by t reaches at least the top of the run. It
+//     stays below it with probability 1−s, starting a run of its own,
+//     passes it whole with probability s^l, leaving it as it was, or
+//     stops inside it after a ∈ [1, l) passes with probability
+//     s^a·(1−s), cutting it to a. One suffix sum over l collects the
+//     cuts.
+func (r *runLaw) round(i int, pStore float64) {
+	clear(r.next[ld])
+	clear(r.next[st])
+	for u, pu := range [2]float64{ld: 1 - pStore, st: pStore} {
+		if pu == 0 {
 			continue
 		}
-		d.accumWindow(uint64(mask), m, w, mass)
+		w := r.walkers[u]
+		own := r.next[u]
+		if i == 0 {
+			own[1] += pu * r.cur[ld][0]
+			continue
+		}
+		for t := range 2 {
+			from, out := r.cur[t][:i+1], r.next[t]
+			switch {
+			case t == u:
+				passes := !w.stops[ld] && !w.stops[st]
+				for l := 1; l <= i; l++ {
+					p, past := pu*from[l], 0.0
+					if passes && l < i {
+						past = p * r.pow[l+1]
+					}
+					out[l] += past
+					out[l+1] += p - past
+				}
+			case w.stops[t]:
+				total := 0.0
+				for _, p := range from[1:] {
+					total += p
+				}
+				own[1] += pu * total
+			default:
+				tail := 0.0 // the weight of the runs longer than l
+				for l := i; l >= 1; l-- {
+					out[l] += pu * r.pow[l] * (from[l] + r.stay*tail)
+					tail += from[l]
+				}
+				own[1] += pu * r.stay * tail
+			}
+		}
+	}
+	r.cur, r.next = r.next, r.cur
+}
+
+// windowMass tabulates Pr[B_γ] for γ ∈ [0, maxGamma] after the prefix's
+// m rounds, when the critical LD and then the critical ST settle. Each
+// mass[γ] receives the same additions in the same order whatever
+// maxGamma is, so a shorter table is a bit-identical prefix of a longer
+// one.
+func (r *runLaw) windowMass(maxGamma int) []float64 {
+	mass := make([]float64, maxGamma+1)
+	for t := range 2 {
+		for l, w := range r.cur[t] {
+			if w != 0 {
+				r.addWindow(mass, w, r.walkers[ld].reach(t, l, r.m), r.walkers[st].reach(t, l, r.m))
+			}
+		}
 	}
 	return mass
 }
 
-// The exact DP works on type strings encoded as masks: bit j is the type
-// at position j (set = ST, clear = LD), position 0 is the top, and a
-// length-n string is a mask below 2^n.
-
-// blockers is one moving type's row of a model's permission matrix in the
-// mask encoding: st is all ones when a preceding ST stops the moving
-// instruction and zero when it may settle past one, and ld likewise for
-// a preceding LD, so mask&st | ^mask&ld marks every position that stops
-// it.
-type blockers struct{ st, ld uint64 }
-
-func blockersOf(model memmodel.Model, moving memmodel.OpType) blockers {
-	var b blockers
-	if !model.Relaxed(memmodel.Store, moving) {
-		b.st = ^uint64(0)
-	}
-	if !model.Relaxed(memmodel.Load, moving) {
-		b.ld = ^uint64(0)
-	}
-	return b
-}
-
-// reach returns how many instructions of the length-n string mask an
-// instruction entering directly below it can settle past before the
-// first one that stops it (n when none does): n minus the bit length of
-// the blocked positions, since it passes positions n-1, n-2, ... in turn.
-func (b blockers) reach(mask uint64, n int) int {
-	return n - bits.Len64((mask&b.st|^mask&b.ld)&(1<<uint(n)-1))
-}
-
-// dp is one exact-DP evaluation: the model's four plain-pair permissions
-// and the swap probability, read once per call, so that the inner loops
-// compare integers and multiply by stay, with no permission lookup.
+// addWindow adds weight w of the window law for a critical LD of reach a
+// and a critical ST of reach c over the prefix. The critical LD passes
+// x ≤ a instructions; the ones it passed keep their order below it, so
+// the critical ST then passes y ≤ min(x, c) of them from the bottom, the
+// critical LD itself (same address) stopping it at y = x; γ = x − y.
+// Summing the two truncated geometrics over x gives, with G as in
+// runLaw.gsum,
 //
-// Every loop walks an instruction upward as the settling process does:
-// each step short of its reach is a swap attempt that fails with
-// probability stay = 1 − s, and the step at its reach stops it with
-// certainty. The floating-point operations and their order are part of
-// every result: testdata/exact_dp_golden.txt pins them bit for bit.
-type dp struct {
-	ld, st blockers // the rows of a moving LD and a moving ST
-	stay   float64
-}
-
-func newDP(model memmodel.Model, s float64) dp {
-	return dp{
-		ld:   blockersOf(model, memmodel.Load),
-		st:   blockersOf(model, memmodel.Store),
-		stay: 1 - s,
-	}
-}
-
-// prefixStringDist computes the exact distribution over type strings of the
-// settled prefix after rounds 1..m (the order S_m restricted to the prefix,
-// which rounds m+1 and m+2 take as input). The distribution is dense:
-// entry mask holds the weight of the length-m type string mask. A dense
-// slice (rather than a map) keeps the floating-point accumulation order
-// deterministic, so exact-DP results are bit-identical across runs.
-func (d dp) prefixStringDist(m int, pStore float64) []float64 {
-	cur := []float64{1} // the single empty string
-	for i := 0; i < m; i++ {
-		cur = d.stepStringDist(cur, i, pStore)
-	}
-	return cur
-}
-
-// stepStringDist performs settling round i+1 on a distribution over
-// length-i type strings: the new instruction (ST with probability pStore)
-// enters at position i (the bottom of the current string) and settles
-// upward; stopping after passing a instructions leaves it at position i-a.
-func (d dp) stepStringDist(cur []float64, i int, pStore float64) []float64 {
-	next := make([]float64, 2*len(cur))
-	pLoad := 1 - pStore
-	for maskInt, w := range cur {
-		if w == 0 {
-			continue
-		}
-		mask := uint64(maskInt)
-		if pStore != 0 {
-			d.insert(next, mask, i, 1, d.st.reach(mask, i), w*pStore)
-		}
-		if pLoad != 0 {
-			d.insert(next, mask, i, 0, d.ld.reach(mask, i), w*pLoad)
-		}
-	}
-	return next
-}
-
-// insert spreads weight w of an instruction of type bit typ (1 = ST) that
-// enters below the length-i string mask and can pass at most reach of its
-// instructions over the length-(i+1) strings next: stopping after a
-// passes puts typ at position i-a, shifting the positions below it down.
-func (d dp) insert(next []float64, mask uint64, i int, typ uint64, reach int, w float64) {
-	remaining := w
-	for a := 0; a <= reach; a++ {
-		stop := remaining
-		if a < reach {
-			stop = remaining * d.stay
-		}
-		if stop > 0 {
-			k := uint(i - a)
-			next[mask&(1<<k-1)|mask>>k<<(k+1)|typ<<k] += stop
-		}
-		remaining -= stop
-		if remaining <= 0 {
-			break
-		}
-	}
-}
-
-// accumWindow adds, for the settled prefix string mask (length m, weight
-// w), the joint outcome of rounds m+1 (critical LD) and m+2 (critical ST)
-// to the window-size mass table.
+//	Pr[γ = 0] = (1−s)·G(a) + s^{2a}                     if c ≥ a,
+//	            (1−s)·G(c+1)                            if c < a;
+//	Pr[γ = g] = (1−s)²·s^g·G(c) + (1−s)·s^{g+2c}        if g + c < a,
+//	            (1−s)²·s^g·G(c) + s^{g+2c}              if g + c = a,
+//	            (1−s)²·s^g·G(a−g) + (1−s)·s^{2a−g}      if g ≤ a < g + c,
 //
-// The critical LD starts directly below the string and passes a
-// instructions; the instructions it passed keep their relative order below
-// it, so the critical ST then passes b ≤ a of them from the bottom and
-// stops automatically when it reaches the critical LD (same address).
-// γ = a − b.
-func (d dp) accumWindow(mask uint64, m int, w float64, mass []float64) {
-	reachLD, reachST := d.ld.reach(mask, m), d.st.reach(mask, m)
-	remainingLD := w
-	for a := 0; a <= reachLD; a++ {
-		stopLD := remainingLD
-		if a < reachLD {
-			stopLD = remainingLD * d.stay
+// and Pr[γ = g] = 0 for g > a.
+func (r *runLaw) addWindow(mass []float64, w float64, a, c int) {
+	pow, gsum, stay := r.pow, r.gsum, r.stay
+	if c >= a {
+		mass[0] += w * (stay*gsum[a] + pow[2*a])
+	} else {
+		mass[0] += w * stay * gsum[c+1]
+	}
+	for g := 1; g <= min(a, len(mass)-1); g++ {
+		var p float64
+		switch {
+		case g+c < a:
+			p = stay*stay*pow[g]*gsum[c] + stay*pow[g+2*c]
+		case g+c == a:
+			p = stay*stay*pow[g]*gsum[c] + pow[g+2*c]
+		default:
+			p = stay*stay*pow[g]*gsum[a-g] + stay*pow[2*a-g]
 		}
-		if stopLD > 0 {
-			// Critical ST passes b of the a instructions below the LD;
-			// from the bottom those are t[m-1], t[m-2], ..., t[m-a], and
-			// the critical LD itself stops it at b = a (same address).
-			limit := min(a, reachST)
-			remainingST := stopLD
-			for b := 0; b <= limit; b++ {
-				stopST := remainingST
-				if b < limit {
-					stopST = remainingST * d.stay
-				}
-				if stopST > 0 {
-					gamma := a - b
-					if gamma < len(mass) {
-						mass[gamma] += stopST
-					}
-				}
-				remainingST -= stopST
-				if remainingST <= 0 {
-					break
-				}
-			}
-		}
-		remainingLD -= stopLD
-		if remainingLD <= 0 {
-			break
-		}
+		mass[g] += w * p
 	}
 }
 
 // ExactContiguousStoreDist returns the exact distribution of L_µ — the
 // number of contiguous STs immediately above the critical LD in S_m (the
-// order just before the critical load settles) — tabulated for
-// µ ∈ [0, maxMu]. This is the quantity Lemma 4.2 bounds:
-// Pr[L_0] = 1/3 and Pr[L_µ] ≥ (4/7)·2^-µ under TSO.
+// order just before the critical load settles), which is the bottom run
+// when it is of STs and 0 otherwise — tabulated for µ ∈ [0, maxMu]. This
+// is the quantity Lemma 4.2 bounds: Pr[L_0] = 1/3 and Pr[L_µ] ≥
+// (4/7)·2^-µ under TSO.
 func ExactContiguousStoreDist(model memmodel.Model, m int, pStore, s float64, maxMu int) (*dist.PMF, error) {
 	if err := validateExactArgs(model, m, pStore, s); err != nil {
 		return nil, err
@@ -392,19 +411,16 @@ func ExactContiguousStoreDist(model memmodel.Model, m int, pStore, s float64, ma
 	if maxMu < 0 {
 		return nil, fmt.Errorf("%w: maxMu=%d", ErrBadInput, maxMu)
 	}
-	strings := newDP(model, s).prefixStringDist(m, pStore)
+	r := newRunLaw(model, m, s)
+	for i := 0; i < m; i++ {
+		r.round(i, pStore)
+	}
 	mass := make([]float64, maxMu+1)
-	for mask, w := range strings {
-		if w == 0 {
-			continue
-		}
-		mu := 0
-		for j := m - 1; j >= 0 && mask>>uint(j)&1 != 0; j-- {
-			mu++
-		}
-		if mu < len(mass) {
-			mass[mu] += w
-		}
+	for _, w := range r.cur[ld] {
+		mass[0] += w
+	}
+	for mu, w := range r.cur[st][:min(m, maxMu)+1] {
+		mass[mu] += w
 	}
 	return dist.NewPMF(mass)
 }
@@ -417,16 +433,13 @@ func BottomStoreDensity(model memmodel.Model, m int, pStore, s float64) ([]float
 	if err := validateExactArgs(model, m, pStore, s); err != nil {
 		return nil, err
 	}
-	d := newDP(model, s)
+	r := newRunLaw(model, m, s)
 	out := make([]float64, 0, m)
-	cur := []float64{1}
 	for i := 0; i < m; i++ {
-		cur = d.stepStringDist(cur, i, pStore)
+		r.round(i, pStore)
 		density := 0.0
-		for mask, w := range cur {
-			if mask>>uint(i)&1 != 0 {
-				density += w
-			}
+		for _, w := range r.cur[st] {
+			density += w
 		}
 		out = append(out, density)
 	}
@@ -439,8 +452,8 @@ func validateExactArgs(model memmodel.Model, m int, pStore, s float64) error {
 	if model.Name() == "" {
 		return fmt.Errorf("%w: zero-value model", ErrBadInput)
 	}
-	if m < 0 || m > maxExactPrefix {
-		return fmt.Errorf("%w: prefix length %d (need 0 ≤ m ≤ %d)", ErrBadInput, m, maxExactPrefix)
+	if m < 0 {
+		return fmt.Errorf("%w: prefix length %d", ErrBadInput, m)
 	}
 	if !(0 <= pStore && pStore <= 1) {
 		return fmt.Errorf("%w: store probability %v", ErrBadInput, pStore)

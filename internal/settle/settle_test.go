@@ -2,6 +2,7 @@ package settle
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -205,16 +206,20 @@ func theorem41WO(gamma int) float64 {
 }
 
 func TestExactWindowDistWOMatchesTheorem41(t *testing.T) {
-	pmf, err := ExactWindowDist(memmodel.WO(), 14, 0.5, 0.5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for gamma := 0; gamma <= 8; gamma++ {
-		want := theorem41WO(gamma)
-		got := pmf.At(gamma)
-		// Finite-m truncation error is O(2^-m).
-		if math.Abs(got-want) > 1e-3 {
-			t.Errorf("WO Pr[B_%d] = %v, want %v", gamma, got, want)
+	// Finite-m truncation error is O(2^-m): below rounding at m = 64.
+	for _, tc := range []struct {
+		m   int
+		tol float64
+	}{{14, 1e-3}, {64, 1e-15}} {
+		pmf, err := ExactWindowDist(memmodel.WO(), tc.m, 0.5, 0.5, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gamma := 0; gamma <= 8; gamma++ {
+			want := theorem41WO(gamma)
+			if got := pmf.At(gamma); math.Abs(got-want) > tc.tol {
+				t.Errorf("m=%d: WO Pr[B_%d] = %v, want %v", tc.m, gamma, got, want)
+			}
 		}
 	}
 }
@@ -305,8 +310,12 @@ func TestExactWindowDistValidation(t *testing.T) {
 	if _, err := ExactWindowDist(memmodel.Model{}, 5, 0.5, 0.5, 5); !errors.Is(err, ErrBadInput) {
 		t.Error("zero model accepted")
 	}
-	if _, err := ExactWindowDist(memmodel.SC(), 50, 0.5, 0.5, 5); !errors.Is(err, ErrBadInput) {
-		t.Error("huge m accepted")
+	pmf, err := ExactWindowDist(memmodel.SC(), 50, 0.5, 0.5, 50)
+	if err != nil {
+		t.Fatalf("m = 50: %v", err)
+	}
+	if math.Abs(pmf.Total()-1) > 1e-12 {
+		t.Errorf("m = 50: mass %v, want 1", pmf.Total())
 	}
 	if _, err := ExactWindowDist(memmodel.SC(), 5, 1.5, 0.5, 5); !errors.Is(err, ErrBadInput) {
 		t.Error("bad pStore accepted")
@@ -481,17 +490,19 @@ func BenchmarkSettleTSO64(b *testing.B) {
 }
 
 // BenchmarkExactWindowDist times the window DP for every registered model
-// at m = 16, p = s = 1/2: the prefix every exact and windowdist sweep cell
-// is clamped to (estimator.ExactPrefixCap), where the weak models' DP sets
-// a sweep's tail.
+// at p = s = 1/2, tabulating the full support: at m = 16, and at m =
+// 4,096, estimator.PrefixLimit, the longest prefix an exact or
+// windowdist query may ask for.
 func BenchmarkExactWindowDist(b *testing.B) {
-	for _, model := range memmodel.Registered() {
-		b.Run(model.Name(), func(b *testing.B) {
-			for b.Loop() {
-				if _, err := ExactWindowDist(model, 16, 0.5, 0.5, 16); err != nil {
-					b.Fatal(err)
+	for _, m := range []int{16, 4096} {
+		for _, model := range memmodel.Registered() {
+			b.Run(fmt.Sprintf("m=%d/%s", m, model.Name()), func(b *testing.B) {
+				for b.Loop() {
+					if _, err := ExactWindowDist(model, m, 0.5, 0.5, m); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

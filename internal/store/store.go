@@ -41,9 +41,11 @@ import (
 )
 
 // RecordVersion is the schema version stamped on every record file.
-// Bump it when the record layout changes; version-skewed files read as
-// misses and are replaced on the next write.
-const RecordVersion = 1
+// Bump it when the layout or the meaning of a stored result changes;
+// version-skewed files read as misses and are replaced on the next
+// write. Version 1 records may hold exact and windowdist results clamped
+// to m = 16 under the keys of longer prefixes.
+const RecordVersion = 2
 
 // ErrBadDir reports a store directory that cannot be created or used.
 var ErrBadDir = errors.New("store: bad directory")

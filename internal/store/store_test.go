@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,12 +87,12 @@ func TestCorruptRecordIsSkippedAndReplaced(t *testing.T) {
 			return os.WriteFile(path, data, 0o644)
 		},
 		"version skew": func(path string) error {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(path,
-				bytes.Replace(data, []byte(`"schema_version":1`), []byte(`"schema_version":999`), 1), 0o644)
+			return setVersion(path, 999)
+		},
+		// Version 1 stored exact and windowdist results clamped to
+		// m = 16 under the keys of longer prefixes.
+		"version 1": func(path string) error {
+			return setVersion(path, 1)
 		},
 	}
 	for name, corrupt := range corruptions {
@@ -127,6 +128,19 @@ func TestCorruptRecordIsSkippedAndReplaced(t *testing.T) {
 			assertNoTempFiles(t, s.dir)
 		})
 	}
+}
+
+// setVersion rewrites the schema version of the record file at path.
+func setVersion(path string, version int) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	current := fmt.Appendf(nil, `"schema_version":%d`, RecordVersion)
+	if !bytes.Contains(data, current) {
+		return fmt.Errorf("record has no %s", current)
+	}
+	return os.WriteFile(path, bytes.Replace(data, current, fmt.Appendf(nil, `"schema_version":%d`, version), 1), 0o644)
 }
 
 // TestKeyMismatchReadsAsMiss: a record renamed onto another key's

@@ -10,7 +10,7 @@
 // Estimation itself lives in internal/estimator: every cell becomes one
 // estimator.Query dispatched through the kind registry, so the engine
 // adds orchestration (grid expansion, sharding, artifact collection) on
-// top of the one canonical validation/clamping/dispatch path shared with
+// top of the one canonical validation/dispatch path shared with
 // the facade, the HTTP service, and the CLIs.
 //
 // Reproducibility is the engine's core guarantee: every cell derives one
@@ -37,11 +37,6 @@ import (
 
 // ErrBadSpec reports an invalid sweep specification.
 var ErrBadSpec = errors.New("sweep: bad spec")
-
-// ExactPrefixCap re-exports the estimator registry's exact-DP prefix
-// bound: exact and window-distribution cells clamp their prefix to it
-// and record the clamp in the cell's note.
-const ExactPrefixCap = estimator.ExactPrefixCap
 
 // Kind names an estimation route. It is the estimator registry's key
 // type: a sweep cell's kind and a direct estimator.Query kind are the
@@ -81,9 +76,8 @@ type Spec struct {
 	// estimator.ThreadLimit when an mc/hybrid estimator runs). Empty
 	// means {2}.
 	Threads []int `json:"threads,omitempty"`
-	// PrefixLens are the prefix lengths m (each ≥ 1, and at most
-	// estimator.PrefixLimit when an mc/hybrid estimator runs). Empty
-	// means {64}.
+	// PrefixLens are the prefix lengths m (each 1 ≤ m ≤
+	// estimator.PrefixLimit). Empty means {64}.
 	PrefixLens []int `json:"prefix_lens,omitempty"`
 	// Estimators are the estimation routes to run per grid point.
 	// Empty means {hybrid}.
@@ -201,11 +195,8 @@ func (s Spec) Validate() error {
 		}
 	}
 	for _, m := range s.PrefixLens {
-		if m < 1 {
-			return fmt.Errorf("%w: prefix length %d", ErrBadSpec, m)
-		}
-		if needTrials && m > estimator.PrefixLimit {
-			return fmt.Errorf("%w: prefix length %d (mc/hybrid cells need m ≤ %d)", ErrBadSpec, m, estimator.PrefixLimit)
+		if m < 1 || m > estimator.PrefixLimit {
+			return fmt.Errorf("%w: prefix length %d (need 1 ≤ m ≤ %d)", ErrBadSpec, m, estimator.PrefixLimit)
 		}
 	}
 	if needTrials && (s.Trials < 1 || s.Trials > mc.TrialLimit) {
@@ -285,9 +276,8 @@ type CellResult struct {
 	Skipped bool   `json:"skipped,omitempty"`
 	Note    string `json:"note,omitempty"`
 
-	// EffectiveM is the prefix length the estimator actually used:
-	// equal to PrefixLen unless the exact DP clamped it to
-	// ExactPrefixCap.
+	// EffectiveM is the prefix length the result is for: PrefixLen, on
+	// every kind.
 	EffectiveM int `json:"effective_m"`
 
 	Estimate    float64 `json:"estimate"`

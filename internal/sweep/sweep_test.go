@@ -120,6 +120,8 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{Models: []string{"SC"}, PrefixLens: []int{0}},
 		{Models: []string{"SC"}, PrefixLens: []int{estimator.PrefixLimit + 1}},
 		{Models: []string{"SC"}, PrefixLens: []int{math.MaxInt}},
+		{Models: []string{"SC"}, Estimators: []Kind{Exact}, PrefixLens: []int{estimator.PrefixLimit + 1}},
+		{Models: []string{"SC"}, Estimators: []Kind{WindowDist}, PrefixLens: []int{estimator.PrefixLimit + 1}},
 		{Models: []string{"SC"}, Estimators: []Kind{"bogus"}},
 		{Models: []string{"SC"}, Estimators: []Kind{FullMC}, Trials: 0},
 		{Models: []string{"SC"}, Estimators: []Kind{FullMC}, Trials: mc.TrialLimit + 1},
@@ -142,13 +144,13 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	if err := atLimit.Normalized().Validate(); err != nil {
 		t.Errorf("threads and prefix at their limits rejected: %v", err)
 	}
-	// Trials, threads and prefix lengths bound only the cells that run
-	// Monte Carlo trials: the exact kinds clamp the prefix and skip every
-	// n but 2.
+	// Trials and threads bound only the cells that run Monte Carlo
+	// trials: the exact kinds skip every n but 2. The prefix limit binds
+	// every cell.
 	exactOnly := Spec{Models: []string{"SC"}, Estimators: []Kind{Exact, WindowDist}, Trials: math.MaxInt,
-		Threads: []int{math.MaxInt}, PrefixLens: []int{math.MaxInt}}
+		Threads: []int{math.MaxInt}, PrefixLens: []int{estimator.PrefixLimit}}
 	if err := exactOnly.Normalized().Validate(); err != nil {
-		t.Errorf("deterministic grid with huge trials, threads and prefix rejected: %v", err)
+		t.Errorf("deterministic grid with huge trials and threads rejected: %v", err)
 	}
 }
 
@@ -317,12 +319,13 @@ func TestExactPrefixClampNoted(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := art.Cells[0]
-	if !strings.Contains(c.Note, "clamped") {
-		t.Errorf("clamp not noted: %+v", c)
+	if c.EffectiveM != 64 || c.Note != "" {
+		t.Errorf("exact cell at m = 64: effective_m %d with note %q, want 64 and none", c.EffectiveM, c.Note)
 	}
-	// Clamped exact must agree with the direct m=16 DP value.
-	if math.Abs(c.Estimate-0.134) > 0.01 {
-		t.Errorf("TSO exact estimate %v implausible", c.Estimate)
+	// The m = 64 value sits inside the paper's TSO bracket for the
+	// m → ∞ limit (Theorem 6.2).
+	if c.Estimate < 0.1315 || c.Estimate > 0.1369 {
+		t.Errorf("TSO exact estimate %v outside [0.1315, 0.1369]", c.Estimate)
 	}
 }
 

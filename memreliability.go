@@ -159,8 +159,7 @@ const DefaultConfidence = estimator.DefaultConfidence
 func DefaultQuery() Query { return estimator.DefaultQuery() }
 
 // Estimate evaluates one Query through the estimator registry: canonical
-// validation, exact-DP clamping, and deterministic seed derivation in
-// one place. The result depends only on the Query — never on scheduling.
+// validation and deterministic seed derivation in one place. The result depends only on the Query — never on scheduling.
 func Estimate(ctx context.Context, q Query) (QueryResult, error) {
 	return estimator.Estimate(ctx, q)
 }
@@ -205,11 +204,6 @@ type SweepArtifact = sweep.Artifact
 // artifact, including those served by the /v1/sweeps API.
 const SweepArtifactVersion = sweep.ArtifactVersion
 
-// SweepExactPrefixCap is the largest prefix length the exact dynamic
-// programs accept; exact and window-distribution computations clamp m to
-// it everywhere (sweep cells, the serve API, and WindowDistribution).
-const SweepExactPrefixCap = sweep.ExactPrefixCap
-
 // SweepCellResult is one completed sweep grid cell.
 type SweepCellResult = sweep.CellResult
 
@@ -250,11 +244,8 @@ func ModelByName(name string) (Model, error) { return memmodel.ByName(name) }
 // prefix length settled under the model with the paper's normal-form
 // parameters p = s = 1/2 (Theorem 4.1's quantity, at finite m).
 //
-// Prefix lengths above SweepExactPrefixCap are clamped to it, exactly as
-// the estimator registry clamps every windowdist query: the exact DP's
-// state space is 2^m, so larger prefixes are intractable, and the
-// finite-m truncation error already decays geometrically well below the
-// cap.
+// The prefix length is at most estimator.PrefixLimit (4,096), as on
+// every windowdist query; the exact DP takes O(m²) time.
 //
 // Deprecated-style shim: it is a thin adapter over Estimate with
 // Kind = SweepWindowDist; new code should build a Query to control p, s,
@@ -269,9 +260,9 @@ func WindowDistribution(model Model, prefixLen, maxGamma int) ([]float64, error)
 	if err != nil {
 		return nil, err
 	}
-	// The registry tabulates Pr[B_γ] only up to the effective prefix
-	// length; the probability of growth beyond it is exactly zero, so
-	// pad to the requested support.
+	// The registry tabulates Pr[B_γ] only up to the prefix length; the
+	// probability of growth beyond it is exactly zero, so pad to the
+	// requested support.
 	out := make([]float64, maxGamma+1)
 	copy(out, res.Dist)
 	return out, nil
@@ -280,12 +271,11 @@ func WindowDistribution(model Model, prefixLen, maxGamma int) ([]float64, error)
 // TwoThreadNoBugProbability returns rigorous bounds on Pr[A] for two
 // threads under the model (Theorem 6.2's quantity), computed exactly from
 // the settling dynamic program. It is a shim over Estimate with
-// Kind = SweepExact at m = 16.
+// Kind = SweepExact at DefaultQuery's prefix length (m = 64).
 func TwoThreadNoBugProbability(model Model) (Interval, error) {
 	q := DefaultQuery()
 	q.Kind = SweepExact
 	q.Model = model.Name()
-	q.PrefixLen = 16
 	res, err := Estimate(context.Background(), q)
 	if err != nil {
 		return Interval{}, err

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"memreliability/internal/estimator"
 	"memreliability/internal/rng"
 )
 
@@ -42,20 +44,30 @@ func TestFacadeWindowDistribution(t *testing.T) {
 }
 
 func TestFacadeWindowDistributionClampsOversizedPrefix(t *testing.T) {
-	// m=64 is far beyond the 2^m exact-DP state space; the facade must
-	// clamp it to the engine's cap instead of passing it through.
-	big, err := WindowDistribution(TSO(), 64, 5)
+	// m = 64 is answered at m = 64, as a direct windowdist query reports,
+	// and a prefix over estimator.PrefixLimit is refused.
+	got, err := WindowDistribution(TSO(), 64, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := WindowDistribution(TSO(), SweepExactPrefixCap, 5)
+	q := DefaultQuery()
+	q.Kind = SweepWindowDist
+	q.Model = "TSO"
+	q.MaxGamma = 5
+	direct, err := Estimate(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for gamma := range capped {
-		if big[gamma] != capped[gamma] {
-			t.Errorf("Pr[B_%d] = %v, want clamped value %v", gamma, big[gamma], capped[gamma])
+	if direct.EffectiveM != 64 || direct.Note != "" {
+		t.Errorf("m = 64 answered at effective_m %d with note %q", direct.EffectiveM, direct.Note)
+	}
+	for gamma := range got {
+		if got[gamma] != direct.Dist[gamma] {
+			t.Errorf("Pr[B_%d] = %v, want %v", gamma, got[gamma], direct.Dist[gamma])
 		}
+	}
+	if _, err := WindowDistribution(TSO(), estimator.PrefixLimit+1, 5); !errors.Is(err, estimator.ErrBadQuery) {
+		t.Errorf("prefix length %d: err = %v, want ErrBadQuery", estimator.PrefixLimit+1, err)
 	}
 }
 
@@ -223,7 +235,6 @@ func TestFacadeShimsMatchDirectEstimate(t *testing.T) {
 		q := DefaultQuery()
 		q.Kind = SweepExact
 		q.Model = "PSO"
-		q.PrefixLen = 16
 		direct, err := Estimate(ctx, q)
 		if err != nil {
 			t.Fatal(err)

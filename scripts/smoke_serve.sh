@@ -3,10 +3,11 @@
 # byte-identical repeat with a cache hit counted on /metrics/prom (the
 # only metrics surface; GET /metrics is 404), an 8-chunk estimate that is
 # byte-identical on a 2-slot and a 1-slot server (the 2-slot one lending
-# its idle slot to the estimate's chunks), two window distributions that
-# share one cached DP, a 400 for an oversized trial budget and for 2^62
-# threads on a sweep and on an estimate from a daemon that keeps serving,
-# and a clean shutdown.
+# its idle slot to the estimate's chunks), a window distribution answered
+# at its requested prefix length, a 400 for an oversized trial budget and
+# for 2^62 threads on a sweep and on an estimate, and for prefix_len 4,097
+# on the exact routes, from a daemon that keeps serving, and a clean
+# shutdown.
 # Run by both `make smoke-serve` and the CI smoke-serve job.
 set -eu
 
@@ -146,32 +147,24 @@ if ! grep -qE '^mc_helper_chunks_total [1-9]' "$WORKDIR/prom2"; then
 fi
 echo "smoke-serve: the 2-slot server lent its idle slot ($(grep '^mc_helper_chunks_total' "$WORKDIR/prom2"))"
 
-# exact and windowdist read one cached settling DP per (model rows, m, p,
-# s). prefix_len 48 clamps to 16, so the second request is a new
-# response-cache key but no new DP: between the two reads the DP runs
-# exactly once and the window cache serves at least one hit.
-counter() { awk -v name="$1" '$1 == name { print $2 }' "$2"; }
-curl -sf "$BASE/metrics/prom" >"$WORKDIR/prom3"
-for len in 16 48; do
-    curl -sf -o "$WORKDIR/wd$len" -H 'Content-Type: application/json' \
-        -d "{\"model\":\"WO\",\"prefix_len\":$len}" "$BASE/v1/windowdist"
-done
-curl -sf "$BASE/metrics/prom" >"$WORKDIR/prom4"
-EVALS=$(( $(counter settle_window_dp_evaluations_total "$WORKDIR/prom4") - $(counter settle_window_dp_evaluations_total "$WORKDIR/prom3") ))
-HITS=$(( $(counter settle_window_cache_hits_total "$WORKDIR/prom4") - $(counter settle_window_cache_hits_total "$WORKDIR/prom3") ))
-if [ "$EVALS" -ne 1 ] || [ "$HITS" -lt 1 ]; then
-    echo "smoke-serve: windowdist at prefix_len 16 and 48 ran $EVALS DPs with $HITS window-cache hits, want 1 and at least 1" >&2
-    grep '^settle_window' "$WORKDIR/prom3" "$WORKDIR/prom4" >&2 || true
+# windowdist answers at the requested prefix length: effective_m is
+# prefix_len and no note is attached.
+curl -sf -o "$WORKDIR/wd48" -H 'Content-Type: application/json' \
+    -d '{"model":"WO","prefix_len":48}' "$BASE/v1/windowdist"
+if ! grep -q '"effective_m": 48,' "$WORKDIR/wd48" || grep -q '"note"' "$WORKDIR/wd48"; then
+    echo "smoke-serve: windowdist at prefix_len 48 did not answer at m = 48 without a note" >&2
+    cat "$WORKDIR/wd48" >&2
     exit 1
 fi
-echo "smoke-serve: windowdist at prefix_len 16 and 48 shared one DP ($EVALS evaluation, $HITS hit)"
+echo "smoke-serve: windowdist at prefix_len 48 answered at effective_m 48"
 
-# A trial budget over mc.TrialLimit (2^30), or threads over
-# estimator.ThreadLimit, is refused with 400 before any compute: a sweep
-# cell's chunk plan for 2^63-1 trials cannot be allocated, nor can a
-# trial's scratch for 2^62 threads, and a panic on a job's or a chunk's
-# goroutine would end the daemon. The same process must still answer
-# /healthz.
+# A trial budget over mc.TrialLimit (2^30), threads over
+# estimator.ThreadLimit, or a prefix_len over estimator.PrefixLimit
+# (4,096, on the exact routes too) is refused with 400 before any
+# compute: a sweep cell's chunk plan for 2^63-1 trials cannot be
+# allocated, nor can a trial's scratch for 2^62 threads, and a panic on
+# a job's or a chunk's goroutine would end the daemon. The same process
+# must still answer /healthz.
 HUGE=9223372036854775807
 WIDE=4611686018427387904
 refused() {
@@ -186,12 +179,14 @@ refused v1/sweeps "{\"models\":[\"SC\"],\"estimators\":[\"mc\"],\"trials\":$HUGE
 refused v1/estimate "{\"model\":\"SC\",\"estimator\":\"mc\",\"trials\":$HUGE}"
 refused v1/sweeps "{\"models\":[\"SC\"],\"estimators\":[\"mc-compiled\"],\"threads\":[$WIDE],\"trials\":64}"
 refused v1/estimate "{\"model\":\"SC\",\"estimator\":\"mc-compiled\",\"threads\":$WIDE,\"trials\":64}"
+refused v1/estimate '{"model":"SC","estimator":"exact","prefix_len":4097}'
+refused v1/windowdist '{"model":"SC","prefix_len":4097}'
 STATUS=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/healthz")
 if [ "$STATUS" != 200 ] || ! kill -0 "$PID" 2>/dev/null; then
     echo "smoke-serve: memserved stopped serving after the oversized requests (healthz $STATUS)" >&2
     exit 1
 fi
-echo "smoke-serve: oversized trial budgets and thread counts answered 400 and the daemon kept serving"
+echo "smoke-serve: oversized trial budgets, thread counts and prefix lengths answered 400 and the daemon kept serving"
 
 # SIGTERM must shut both daemons down cleanly.
 for p in $PID $PID1; do
